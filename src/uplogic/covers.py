@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import InputError, ResourceError
+from .errors import InputError, InternalCheckError, ResourceError
 from .formula import (
     Basic,
     LikelihoodFormula,
@@ -111,7 +111,11 @@ def search_violation(
                     continue
                 if k + n * v(target) > total:
                     found = CoverInstance(sets=sets, target=target, n=n, k=k)
-                    assert verify_cover(found, ground) and not up3_check(v, found)
+                    if not verify_cover(found, ground) or up3_check(v, found):
+                        raise InternalCheckError(
+                            "search_violation built an instance that is not a "
+                            "violating cover"
+                        )
                     return found
     return None
 

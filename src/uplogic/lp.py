@@ -2,9 +2,20 @@
 
 Systems mix weak (>=) and strict (>) inequalities over named real
 variables.  Feasibility and optimization are decided exactly: a two-phase
-tableau simplex over rationals (gmpy2.mpq when available, Fraction
-otherwise), Dantzig pivoting with a switch to Bland's rule to guarantee
-termination.
+tableau simplex, Dantzig pivoting with a switch to Bland's rule to
+guarantee termination.
+
+The tableau is fraction-free: each row is a list of Python ints over one
+positive denominator, built from its constraint's numerators and the lcm of
+its denominators.  A pivot divides the pivot row by the pivot entry, which
+only sets the row's denominator to the pivot numerator; every other row
+with a nonzero entry in the entering column becomes num*P - F*p over den*P
+(P the pivot row's denominator, F the row's entry, p the pivot row), and
+each changed row is divided by the gcd of its entries and denominator, in
+the style of Bareiss elimination.  The cost row is held the same way, so
+Dantzig's choice compares numerators and the ratio test cross-multiplies.
+Every comparison is exact, so the pivots, points and rays are those of a
+tableau of Fractions; points, rays and values leave as Fractions.
 
 The simplex starts from a basis of one column per row.  A row a.x <= b
 with b >= 0, and a row a.x >= b with b <= 0 (negated to -a.x <= -b),
@@ -24,22 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalCheckError
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
-
-
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
-
 
 class Relation(Enum):
     GE = ">="
@@ -112,14 +111,18 @@ def make_system(
     return LinearSystem(
         variables=tuple(variables),
         constraints=tuple(
-            Constraint(tuple(Fraction(x) for x in co), rel, Fraction(b))
-            for co, rel, b in constraints
+            Constraint(_fractions(co), rel, Fraction(b)) for co, rel, b in constraints
         ),
         objective=None
         if objective is None
-        else (tuple(Fraction(x) for x in objective[0]), objective[1]),
+        else (_fractions(objective[0]), objective[1]),
         nonneg=frozenset(nonneg),
     )
+
+
+def _fractions(xs: Sequence) -> tuple[Fraction, ...]:
+    # Fraction(x) of a Fraction builds a new one; most entries already are
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +131,63 @@ def make_system(
 # Internal problem: maximize c.x subject to rows (a, rel, b) with
 # rel in {"<=", ">=", "="}, x >= 0.
 
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def _reduce(row: list, den: int) -> tuple[list, int]:
+    """row / den in lowest terms: divide numerators and den by their gcd."""
+    if den == 1:
+        return row, den
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def _eliminate(row: list, den: int, e: int, nz: list, piv_den: int):
+    """Subtract row[e]/den times the pivot row from row/den.
+
+    The pivot row is given by its nonzero entries nz over piv_den; its entry
+    in column e is piv_den, so column e of the result is zero.  Returns the
+    new (row, den) in lowest terms; row is updated in place when piv_den
+    is 1."""
+    f = row[e]
+    if piv_den != 1:
+        row = [x * piv_den for x in row]
+        den *= piv_den
+    for j, y in nz:
+        row[j] -= f * y
+    return _reduce(row, den)
+
 
 class _Simplex:
+    """Two-phase tableau simplex in exact rational arithmetic.
+
+    Row i of the tableau is T[i][j] / D[i]: Python ints over one positive
+    denominator, kept in lowest terms (gcd(D[i], *T[i]) == 1).  The cost
+    row is held the same way.  Comparisons on these rows are exact, so
+    the pivot sequence is that of a tableau of Fractions.
+    """
+
     def __init__(self, n: int, rows: list[tuple[list, str, object]], c: list):
         # Normalize rows to rhs >= 0, assign slack/surplus/artificial columns.
         # A ">=" row with rhs 0 is flipped too: as "<=" its slack is a
         # feasible starting basic variable, so it needs no artificial.
+        # Entries are ints or Fractions; each row is scaled to integers by
+        # the lcm of its denominators, which is already in lowest terms.
         self.n_struct = n
-        body: list[list] = []
-        rhs: list = []
+        body: list[list[int]] = []
+        dens: list[int] = []
         kinds: list[str] = []
         for a, rel, b in rows:
-            a = list(a)
-            if b < 0 or (b == 0 and rel == ">="):
-                a = [-x for x in a]
-                b = -b
-                rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            body.append(a)
-            rhs.append(b)
+            den = lcm(b.denominator, *[x.denominator for x in a if x])
+            nums = [x.numerator * (den // x.denominator) if x else 0 for x in a]
+            nums.append(b.numerator * (den // b.denominator))
+            if nums[-1] < 0 or (nums[-1] == 0 and rel == ">="):
+                nums = [-x for x in nums]
+                rel = _FLIP[rel]
+            body.append(nums)
+            dens.append(den)
             kinds.append(rel)
         m = len(body)
         self.m = m
@@ -153,84 +195,79 @@ class _Simplex:
         self.ncols = n + n_slack
         art_cols: list[int] = []
         basis: list[int] = []
-        T: list[list] = []
+        T: list[list[int]] = []
         slack_at = n
         art_at = self.ncols
         n_art = sum(1 for k in kinds if k != "<=")
         total = self.ncols + n_art
         for i in range(m):
-            row = [_ZERO] * (total + 1)
-            for j, x in enumerate(body[i]):
-                row[j] = _Q(x)
+            den = dens[i]
+            row = body[i][:n] + [0] * (total - n) + body[i][n:]
             if kinds[i] == "<=":
-                row[slack_at] = _ONE
+                row[slack_at] = den
                 basis.append(slack_at)
                 slack_at += 1
             elif kinds[i] == ">=":
-                row[slack_at] = -_ONE
+                row[slack_at] = -den
                 slack_at += 1
-                row[art_at] = _ONE
+                row[art_at] = den
                 basis.append(art_at)
                 art_cols.append(art_at)
                 art_at += 1
             else:
-                row[art_at] = _ONE
+                row[art_at] = den
                 basis.append(art_at)
                 art_cols.append(art_at)
                 art_at += 1
-            row[-1] = _Q(rhs[i])
             T.append(row)
         self.T = T
+        self.D = dens
         self.basis = basis
         self.art_cols = set(art_cols)
         self.total = total
-        self.c = [_Q(x) for x in c] + [_ZERO] * (total - n)
+        self.cden = lcm(*[x.denominator for x in c if x])
+        self.c = [x.numerator * (self.cden // x.denominator) if x else 0 for x in c]
+        self.c += [0] * (total - n)
 
-    def _reduced_costs(self, c: list) -> list:
-        # z_j - c_j style: cost row = c_j - sum over basic rows
-        T, basis = self.T, self.basis
-        costs = list(c) + [_ZERO]
-        for i, b in enumerate(basis):
+    def _reduced_costs(self, c: list[int], cden: int) -> tuple[list[int], int]:
+        # cost row = c_j - sum over basic rows of c_basis * row, over one den
+        costs, den = c + [0], cden
+        for i, b in enumerate(self.basis):
             cb = c[b]
-            if cb != 0:
-                row = T[i]
-                for j in range(self.total + 1):
-                    if row[j] != 0:
-                        costs[j] -= cb * row[j]
-        return costs
+            if cb:
+                s, f = cden * self.D[i], cb * den
+                costs = [x * s - f * y for x, y in zip(costs, self.T[i])]
+                costs, den = _reduce(costs, den * s)
+        return costs, den
 
-    def _pivot(self, r: int, e: int) -> list[tuple[int, object]]:
-        """Pivot on (r, e); returns the nonzero entries of the new pivot row.
-
-        Other rows are updated in place, only in those columns."""
-        T = self.T
-        prow = T[r]
-        piv = prow[e]
-        if piv != 1:
-            inv = _ONE / piv
-            T[r] = prow = [x * inv if x else x for x in prow]
+    def _pivot(self, r: int, e: int) -> tuple[list, int]:
+        """Pivot on (r, e); returns the nonzero entries of the new pivot row
+        and its denominator, for the caller's cost row."""
+        T, D = self.T, self.D
+        prow, piv = T[r], T[r][e]
+        if piv < 0:
+            prow, piv = [-x for x in prow], -piv
+        prow, piv = _reduce(prow, piv)
+        T[r], D[r] = prow, piv
         nz = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(self.m):
-            if i == r:
-                continue
-            row = T[i]
-            f = row[e]
-            if f:
-                for j, y in nz:
-                    row[j] -= f * y
+            if i != r and T[i][e]:
+                T[i], D[i] = _eliminate(T[i], D[i], e, nz, piv)
         self.basis[r] = e
-        return nz
+        return nz, piv
 
-    def _run(self, c: list, banned: set) -> str:
-        """Maximize c over current tableau.  Returns 'optimal' or 'unbounded'."""
-        costs = self._reduced_costs(c)
+    def _run(self, c: list[int], cden: int, banned: set) -> str:
+        """Maximize c / cden over current tableau.  Returns 'optimal' or
+        'unbounded'."""
+        T, basis = self.T, self.basis
+        costs, den = self._reduced_costs(c, cden)
         iters = 0
         bland_after = 20 * (self.m + self.total + 10)
         while True:
             iters += 1
             bland = iters > bland_after
             e = -1
-            best = _ZERO
+            best = 0
             for j in range(self.total):
                 if j in banned:
                     continue
@@ -244,53 +281,44 @@ class _Simplex:
                         e = j
             if e < 0:
                 return "optimal"
-            # ratio test
+            # ratio test: rhs_i / a_i, the row denominators cancel
             r = -1
-            best_ratio = None
             for i in range(self.m):
-                a = self.T[i][e]
+                a = T[i][e]
                 if a > 0:
-                    ratio = self.T[i][-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[r])
-                    ):
-                        best_ratio = ratio
-                        r = i
+                    b = T[i][-1]
+                    if r < 0:
+                        r, rb, ra = i, b, a
+                        continue
+                    lhs, rhs = b * ra, rb * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                        r, rb, ra = i, b, a
             if r < 0:
                 self._unbounded_col = e
                 return "unbounded"
-            # incremental cost-row update, over the pivot row's nonzeros
-            ce = costs[e]
-            for j, y in self._pivot(r, e):
-                costs[j] -= ce * y
-            costs[e] = _ZERO
+            costs, den = _eliminate(costs, den, e, *self._pivot(r, e))
 
-    def solve(self) -> tuple[str, Optional[object], Optional[list]]:
+    def solve(self) -> tuple[str, Optional[Fraction], Optional[list]]:
         """Two phases.  Returns (status, value, point) with point over
         structural columns; status in {'optimal', 'unbounded', 'infeasible'}."""
         if self.art_cols:
-            phase1 = [_ZERO] * self.total
+            phase1 = [0] * self.total
             for j in self.art_cols:
-                phase1[j] = -_ONE
-            status = self._run(phase1, banned=set())
+                phase1[j] = -1
+            status = self._run(phase1, 1, banned=set())
             if status != "optimal":
                 raise InternalCheckError("phase 1 cannot be unbounded")
-            resid = sum(
-                (self.T[i][-1] for i in range(self.m) if self.basis[i] in self.art_cols),
-                _ZERO,
-            )
-            if resid != 0:
+            # every rhs is >= 0, so the residual is 0 iff each term is
+            if any(self.T[i][-1] for i in range(self.m) if self.basis[i] in self.art_cols):
                 return ("infeasible", None, None)
             self._evict_artificials()
-        status = self._run(self.c, banned=self.art_cols)
+        status = self._run(self.c, self.cden, banned=self.art_cols)
         point = self._point()
         if status == "unbounded":
             return ("unbounded", None, point)
         value = sum(
-            (self.c[j] * x for j, x in enumerate(point) if x != 0), _ZERO
-        )
+            (self.c[j] * x for j, x in enumerate(point) if x != 0), Fraction(0)
+        ) / self.cden
         return ("optimal", value, point)
 
     def _evict_artificials(self) -> None:
@@ -308,22 +336,23 @@ class _Simplex:
                     drop.append(i)  # redundant row
         for i in reversed(drop):
             del self.T[i]
+            del self.D[i]
             del self.basis[i]
             self.m -= 1
 
-    def _point(self) -> list:
-        x = [_ZERO] * self.total
+    def _point(self) -> list[Fraction]:
+        x = [Fraction(0)] * self.total
         for i, b in enumerate(self.basis):
-            x[b] = self.T[i][-1]
+            x[b] = Fraction(self.T[i][-1], self.D[i])
         return x[: self.n_struct]
 
-    def ray(self) -> list:
+    def ray(self) -> list[Fraction]:
         """Improving direction over structural columns after 'unbounded'."""
         e = self._unbounded_col
-        d = [_ZERO] * self.total
-        d[e] = _ONE
+        d = [Fraction(0)] * self.total
+        d[e] = Fraction(1)
         for i, b in enumerate(self.basis):
-            d[b] = -self.T[i][e]
+            d[b] = Fraction(-self.T[i][e], self.D[i])
         return d[: self.n_struct]
 
 
@@ -351,8 +380,8 @@ class _Encoding:
             n += 1
         self.n = n
 
-    def row(self, coeffs: Sequence[Fraction], delta_coeff: Fraction = Fraction(0)) -> list:
-        out = [Fraction(0)] * self.n
+    def row(self, coeffs: Sequence[Fraction], delta_coeff: Fraction = 0) -> list:
+        out = [0] * self.n
         for v, x in zip(self.sys.variables, coeffs):
             if x == 0:
                 continue
@@ -368,9 +397,9 @@ class _Encoding:
         point = {}
         for v in self.sys.variables:
             pos, neg = self.cols[v]
-            val = _to_fraction(internal[pos])
+            val = internal[pos]
             if neg is not None:
-                val -= _to_fraction(internal[neg])
+                val -= internal[neg]
             point[v] = val
         return point
 
@@ -408,7 +437,7 @@ def _solve_weak_max(
         return ("infeasible", None, None, None)
     if status == "unbounded":
         return ("unbounded", None, None, enc.decode(sx.ray()))
-    return ("optimal", _to_fraction(value), enc.decode(point), None)
+    return ("optimal", value, enc.decode(point), None)
 
 
 def _strict_feasible(sys: LinearSystem) -> tuple[str, Optional[dict]]:

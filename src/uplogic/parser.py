@@ -19,7 +19,7 @@ Grammar (whitespace-insensitive):
 
 "~" negates likelihood formulas, "!" negates propositions.  "->" is
 desugared to "!a | b".  Identifiers match [A-Za-z_][A-Za-z0-9_]* and may
-not be the keywords true, false or l.
+not be the keywords true, false or l.  Nesting is bounded by MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -53,6 +53,15 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"true", "false", "l"}
+
+# How deep a formula may nest.  The parser rejects input that opens more
+# than this many groups, negations, implications and l(.) arguments inside
+# one another, or whose syntax tree is more than this many levels deep (a
+# chain a & b & c nests to the left: two levels; l(p) sits one level below
+# its basic).  Every recursive walker on formulas (this parser, normalize,
+# dnf, the printer, hashing) takes at most four stack frames per level, so
+# the bound keeps them all inside Python's default recursion limit of 1000.
+MAX_NESTING = 200
 
 
 @dataclass
@@ -89,6 +98,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # groups, negations, implications and l(.) open here
 
     @property
     def cur(self) -> _Token:
@@ -110,6 +120,12 @@ class _Parser:
         if not self.at_sym(sym):
             raise self.error(repr(sym))
         self.advance()
+
+    def descend(self) -> None:
+        """Open one more level; the caller closes it with depth -= 1."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"at most {MAX_NESTING} levels of nesting")
+        self.depth += 1
 
     # -- rationals ---------------------------------------------------------
 
@@ -138,8 +154,10 @@ class _Parser:
     def prop(self) -> fm.PropFormula:
         left = self.pdisj()
         if self.at_sym("->"):
+            self.descend()
             self.advance()
-            return fm.implies(left, self.prop())
+            left = fm.implies(left, self.prop())
+            self.depth -= 1
         return left
 
     def pdisj(self) -> fm.PropFormula:
@@ -158,12 +176,17 @@ class _Parser:
 
     def pneg(self) -> fm.PropFormula:
         if self.at_sym("!"):
+            self.descend()
             self.advance()
-            return fm.Not(self.pneg())
+            out = fm.Not(self.pneg())
+            self.depth -= 1
+            return out
         if self.at_sym("("):
+            self.descend()
             self.advance()
             out = self.prop()
             self.expect_sym(")")
+            self.depth -= 1
             return out
         if self.cur.kind == "ident":
             name = self.advance().text
@@ -195,12 +218,17 @@ class _Parser:
 
     def lneg(self) -> fm.LikelihoodFormula:
         if self.at_sym("~"):
+            self.descend()
             self.advance()
-            return fm.LNot(self.lneg())
+            out = fm.LNot(self.lneg())
+            self.depth -= 1
+            return out
         if self.at_sym("("):
+            self.descend()
             self.advance()
             out = self.lform()
             self.expect_sym(")")
+            self.depth -= 1
             return out
         return self.basic()
 
@@ -232,9 +260,11 @@ class _Parser:
         if not (self.cur.kind == "ident" and self.cur.text == "l"):
             raise self.error("'l('")
         self.advance()
+        self.descend()
         self.expect_sym("(")
         arg = self.prop()
         self.expect_sym(")")
+        self.depth -= 1
         return (sign * coeff, arg)
 
     def done(self) -> None:
@@ -242,25 +272,44 @@ class _Parser:
             raise self.error("end of input")
 
 
-def parse_likelihood(text: str) -> fm.LikelihoodFormula:
+def _levels(f) -> int:
+    """Levels below the root of f's syntax tree, walked without recursion."""
+    deepest, todo = 0, [(f, 0)]
+    while todo:
+        g, d = todo.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, fm.Basic):
+            g = g.term
+        if isinstance(g, fm.Term):
+            todo += [(a, d + 1) for a in g.args()]
+        elif isinstance(g, (fm.Not, fm.LNot)):
+            todo.append((g.sub, d + 1))
+        elif isinstance(g, (fm.And, fm.Or, fm.LAnd, fm.LOr)):
+            todo += [(g.left, d + 1), (g.right, d + 1)]
+    return deepest
+
+
+def _parse(text: str, rule):
     p = _Parser(text)
-    out = p.lform()
+    out = rule(p)
     p.done()
+    levels = _levels(out)
+    if levels > MAX_NESTING:
+        raise ParseError(text, 0, f"at most {MAX_NESTING} levels of nesting",
+                         f"{levels}")
     return out
+
+
+def parse_likelihood(text: str) -> fm.LikelihoodFormula:
+    return _parse(text, _Parser.lform)
 
 
 def parse_prop(text: str) -> fm.PropFormula:
-    p = _Parser(text)
-    out = p.prop()
-    p.done()
-    return out
+    return _parse(text, _Parser.prop)
 
 
 def parse_term(text: str) -> fm.Term:
-    p = _Parser(text)
-    out = p.term()
-    p.done()
-    return out
+    return _parse(text, _Parser.term)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from uplogic import cli
 from uplogic.cli import main
+from uplogic.parser import MAX_NESTING
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 MARBLE = os.path.join(FIX, "marble.json")
@@ -44,6 +46,59 @@ class TestParse:
         code, out, _ = run(capsys, "--json", "parse", "l(p)>0")
         assert code == 0
         assert json.loads(out) == {"canonical": "l(p) > 0"}
+
+
+class TestParserReuse:
+    def test_built_once_without_leaking_defaults(self, capsys, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        model = tmp_path / "model.json"
+        code, out, _ = run(capsys, "--json", "sat", "--formula", "l(p) >= 1/2",
+                           "--model-out", str(model))
+        assert code == 0 and json.loads(out)["verdict"] == "SAT" and model.exists()
+        model.unlink()
+        code, out, _ = run(capsys, "props", "--model", TABLE)
+        assert code == 0 and out.startswith("property (1): PASS")
+        code, out, _ = run(capsys, "sat", "--formula", "l(p) >= 1/2")
+        assert (code, out) == (0, "SAT\n") and not model.exists()
+        assert built == [1]
+        cli._parser.cache_clear()
+
+
+class TestNesting:
+    """Deep formulas end in a parse error, never a RecursionError."""
+
+    @pytest.mark.parametrize("formula", [
+        " & ".join(["l(p) >= 1/2"] * 1000),
+        "l(" + "!" * 500 + "p) >= 0",
+        "(" * 1000 + "l(p) >= 0" + ")" * 1000,
+        "l(" + " -> ".join(["p"] * 1000) + ") >= 0",
+    ], ids=["1000-conjuncts", "500-negations", "1000-parentheses", "1000-implications"])
+    def test_too_deep_is_a_parse_error(self, capsys, formula):
+        code, out, err = run(capsys, "sat", "--formula", formula)
+        assert code == 2 and out == ""
+        assert err.startswith("error: parse error") and err.count("\n") == 1
+        assert f"at most {MAX_NESTING} levels of nesting" in err
+
+    @pytest.mark.parametrize("verb", ["sat", "valid", "bounds"])
+    def test_at_the_limit_answers(self, capsys, verb):
+        k = MAX_NESTING - 1
+        at_limit = [
+            " & ".join(["l(p) >= 1/2"] * MAX_NESTING),
+            " | ".join(["l(p) >= 1/2"] * MAX_NESTING),
+            "l(" + " & ".join(["p"] * MAX_NESTING) + ") >= 0",
+            "l(" + "!" * k + "p) >= 0",
+            "~" * k + "l(p) >= 0",
+            "(" * k + "l(p) >= 0" + ")" * k,
+            "l(" + "(" * k + "p" + ")" * k + ") >= 0",
+        ]
+        term = ["--term", "l(p)"] if verb == "bounds" else []
+        for f in at_limit:
+            assert run(capsys, verb, "--formula", f, *term)[0] in (0, 1)
+            deeper = run(capsys, verb, "--formula", "~(" + f + ")", *term)
+            assert deeper[0] == 2 and "levels of nesting" in deeper[2]
 
 
 class TestCheck:

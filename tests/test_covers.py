@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from uplogic import covers
 from uplogic.covers import (
     CoverInstance,
     check_properties,
@@ -14,7 +15,7 @@ from uplogic.covers import (
     up3_check,
     verify_cover,
 )
-from uplogic.errors import InputError, ResourceError
+from uplogic.errors import InputError, InternalCheckError, ResourceError
 from uplogic.formula import FALSE, TRUE, Not, Prop, is_tautology
 from uplogic.semantics import evaluate
 from uplogic.structure import SetFunction, set_function_of
@@ -109,6 +110,17 @@ class TestSearchViolation:
         assert cert.target == frozenset({"a", "b", "c"})
         assert (cert.n, cert.k) == (2, 0)
         assert search_violation(veps, 2) is None
+
+    def test_self_check_raises_internal_error(self, monkeypatch):
+        # the found instance is re-verified by an independent check, which
+        # must still run under python -O
+        v = SetFunction(("1", "2"), {
+            frozenset(): F(0), frozenset({"1"}): F(0),
+            frozenset({"2"}): F(0), frozenset({"1", "2"}): F(1),
+        })
+        monkeypatch.setattr(covers, "up3_check", lambda v, c: True)
+        with pytest.raises(InternalCheckError):
+            search_violation(v, 2)
 
     def test_budget_enforced(self, veps):
         with pytest.raises(ResourceError):

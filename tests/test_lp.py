@@ -1,11 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
+from typing import Optional
 
 import pytest
 
 from uplogic import lp
-from uplogic.errors import InputError
+from uplogic.errors import InputError, InternalCheckError
 from uplogic.lp import (
     Direction,
     LPOutcome,
@@ -254,4 +256,273 @@ def test_oracle_agreement_mixed_sign_bounds():
         else:
             assert out.verdict is Verdict.OPTIMAL
             assert out.value == expected
+    assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the integer tableau.  FractionSimplex is the simplex
+# as it was over a tableau of Fractions; the integer tableau must make the
+# same pivots and return the same status, point, value and ray.
+
+ZERO, ONE = F(0), F(1)
+
+
+class FractionSimplex:
+    """The simplex over a tableau of Fractions, kept as the reference for
+    the integer tableau in `lp._Simplex`."""
+
+    def __init__(self, n: int, rows: list[tuple[list, str, object]], c: list):
+        # Normalize rows to rhs >= 0, assign slack/surplus/artificial columns.
+        # A ">=" row with rhs 0 is flipped too: as "<=" its slack is a
+        # feasible starting basic variable, so it needs no artificial.
+        self.n_struct = n
+        body: list[list] = []
+        rhs: list = []
+        kinds: list[str] = []
+        for a, rel, b in rows:
+            a = list(a)
+            if b < 0 or (b == 0 and rel == ">="):
+                a = [-x for x in a]
+                b = -b
+                rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            body.append(a)
+            rhs.append(b)
+            kinds.append(rel)
+        m = len(body)
+        self.m = m
+        n_slack = sum(1 for k in kinds if k != "=")
+        self.ncols = n + n_slack
+        art_cols: list[int] = []
+        basis: list[int] = []
+        T: list[list] = []
+        slack_at = n
+        art_at = self.ncols
+        n_art = sum(1 for k in kinds if k != "<=")
+        total = self.ncols + n_art
+        for i in range(m):
+            row = [ZERO] * (total + 1)
+            for j, x in enumerate(body[i]):
+                row[j] = F(x)
+            if kinds[i] == "<=":
+                row[slack_at] = ONE
+                basis.append(slack_at)
+                slack_at += 1
+            elif kinds[i] == ">=":
+                row[slack_at] = -ONE
+                slack_at += 1
+                row[art_at] = ONE
+                basis.append(art_at)
+                art_cols.append(art_at)
+                art_at += 1
+            else:
+                row[art_at] = ONE
+                basis.append(art_at)
+                art_cols.append(art_at)
+                art_at += 1
+            row[-1] = F(rhs[i])
+            T.append(row)
+        self.T = T
+        self.basis = basis
+        self.art_cols = set(art_cols)
+        self.total = total
+        self.c = [F(x) for x in c] + [ZERO] * (total - n)
+
+    def _reduced_costs(self, c: list) -> list:
+        # z_j - c_j style: cost row = c_j - sum over basic rows
+        T, basis = self.T, self.basis
+        costs = list(c) + [ZERO]
+        for i, b in enumerate(basis):
+            cb = c[b]
+            if cb != 0:
+                row = T[i]
+                for j in range(self.total + 1):
+                    if row[j] != 0:
+                        costs[j] -= cb * row[j]
+        return costs
+
+    def _pivot(self, r: int, e: int) -> list[tuple[int, object]]:
+        """Pivot on (r, e); returns the nonzero entries of the new pivot row.
+
+        Other rows are updated in place, only in those columns."""
+        T = self.T
+        prow = T[r]
+        piv = prow[e]
+        if piv != 1:
+            inv = ONE / piv
+            T[r] = prow = [x * inv if x else x for x in prow]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(self.m):
+            if i == r:
+                continue
+            row = T[i]
+            f = row[e]
+            if f:
+                for j, y in nz:
+                    row[j] -= f * y
+        self.basis[r] = e
+        return nz
+
+    def _run(self, c: list, banned: set) -> str:
+        """Maximize c over current tableau.  Returns 'optimal' or 'unbounded'."""
+        costs = self._reduced_costs(c)
+        iters = 0
+        bland_after = 20 * (self.m + self.total + 10)
+        while True:
+            iters += 1
+            bland = iters > bland_after
+            e = -1
+            best = ZERO
+            for j in range(self.total):
+                if j in banned:
+                    continue
+                cj = costs[j]
+                if cj > 0:
+                    if bland:
+                        e = j
+                        break
+                    if cj > best:
+                        best = cj
+                        e = j
+            if e < 0:
+                return "optimal"
+            # ratio test
+            r = -1
+            best_ratio = None
+            for i in range(self.m):
+                a = self.T[i][e]
+                if a > 0:
+                    ratio = self.T[i][-1] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and self.basis[i] < self.basis[r])
+                    ):
+                        best_ratio = ratio
+                        r = i
+            if r < 0:
+                self._unbounded_col = e
+                return "unbounded"
+            # incremental cost-row update, over the pivot row's nonzeros
+            ce = costs[e]
+            for j, y in self._pivot(r, e):
+                costs[j] -= ce * y
+            costs[e] = ZERO
+
+    def solve(self) -> tuple[str, Optional[object], Optional[list]]:
+        """Two phases.  Returns (status, value, point) with point over
+        structural columns; status in {'optimal', 'unbounded', 'infeasible'}."""
+        if self.art_cols:
+            phase1 = [ZERO] * self.total
+            for j in self.art_cols:
+                phase1[j] = -ONE
+            status = self._run(phase1, banned=set())
+            if status != "optimal":
+                raise InternalCheckError("phase 1 cannot be unbounded")
+            resid = sum(
+                (self.T[i][-1] for i in range(self.m) if self.basis[i] in self.art_cols),
+                ZERO,
+            )
+            if resid != 0:
+                return ("infeasible", None, None)
+            self._evict_artificials()
+        status = self._run(self.c, banned=self.art_cols)
+        point = self._point()
+        if status == "unbounded":
+            return ("unbounded", None, point)
+        value = sum(
+            (self.c[j] * x for j, x in enumerate(point) if x != 0), ZERO
+        )
+        return ("optimal", value, point)
+
+    def _evict_artificials(self) -> None:
+        drop: list[int] = []
+        for i in range(self.m):
+            if self.basis[i] in self.art_cols:
+                row = self.T[i]
+                e = next(
+                    (j for j in range(self.total) if j not in self.art_cols and row[j] != 0),
+                    -1,
+                )
+                if e >= 0:
+                    self._pivot(i, e)
+                else:
+                    drop.append(i)  # redundant row
+        for i in reversed(drop):
+            del self.T[i]
+            del self.basis[i]
+            self.m -= 1
+
+    def _point(self) -> list:
+        x = [ZERO] * self.total
+        for i, b in enumerate(self.basis):
+            x[b] = self.T[i][-1]
+        return x[: self.n_struct]
+
+    def ray(self) -> list:
+        """Improving direction over structural columns after 'unbounded'."""
+        e = self._unbounded_col
+        d = [ZERO] * self.total
+        d[e] = ONE
+        for i, b in enumerate(self.basis):
+            d[b] = -self.T[i][e]
+        return d[: self.n_struct]
+
+
+def recording(cls):
+    class Recording(cls):
+        def __init__(self, *args):
+            self.pivots = []
+            super().__init__(*args)
+
+        def _pivot(self, r, e):
+            self.pivots.append((r, e))
+            return super()._pivot(r, e)
+
+    return Recording
+
+
+SMALL = [0, 0, 0, 1, -1, 2, -3, F(7, 13), F(-5, 6), F(1, 10**12)]
+HUGE = [F(10**30, 7), F(-(10**30), 7)]
+BOUNDS = [0, 0, 1, 4, 9, 2, -1, -6, F(7, 13), F(-7, 13)]
+
+
+def random_internal_system(rng):
+    """Rows over 1-6 columns with all three relations, entries ints and
+    Fractions as the encoding passes them; a third of the systems also draw
+    coefficients and bounds around 10**30/7, half of them get a box row."""
+    n = rng.randint(1, 6)
+    entries, bounds = SMALL, BOUNDS
+    if rng.random() < 1 / 3:
+        entries, bounds = SMALL + HUGE, BOUNDS + HUGE
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        a = [rng.choice(entries) for _ in range(n)]
+        rel = rng.choice(["<=", "<=", "<=", ">=", ">=", "="])
+        rows.append((a, rel, rng.choice(bounds)))
+    if rng.random() < 1 / 2:  # a box, so that more systems have an optimum
+        rows.append(([1] * n, "<=", 9))
+    c = [rng.choice(entries) for _ in range(n)]
+    return n, rows, c
+
+
+def test_integer_tableau_matches_fraction_tableau():
+    rng = random.Random(31337)
+    Ref, New = recording(FractionSimplex), recording(lp._Simplex)
+    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "eq_negative_rhs": 0,
+            "huge": 0, "pivots": 0}
+    for _ in range(400):
+        n, rows, c = random_internal_system(rng)
+        ref, new = Ref(n, rows, c), New(n, rows, c)
+        assert new.art_cols == ref.art_cols
+        got, want = new.solve(), ref.solve()
+        assert got == want
+        assert new.pivots == ref.pivots
+        if got[0] == "unbounded":
+            assert new.ray() == ref.ray()
+        for row, den in zip(new.T, new.D):
+            assert den > 0 and math.gcd(den, *row) == 1
+        seen[got[0]] += 1
+        seen["eq_negative_rhs"] += any(rel == "=" and b < 0 for _, rel, b in rows)
+        seen["huge"] += any(abs(x) > 10**20 for a, _, _ in rows for x in a)
+        seen["pivots"] += len(new.pivots)
     assert all(seen.values()), seen
