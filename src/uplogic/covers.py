@@ -6,6 +6,13 @@ least k times and covering A at least n+k times.  A candidate upper
 probability v must satisfy k + n*v(A) <= sum v(A_i) for every such cover;
 search_violation looks for a counterexample up to a caller-visible size
 budget, since no a-priori bound on the multiset size is available.
+
+The search and the property checks work on one representation: integer
+tables indexed by ground bitmask, every value scaled by one common
+denominator L (`_mask_tables`), so each comparison is an exact integer
+comparison.  For a fixed multiset with ground coverage k, the best target
+is bounded once from a subset-max table instead of testing all 2^n
+targets; see search_violation.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError, ResourceError
@@ -28,7 +36,7 @@ from .formula import (
     implies,
     is_tautology,
 )
-from .structure import SetFunction, UpperProbStructure, lower_of, upper_of
+from .structure import SetFunction, UpperProbStructure
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -71,6 +79,13 @@ def up3_check(v: SetFunction, c: CoverInstance) -> bool:
     return c.k + c.n * v(c.target) <= total
 
 
+def _coverage(at_least: list[int], t: int) -> int:
+    """How many times a multiset covers the set t, given the sets of
+    elements it covers at least 1, 2, ... times (at_least[c] for c >= 1);
+    the empty set counts as covered by every member."""
+    return sum(1 for S in at_least[1:] if t & S == t)
+
+
 def search_violation(
     v: SetFunction,
     m_max: int,
@@ -82,41 +97,77 @@ def search_violation(
     subsets of the ground set, by nondecreasing size m <= m_max.  For a
     fixed multiset and target the inequality's left side is maximized at
     k = min(cover count of Omega, cover count of target) and n the
-    remaining target coverage, so only that extreme (n,k) needs testing.
+    remaining target coverage, so only that extreme (n,k) needs testing;
+    the empty target counts as covered m times.
     Returns None when no violating instance with m <= m_max exists.
+
+    A multiset with ground coverage k violates the inequality iff
+    k + max over targets t of (cov(t) - k)*v(t) exceeds its total.  That
+    maximum is computed once per multiset: with best[S] the largest v(T)
+    over T within S, the empty T included, and S_c the elements covered at
+    least c times, it is the largest of (c - k)*best[S_c] over the levels
+    k < c <= m (0 when k = m).  No target exceeds it: a target t with
+    cov(t) = c > k lies within S_c (the empty one within every S_c).  The
+    bound is exact because v >= 0: the T attaining best[S_c] is covered at
+    least c times (a nonempty T lies within S_c, the empty T counts m), so
+    (cov(T) - k)*v(T) >= (c - k)*best[S_c].  Only a multiset over the bound
+    has its targets scanned, in v.subsets() order, so the certificate is
+    the first violating (multiset, target) pair.  The budget still counts
+    multiset x target instances: a multiset cleared by the bound spends
+    2^n of it.
     """
     if m_max < 1:
         raise InputError("m_max must be >= 1")
-    ground = list(v.ground)
-    full = frozenset(ground)
-    pool = [frozenset(c) for r in range(1, len(ground))
-            for c in itertools.combinations(ground, r)]
-    targets = v.subsets()
+    ground, table, _, L = _mask_tables(v)
+    n_el = len(ground)
+    full = (1 << n_el) - 1
+    masks = [sum(1 << i for i in c) for r in range(n_el + 1)
+             for c in itertools.combinations(range(n_el), r)]
+    targets = v.subsets()  # the same order as masks
+    pool = [t for t in masks if t and t != full]
+    best = table[:]  # best[S] = max of table[T] over T within S
+    for i in range(n_el):
+        bit = 1 << i
+        for S in range(full + 1):
+            if S & bit and best[S ^ bit] > best[S]:
+                best[S] = best[S ^ bit]
     spent = 0
     for m in range(1, m_max + 1):
+        levels = range(m, 0, -1)
         for sets in itertools.combinations_with_replacement(pool, m):
-            counts = {x: sum(1 for s in sets if x in s) for x in ground}
-            cov_omega = min(counts.values()) if ground else 0
-            total = sum((v(s) for s in sets), Fraction(0))
-            for target in targets:
-                spent += 1
-                if spent > budget:
-                    raise ResourceError(
-                        f"cover search budget of {budget} instances exceeded"
+            at_least = [full] + [0] * m  # at_least[c] is S_c, a nested chain
+            for s in sets:
+                for c in levels:
+                    at_least[c] |= at_least[c - 1] & s
+            k = at_least.count(full) - 1
+            total = sum(table[s] for s in sets)
+            bound = max([(c - k) * best[at_least[c]] for c in range(k + 1, m + 1)],
+                        default=0)
+            hit = None  # index of the first violating target
+            if k * L + bound > total:
+                hit = next((j for j, t in enumerate(masks)
+                            if k * L + (_coverage(at_least, t) - k) * table[t] > total),
+                           None)
+                if hit is None:
+                    raise InternalCheckError(
+                        "search_violation's target bound exceeds every target"
                     )
-                cov_target = min((counts[x] for x in target), default=m)
-                k = min(min(cov_omega, m), min(cov_target, m))
-                n = min(cov_target, m) - k
-                if n + k < 1:
-                    continue
-                if k + n * v(target) > total:
-                    found = CoverInstance(sets=sets, target=target, n=n, k=k)
-                    if not verify_cover(found, ground) or up3_check(v, found):
-                        raise InternalCheckError(
-                            "search_violation built an instance that is not a "
-                            "violating cover"
-                        )
-                    return found
+            spent += len(masks) if hit is None else hit + 1
+            if spent > budget:
+                raise ResourceError(
+                    f"cover search budget of {budget} instances exceeded"
+                )
+            if hit is None:
+                continue
+            n = _coverage(at_least, masks[hit]) - k
+            found = CoverInstance(sets=tuple(_unmask(ground, s) for s in sets),
+                                  target=targets[hit], n=n, k=k)
+            if not verify_cover(found, ground) or up3_check(v, found):
+                raise InternalCheckError(
+                    "search_violation built an instance that is not a "
+                    "violating cover"
+                )
+            return found
     return None
 
 
@@ -177,36 +228,43 @@ def l4_instances(
 
 def _mask_tables(
     source: Union[UpperProbStructure, SetFunction],
-) -> tuple[list[str], list[Fraction], list[Fraction]]:
-    """Ground elements plus upper/lower value tables indexed by bitmask."""
+) -> tuple[list[str], list[int], list[int], int]:
+    """Ground elements, upper/lower value tables indexed by bitmask, and L.
+
+    Bit i of a mask stands for ground[i].  Every value is an int over the
+    common denominator L: upper[mask] / L is the upper value of the set.
+    """
     if isinstance(source, SetFunction):
         ground = list(source.ground)
         n = len(ground)
-        upper = [Fraction(0)] * (1 << n)
+        L = lcm(*[x.denominator for x in source.values.values()])
+        upper = [0] * (1 << n)
         for X, val in source.values.items():
             mask = 0
             for i, g in enumerate(ground):
                 if g in X:
                     mask |= 1 << i
-            upper[mask] = val
+            upper[mask] = val.numerator * (L // val.denominator)
         full = (1 << n) - 1
-        lower = [1 - upper[full ^ m] for m in range(1 << n)]
-        return ground, upper, lower
+        lower = [L - upper[full ^ m] for m in range(1 << n)]
+        return ground, upper, lower, L
     M = source
     ground = list(M.worlds)
     n = len(ground)
+    L = lcm(*[x.denominator for mu in M.measures for x in mu.values()])
     # per-measure cumulative mass by mask, then envelope
     totals = []
     for idx in range(len(M.measures)):
         mass = [M.mass(idx, w) for w in ground]
-        acc = [Fraction(0)] * (1 << n)
+        mass = [x.numerator * (L // x.denominator) for x in mass]
+        acc = [0] * (1 << n)
         for m in range(1, 1 << n):
             low = m & -m
             acc[m] = acc[m ^ low] + mass[low.bit_length() - 1]
         totals.append(acc)
     upper = [max(t[m] for t in totals) for m in range(1 << n)]
     lower = [min(t[m] for t in totals) for m in range(1 << n)]
-    return ground, upper, lower
+    return ground, upper, lower, L
 
 
 def _unmask(ground: list[str], mask: int) -> frozenset:
@@ -227,17 +285,17 @@ def check_properties(
     """
     if max_sets < 2:
         raise InputError("max_sets must be >= 2")
-    ground, upper, lower = _mask_tables(source)
+    ground, upper, lower, _ = _mask_tables(source)
     masks = range(len(upper))
     report: dict[int, Optional[tuple]] = {i: None for i in range(1, 7)}
 
-    def alternating(family: tuple, use_upper_on_odd: bool) -> Fraction:
-        total = Fraction(0)
+    def alternating(family: tuple, use_upper_on_odd: bool) -> int:
+        total = 0
         idx = range(len(family))
         for i in range(1, len(family) + 1):
             odd = i % 2 == 1
             table = upper if (odd == use_upper_on_odd) else lower
-            sub = Fraction(0)
+            sub = 0
             for I in itertools.combinations(idx, i):
                 inter = family[I[0]]
                 for j in I[1:]:

@@ -405,12 +405,20 @@ class _Encoding:
 
 
 def _check_point(sys: LinearSystem, point: dict) -> None:
+    """Raise InternalCheckError unless point satisfies every row and every
+    non-negativity of sys.  Exact in integers: the point is put over its
+    common denominator once, each row over the lcm of its coefficients'
+    and bound's denominators."""
+    xs = [point[v] for v in sys.variables]
+    den = lcm(*[x.denominator for x in xs])
+    nums = [x.numerator * (den // x.denominator) for x in xs]
     for c in sys.constraints:
-        lhs = sum(
-            (x * point[v] for x, v in zip(c.coeffs, sys.variables) if x != 0),
-            Fraction(0),
-        )
-        ok = lhs >= c.bound if c.rel is Relation.GE else lhs > c.bound
+        b = c.bound
+        row_den = lcm(b.denominator, *[a.denominator for a in c.coeffs if a])
+        lhs = sum(a.numerator * (row_den // a.denominator) * x
+                  for a, x in zip(c.coeffs, nums) if a)
+        rhs = b.numerator * (row_den // b.denominator) * den
+        ok = lhs >= rhs if c.rel is Relation.GE else lhs > rhs
         if not ok:
             raise InternalCheckError(
                 f"solver returned a point violating {c.coeffs} {c.rel.value} {c.bound}"

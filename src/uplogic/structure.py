@@ -173,29 +173,53 @@ def set_function_of(M: UpperProbStructure, world_cap: int = DEFAULT_WORLD_CAP) -
 # Serialization
 
 
-def _as_text(data: Union[bytes, str]) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _load_json(data: Union[bytes, str], what: str) -> dict:
+    """The document in data, which must be a JSON object."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as e:  # JSON and UTF-8 errors included
+        raise ValidationError(f"malformed {what} document: {e}")
+    return _typed(doc, dict, f"a {what} document")
+
+
+def _typed(x, kind: type, what: str):
+    """x, which must be of the JSON type kind (dict, list or str)."""
+    if not isinstance(x, kind):
+        raise ValidationError(f"{what} must be {_JSON_NAMES[kind]}")
+    return x
+
+
+def _field(doc: dict, key: str, kind: type, what: str):
+    if key not in doc:
+        raise ValidationError(f"missing field in {what} document: {key!r}")
+    return _typed(doc[key], kind, f"{key!r}")
+
+
+def _strings(xs: list, what: str) -> tuple[str, ...]:
+    for x in xs:
+        _typed(x, str, f"every entry of {what}")
+    return tuple(xs)
 
 
 def load_structure(data: Union[bytes, str]) -> UpperProbStructure:
-    try:
-        doc = json.loads(_as_text(data))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ValidationError(f"malformed structure document: {e}")
-    try:
-        props = tuple(doc["props"])
-        world_docs = doc["worlds"]
-        measure_docs = doc["measures"]
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"missing field in structure document: {e}")
+    doc = _load_json(data, "structure")
+    props = _strings(_field(doc, "props", list, "structure"), "'props'")
+    world_docs = _field(doc, "worlds", list, "structure")
+    measure_docs = _field(doc, "measures", list, "structure")
     worlds = []
     assignment = {}
-    for wd in world_docs:
-        wid = wd["id"]
+    for i, wd in enumerate(world_docs):
+        _typed(wd, dict, f"world {i}")
+        if "id" not in wd:
+            raise ValidationError(f"world {i} has no id")
+        wid = _typed(wd["id"], str, f"the id of world {i}")
         worlds.append(wid)
-        assign = wd.get("assign", {})
+        assign = _typed(wd.get("assign", {}), dict, f"the assign of world {wid!r}")
         for p, truth in assign.items():
             if not isinstance(truth, bool):
                 raise ValidationError(f"world {wid!r}: assignment for {p!r} is not a boolean")
@@ -203,8 +227,11 @@ def load_structure(data: Union[bytes, str]) -> UpperProbStructure:
     measures = []
     measure_ids = []
     for i, md in enumerate(measure_docs):
-        measure_ids.append(md.get("id", f"m{i}"))
-        measures.append({w: parse_rational(x) for w, x in md.get("dist", {}).items()})
+        _typed(md, dict, f"measure {i}")
+        mid = _typed(md.get("id", f"m{i}"), str, f"the id of measure {i}")
+        measure_ids.append(mid)
+        dist = _typed(md.get("dist", {}), dict, f"the dist of measure {mid!r}")
+        measures.append({w: parse_rational(x) for w, x in dist.items()})
     return UpperProbStructure(
         props=props,
         worlds=tuple(worlds),
@@ -234,17 +261,10 @@ def _subset_key(X: frozenset) -> str:
 
 
 def load_set_function(data: Union[bytes, str]) -> SetFunction:
-    try:
-        doc = json.loads(_as_text(data))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ValidationError(f"malformed set-function document: {e}")
-    try:
-        ground = tuple(doc["omega"])
-        raw = doc["v"]
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"missing field in set-function document: {e}")
+    doc = _load_json(data, "set-function")
+    ground = _strings(_field(doc, "omega", list, "set-function"), "'omega'")
     values = {}
-    for key, val in raw.items():
+    for key, val in _field(doc, "v", dict, "set-function").items():
         elems = frozenset(e for e in key.split(",") if e)
         values[elems] = parse_rational(val)
     return SetFunction(ground=ground, values=values)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uplogic import cli
 from uplogic.cli import main
@@ -230,3 +234,126 @@ class TestProps:
         doc = json.loads(out)
         assert set(doc) == {"1", "2", "3", "4", "5", "6"}
         assert all(v["pass"] for v in doc.values())
+
+
+class TestMalformedDocuments:
+    """Every document shape ends in exit 2 with one line, never a traceback."""
+
+    WORLD = {"id": "w0", "assign": {"p": True}}
+    MEASURE = {"id": "m0", "dist": {"w0": "1"}}
+
+    def structure(self, **fields):
+        doc = {"props": ["p"], "worlds": [self.WORLD], "measures": [self.MEASURE]}
+        doc.update(fields)
+        return doc
+
+    @pytest.mark.parametrize("case", [
+        "world-without-id", "world-not-object", "measure-not-object",
+        "dist-not-object", "props-string", "document-list",
+    ])
+    def test_bad_structure(self, capsys, tmp_path, case):
+        doc = {
+            "world-without-id": self.structure(worlds=[{"assign": {"p": True}}]),
+            "world-not-object": self.structure(worlds=["w0"]),
+            "measure-not-object": self.structure(measures=[["w0", "1"]]),
+            "dist-not-object": self.structure(measures=[{"dist": [1]}]),
+            "props-string": self.structure(props="p"),
+            "document-list": [self.structure()],
+        }[case]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["props", "--model", str(path)],
+                     ["check", "--model", str(path), "--formula", "l(p) >= 1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_the_good_structure_loads(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.structure()))
+        assert run(capsys, "check", "--model", str(path), "--formula", "l(p) >= 1")[0] == 0
+
+    @pytest.mark.parametrize("doc", [
+        {"omega": ["a"], "v": ["0", "1"]},
+        {"omega": "ab", "v": {"": 0, "a": "1/2", "b": "1/2", "a,b": 1}},
+        {"omega": ["a", ["b"]], "v": {}},
+        {"omega": ["a"]},
+        "not an object",
+    ], ids=["v-list", "omega-string", "omega-entry-list", "no-v", "string"])
+    def test_bad_set_function(self, capsys, tmp_path, doc):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["props", "--function", str(path)],
+                     ["envelope", "--function", str(path)],
+                     ["covers", "search", "--function", str(path), "--m-max", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Arbitrary bytes, arbitrary JSON, and valid documents with one part
+# replaced or deleted.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_GOOD_STRUCTURE = {
+    "props": ["p", "q"],
+    "worlds": [{"id": "w0", "assign": {"p": True}}, {"id": "w1", "assign": {"q": True}}],
+    "measures": [{"id": "m0", "dist": {"w0": "1/2", "w1": "1/2"}}, {"dist": {"w1": 1}}],
+}
+_GOOD_FUNCTION = {"omega": ["a", "b"], "v": {"": 0, "a": "1/2", "b": "2/3", "a,b": 1}}
+
+
+def _paths(doc, at=()):
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, sub in items:
+        yield from _paths(sub, at + (key,))
+
+
+@st.composite
+def _damaged(draw, good):
+    doc = json.loads(json.dumps(good))
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        parent[path[-1]] = draw(_json)
+    else:
+        del parent[path[-1]]
+    return doc
+
+
+def _exits_cleanly(argv) -> bool:
+    """main ends in a documented exit code, errors in one stderr line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code in (2, 3):
+        return err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code in (0, 1) and err.getvalue() == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_damaged(_GOOD_STRUCTURE) | _json | st.binary(max_size=40))
+def test_any_model_file_ends_in_an_exit_code(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    for argv in (["props", "--model", str(path), "--max-sets", "2"],
+                 ["check", "--model", str(path), "--formula", "l(p) >= 1/2"]):
+        assert _exits_cleanly(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_damaged(_GOOD_FUNCTION) | _json | st.binary(max_size=40))
+def test_any_function_file_ends_in_an_exit_code(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("function") / "v.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    for argv in (["props", "--function", str(path), "--max-sets", "2"],
+                 ["envelope", "--function", str(path)],
+                 ["covers", "search", "--function", str(path), "--m-max", "2"]):
+        assert _exits_cleanly(argv)

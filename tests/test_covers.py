@@ -198,3 +198,230 @@ class TestCheckProperties:
             check_properties(SetFunction(("1",), {
                 frozenset(): F(0), frozenset({"1"}): F(1),
             }), 1)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of the integer tables.  The two functions below are the
+# cover search and the property checker as they were before the bitmask
+# tables: every target tested for every multiset, in Fraction arithmetic.
+# The library must return the same certificate, report or exception.
+
+
+def reference_search_violation(v, m_max, budget=covers.DEFAULT_SEARCH_BUDGET):
+    if m_max < 1:
+        raise InputError("m_max must be >= 1")
+    ground = list(v.ground)
+    pool = [frozenset(c) for r in range(1, len(ground))
+            for c in itertools.combinations(ground, r)]
+    targets = v.subsets()
+    spent = 0
+    for m in range(1, m_max + 1):
+        for sets in itertools.combinations_with_replacement(pool, m):
+            counts = {x: sum(1 for s in sets if x in s) for x in ground}
+            cov_omega = min(counts.values()) if ground else 0
+            total = sum((v(s) for s in sets), F(0))
+            for target in targets:
+                spent += 1
+                if spent > budget:
+                    raise ResourceError(
+                        f"cover search budget of {budget} instances exceeded"
+                    )
+                cov_target = min((counts[x] for x in target), default=m)
+                k = min(min(cov_omega, m), min(cov_target, m))
+                n = min(cov_target, m) - k
+                if n + k < 1:
+                    continue
+                if k + n * v(target) > total:
+                    return CoverInstance(sets=sets, target=target, n=n, k=k)
+    return None
+
+
+def reference_check_properties(source, max_sets=3):
+    if max_sets < 2:
+        raise InputError("max_sets must be >= 2")
+    if isinstance(source, SetFunction):
+        ground = list(source.ground)
+        size = 1 << len(ground)
+        upper = [F(0)] * size
+        for X, val in source.values.items():
+            upper[sum(1 << i for i, g in enumerate(ground) if g in X)] = val
+        lower = [1 - upper[(size - 1) ^ m] for m in range(size)]
+    else:
+        ground = list(source.worlds)
+        size = 1 << len(ground)
+        totals = [[sum((source.mass(idx, g) for i, g in enumerate(ground)
+                        if m >> i & 1), F(0)) for m in range(size)]
+                  for idx in range(len(source.measures))]
+        upper = [max(t[m] for t in totals) for m in range(size)]
+        lower = [min(t[m] for t in totals) for m in range(size)]
+    masks = range(size)
+    report = {i: None for i in range(1, 7)}
+
+    def unmask(m):
+        return frozenset(g for i, g in enumerate(ground) if m >> i & 1)
+
+    def alternating(family, use_upper_on_odd):
+        total = F(0)
+        for i in range(1, len(family) + 1):
+            odd = i % 2 == 1
+            table = upper if (odd == use_upper_on_odd) else lower
+            sub = F(0)
+            for I in itertools.combinations(range(len(family)), i):
+                inter = family[I[0]]
+                for j in I[1:]:
+                    inter &= family[j]
+                sub += table[inter]
+            total += sub if odd else -sub
+        return total
+
+    for n in range(1, max_sets + 1):
+        if report[1] is not None and report[2] is not None:
+            break
+        for family in itertools.combinations_with_replacement(masks, n):
+            union = 0
+            for m in family:
+                union |= m
+            if report[1] is None and not upper[union] <= alternating(family, True):
+                report[1] = tuple(unmask(m) for m in family)
+            if report[2] is None and not lower[union] >= alternating(family, False):
+                report[2] = tuple(unmask(m) for m in family)
+            if report[1] is not None and report[2] is not None:
+                break
+    for A, B in itertools.product(masks, repeat=2):
+        u, i = A | B, A & B
+        if report[3] is None and not (
+            lower[u] + lower[i] <= lower[A] + upper[B] <= upper[u] + upper[i]
+        ):
+            report[3] = (unmask(A), unmask(B))
+        if report[4] is None and not (
+            lower[A] + lower[B] <= lower[u] + upper[i] <= upper[A] + upper[B]
+        ):
+            report[4] = (unmask(A), unmask(B))
+        if report[5] is None and not (
+            lower[A] + lower[B] <= lower[i] + upper[u] <= upper[A] + upper[B]
+        ):
+            report[5] = (unmask(A), unmask(B))
+        if report[6] is None and i == 0 and not (
+            upper[A] + lower[B] <= upper[u] <= upper[A] + upper[B]
+        ):
+            report[6] = (unmask(A), unmask(B))
+    return report
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (InputError, ResourceError) as e:
+        return type(e), str(e)
+
+
+def random_set_function(rng, n):
+    """A total set function on n elements with values in [0,1].
+
+    Half are drawn value by value over a random denominator, with v(empty)
+    and v(ground) random in half of those, so they may be non-monotone and
+    have v(empty) > 0.  The other half are envelopes of two or three random
+    measures with one value moved by 1/13 or 7/13, which tend to violate
+    only at larger covers, or not at all."""
+    ground = tuple("abcdef"[:n])
+    subsets = [frozenset(c) for r in range(n + 1)
+               for c in itertools.combinations(ground, r)]
+    if rng.random() < 0.5:
+        den = rng.choice([1, 2, 6, 7, 12, 13, 91])
+        values = {X: F(rng.randint(0, den), den) for X in subsets}
+        if rng.random() < 0.5:
+            values[frozenset()] = F(0)
+            values[frozenset(ground)] = F(1)
+        return SetFunction(ground, values)
+    measures = []
+    for _ in range(rng.randint(2, 3)):
+        weights = [rng.randint(0, 5) for _ in ground]
+        weights[rng.randrange(n)] += 1
+        measures.append({g: F(w, sum(weights)) for g, w in zip(ground, weights)})
+    values = {X: max(sum((mu[g] for g in X), F(0)) for mu in measures)
+              for X in subsets}
+    X = rng.choice(subsets)
+    values[X] = min(F(1), max(F(0), values[X] + rng.choice([-1, 1]) * rng.choice([F(1, 13), F(7, 13)])))
+    return SetFunction(ground, values)
+
+
+class TestMatchesFractionReference:
+    BUDGETS = (1, 5, 50, 500, covers.DEFAULT_SEARCH_BUDGET)
+
+    def test_search_random_functions(self):
+        rng = random.Random(23)
+        found = 0
+        for trial in range(300):
+            n = 1 + trial % 5
+            v = random_set_function(rng, n)
+            m_max = rng.randint(1, 3 if n <= 4 else 2)
+            for budget in self.BUDGETS:
+                want = outcome(reference_search_violation, v, m_max, budget)
+                assert outcome(search_violation, v, m_max, budget) == want
+                found += isinstance(want, CoverInstance)
+        assert found > 100  # the differential test sees certificates
+
+    def test_search_budget_boundary(self):
+        # the smallest budget that finds the certificate finds it, one less
+        # is exceeded, both with the reference's outcome
+        rng = random.Random(41)
+        checked = 0
+        for trial in range(120):
+            v = random_set_function(rng, 2 + trial % 4)
+            if not isinstance(reference_search_violation(v, 2), CoverInstance):
+                continue
+            lo, hi = 1, 1 << 20
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if isinstance(outcome(reference_search_violation, v, 2, mid), CoverInstance):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            for budget in (lo - 1, lo):
+                assert (outcome(search_violation, v, 2, budget)
+                        == outcome(reference_search_violation, v, 2, budget))
+            checked += lo > 1
+        assert checked > 50
+
+    def test_search_envelopes(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            v = set_function_of(random_structure(rng, max_worlds=4))
+            for m_max in (1, 2, 3):
+                for budget in (50, 500, covers.DEFAULT_SEARCH_BUDGET):
+                    assert (outcome(search_violation, v, m_max, budget)
+                            == outcome(reference_search_violation, v, m_max, budget))
+
+    def test_empty_target_certificate(self):
+        v = SetFunction(("a", "b"), {
+            frozenset(): F(2, 3), frozenset({"a"}): F(11, 12),
+            frozenset({"b"}): F(2, 3), frozenset({"a", "b"}): F(5, 6),
+        })
+        cert = search_violation(v, 3)
+        assert cert == reference_search_violation(v, 3)
+        assert cert.target == frozenset() and cert.n >= 1
+        assert not up3_check(v, cert)
+
+    def test_veps_and_fixtures(self, veps, table_upper):
+        for v in (veps, table_upper):
+            for m_max in (1, 2, 3):
+                assert search_violation(v, m_max) == reference_search_violation(v, m_max)
+
+    def test_properties_of_set_functions(self):
+        rng = random.Random(31)
+        for trial in range(60):
+            v = random_set_function(rng, 1 + trial % 4)
+            for max_sets in (2, 3):
+                assert check_properties(v, max_sets) == reference_check_properties(v, max_sets)
+
+    def test_properties_of_structures(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            M = random_structure(rng, max_worlds=4)
+            for max_sets in (2, 3):
+                assert check_properties(M, max_sets) == reference_check_properties(M, max_sets)
+
+    def test_properties_of_fixtures(self, veps, table, marble):
+        for source in (veps, table, marble):
+            assert check_properties(source, 2) == reference_check_properties(source, 2)

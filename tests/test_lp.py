@@ -235,6 +235,32 @@ def test_zero_rhs_rows_start_on_slack(monkeypatch):
     assert [len(s.art_cols) for s in built] == [1]
 
 
+# ---------------------------------------------------------------------------
+# The point re-check is exact: a point one unit of its denominator off a
+# row, or below zero, is rejected however large that denominator is.
+
+
+def test_check_point_rejects_a_point_one_unit_off():
+    D = 10**30 + 57
+    names = ["x", "y", "z"]
+    point = {"x": F(5 * 10**29, D), "y": F(0), "z": F(1, 3)}
+    coeffs = [F(1, 3), F(-2, 7), F(5, 11)]
+    at = sum(c * point[v] for c, v in zip(coeffs, names))
+    one_off = dict(point, x=point["x"] - F(1, D))
+    # every row is checked: the row the moved point breaks comes last
+    loose = [([F(1), F(0), F(0)], GE, F(0)), ([F(0), F(0), F(-1)], GE, F(-1))]
+    weak = make_system(names, loose + [(coeffs, GE, at)], nonneg=["y"])
+    lp._check_point(weak, point)
+    with pytest.raises(InternalCheckError, match=r"violating .* >= "):
+        lp._check_point(weak, one_off)
+    strict = make_system(names, loose + [(coeffs, GT, at - F(1, 3 * D))], nonneg=["y"])
+    lp._check_point(strict, point)
+    with pytest.raises(InternalCheckError, match=r"violating .* > "):
+        lp._check_point(strict, one_off)
+    with pytest.raises(InternalCheckError, match="solver returned negative y"):
+        lp._check_point(weak, dict(point, y=F(-1, D)))
+
+
 def test_oracle_agreement_mixed_sign_bounds():
     rng = random.Random(4242)
     seen = {"zero": 0, "positive": 0, "infeasible": 0}
