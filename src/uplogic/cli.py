@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import covers, envelope, lp, parser, semantics, solver, structure
 from .errors import InputError, ResourceError, UplogicError, ValidationError
-from .formula import Basic, LAnd, LNot, LOr
+from .formula import basics_of
 from .parser import ParseError
 
 EXIT_OK = 0
@@ -52,16 +52,6 @@ def _load_set_function(path: str) -> structure.SetFunction:
         return structure.load_set_function(fh.read())
 
 
-def _basics_of(f) -> list[Basic]:
-    if isinstance(f, Basic):
-        return [f]
-    if isinstance(f, LNot):
-        return _basics_of(f.sub)
-    if isinstance(f, (LAnd, LOr)):
-        return _basics_of(f.left) + _basics_of(f.right)
-    return []
-
-
 def cmd_parse(args) -> int:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -85,7 +75,7 @@ def cmd_check(args) -> int:
             "term": parser.print_term(b.term),
             "value": _rat(semantics.eval_term(M, b.term)),
         }
-        for b in _basics_of(f)
+        for b in basics_of(f)
     ]
     lines = [str(verdict).lower()]
     lines += [f"  {t['term']} = {t['value']}" for t in terms]

@@ -9,7 +9,7 @@ budget, since no a-priori bound on the multiset size is available.
 
 The search and the property checks work on one representation: integer
 tables indexed by ground bitmask, every value scaled by one common
-denominator L (`_mask_tables`), so each comparison is an exact integer
+denominator L (`mask_tables`), so each comparison is an exact integer
 comparison.  For a fixed multiset with ground coverage k, the best target
 is bounded once from a subset-max table instead of testing all 2^n
 targets; see search_violation.
@@ -36,7 +36,15 @@ from .formula import (
     implies,
     is_tautology,
 )
-from .structure import SetFunction, UpperProbStructure
+from .structure import (
+    SetFunction,
+    UpperProbStructure,
+    _field,
+    _load_json,
+    _strings,
+    _typed,
+    check_world_cap,
+)
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -118,11 +126,10 @@ def search_violation(
     """
     if m_max < 1:
         raise InputError("m_max must be >= 1")
-    ground, table, _, L = _mask_tables(v)
+    ground, table, _, L = mask_tables(v)
     n_el = len(ground)
     full = (1 << n_el) - 1
-    masks = [sum(1 << i for i in c) for r in range(n_el + 1)
-             for c in itertools.combinations(range(n_el), r)]
+    masks = subset_masks(n_el)
     targets = v.subsets()  # the same order as masks
     pool = [t for t in masks if t and t != full]
     best = table[:]  # best[S] = max of table[T] over T within S
@@ -226,13 +233,14 @@ def l4_instances(
 # Properties (1)-(6)
 
 
-def _mask_tables(
+def mask_tables(
     source: Union[UpperProbStructure, SetFunction],
 ) -> tuple[list[str], list[int], list[int], int]:
     """Ground elements, upper/lower value tables indexed by bitmask, and L.
 
     Bit i of a mask stands for ground[i].  Every value is an int over the
     common denominator L: upper[mask] / L is the upper value of the set.
+    A structure is held to the world cap of structure.set_function_of.
     """
     if isinstance(source, SetFunction):
         ground = list(source.ground)
@@ -249,6 +257,7 @@ def _mask_tables(
         lower = [L - upper[full ^ m] for m in range(1 << n)]
         return ground, upper, lower, L
     M = source
+    check_world_cap(M)
     ground = list(M.worlds)
     n = len(ground)
     L = lcm(*[x.denominator for mu in M.measures for x in mu.values()])
@@ -256,15 +265,27 @@ def _mask_tables(
     totals = []
     for idx in range(len(M.measures)):
         mass = [M.mass(idx, w) for w in ground]
-        mass = [x.numerator * (L // x.denominator) for x in mass]
-        acc = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            acc[m] = acc[m ^ low] + mass[low.bit_length() - 1]
-        totals.append(acc)
+        totals.append(subset_sums([x.numerator * (L // x.denominator) for x in mass]))
     upper = [max(t[m] for t in totals) for m in range(1 << n)]
     lower = [min(t[m] for t in totals) for m in range(1 << n)]
     return ground, upper, lower, L
+
+
+def subset_sums(mass: Sequence[int]) -> list[int]:
+    """The table of sums of mass over each subset, indexed by bitmask:
+    entry m is the sum of mass[i] over the bits i of m."""
+    acc = [0] * (1 << len(mass))
+    for m in range(1, len(acc)):
+        low = m & -m
+        acc[m] = acc[m ^ low] + mass[low.bit_length() - 1]
+    return acc
+
+
+def subset_masks(n: int) -> list[int]:
+    """The bitmasks of the subsets of n elements, in SetFunction.subsets()
+    order: by size, then lexicographically by element index."""
+    return [sum(1 << i for i in c) for r in range(n + 1)
+            for c in itertools.combinations(range(n), r)]
 
 
 def _unmask(ground: list[str], mask: int) -> frozenset:
@@ -285,7 +306,7 @@ def check_properties(
     """
     if max_sets < 2:
         raise InputError("max_sets must be >= 2")
-    ground, upper, lower, _ = _mask_tables(source)
+    ground, upper, lower, _ = mask_tables(source)
     masks = range(len(upper))
     report: dict[int, Optional[tuple]] = {i: None for i in range(1, 7)}
 
@@ -356,15 +377,13 @@ def save_certificate(c: CoverInstance) -> str:
 
 
 def load_certificate(data: Union[bytes, str]) -> CoverInstance:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-        return CoverInstance(
-            sets=tuple(frozenset(s) for s in doc["sets"]),
-            target=frozenset(doc["target"]),
-            n=int(doc["n"]),
-            k=int(doc["k"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed cover certificate: {e}")
+    what = "cover certificate"
+    doc = _load_json(data, what)
+    sets = [_strings(_typed(s, list, f"set {i} of 'sets'"), f"set {i} of 'sets'")
+            for i, s in enumerate(_field(doc, "sets", list, what))]
+    return CoverInstance(
+        sets=tuple(frozenset(s) for s in sets),
+        target=frozenset(_strings(_field(doc, "target", list, what), "'target'")),
+        n=_field(doc, "n", int, what),
+        k=_field(doc, "k", int, what),
+    )

@@ -2,21 +2,35 @@
 
 A total set function v over a finite ground set equals the upper envelope
 of some set of probability measures iff v(empty) = 0, v(ground) = 1, and
-for every subset A the maximum of mu(A) over the polytope of probability
-measures dominated by v (mu(X) <= v(X) for all X) reaches v(A).  Each
-check is one exact LP; on success the per-subset optimal measures are the
-witness family.  This finite decision replaces quantification over
-arbitrarily large set covers.
+for every nonempty subset A the maximum of mu(A) over the polytope of
+probability measures dominated by v (mu(X) <= v(X) for all X) reaches
+v(A).  Each such maximum is one exact LP, but an LP runs only for a subset
+that no earlier witness reaches: the subsets are visited in v.subsets()
+order, and A is skipped when a measure found so far has mass exactly v(A)
+on A.  That proves the maximum at A is v(A), because every witness is an
+LP optimum that lp re-checked against every domination row (so mu <= v on
+proper subsets) and has total mass 1 = v(ground).  Each LP that runs
+therefore returns a measure reaching a subset no earlier one reached, and
+on success these measures are the witness family: one per distinct LP
+optimum needed, realizing v exactly.  NO answers are those of one LP per
+subset: the first LP detects an empty polytope, and the first subset whose
+maximum falls short of v fails.  This finite decision replaces
+quantification over arbitrarily large set covers.
+
+The attainment test is done in integers: v as a table indexed by ground
+bitmask over one denominator (covers.mask_tables), and each witness as the
+table of its subset sums over its own denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from . import lp
-from .errors import InputError, ResourceError
+from . import covers, lp
+from .errors import InputError, InternalCheckError, ResourceError
 from .structure import SetFunction
 
 DEFAULT_GROUND_CAP = 12
@@ -95,10 +109,11 @@ def is_upper_probability(
     if v(full) != 1:
         return EnvelopeResult(False, failing_set=full,
                               failing_reason="v(ground) != 1")
+    ground, table, _, L = covers.mask_tables(v)
+    reached = [False] * len(table)  # masks at which some witness has mass v
     witnesses: list[dict] = []
-    seen: set[tuple] = set()
-    for A in v.subsets():
-        if not A:
+    for mask, A in zip(covers.subset_masks(len(ground)), v.subsets()):
+        if not A or reached[mask]:
             continue
         try:
             best, measure = dominated_max(v, A)
@@ -114,8 +129,14 @@ def is_upper_probability(
                 failing_reason=f"dominated max {best} < v(A) = {v(A)}",
                 shortfall_value=best,
             )
-        key = tuple(sorted(measure.items()))
-        if key not in seen:
-            seen.add(key)
-            witnesses.append(measure)
+        witnesses.append(measure)
+        masses = [measure.get(g, Fraction(0)) for g in ground]
+        den = lcm(*[x.denominator for x in masses])
+        sums = covers.subset_sums([x.numerator * (den // x.denominator) for x in masses])
+        # mu(X) = sums[X]/den equals v(X) = table[X]/L
+        reached = [r or s * L == t * den for r, s, t in zip(reached, sums, table)]
+        if not reached[mask]:
+            raise InternalCheckError(
+                f"the optimal measure for {sorted(A)} does not reach v there"
+            )
     return EnvelopeResult(True, witness=tuple(witnesses))

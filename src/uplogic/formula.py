@@ -285,21 +285,24 @@ def ldisj_all(parts: Sequence[LikelihoodFormula]) -> LikelihoodFormula:
     return out
 
 
+def basics_of(f: LikelihoodFormula) -> list[Basic]:
+    """The Basic subformulas of f, left to right."""
+    out: list[Basic] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Basic):
+            out.append(g)
+        elif isinstance(g, LNot):
+            stack.append(g.sub)
+        elif isinstance(g, (LAnd, LOr)):
+            stack += (g.right, g.left)
+    return out
+
+
 def likelihood_args(f: LikelihoodFormula) -> list[PropFormula]:
     """All propositional arguments appearing under l(.) in f, in order."""
-    out: list[PropFormula] = []
-
-    def walk(g: LikelihoodFormula) -> None:
-        if isinstance(g, Basic):
-            out.extend(g.term.args())
-        elif isinstance(g, LNot):
-            walk(g.sub)
-        elif isinstance(g, (LAnd, LOr)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
-    return out
+    return [arg for b in basics_of(f) for arg in b.term.args()]
 
 
 def likelihood_props(f: LikelihoodFormula) -> list[str]:

@@ -156,12 +156,17 @@ class SetFunction:
         return out
 
 
-def set_function_of(M: UpperProbStructure, world_cap: int = DEFAULT_WORLD_CAP) -> SetFunction:
-    """The upper envelope of M's measures, as a total set function."""
+def check_world_cap(M: UpperProbStructure, world_cap: int = DEFAULT_WORLD_CAP) -> None:
+    """Refuse a structure too large for tables over all subsets of worlds."""
     if len(M.worlds) > world_cap:
         raise ResourceError(
             f"{len(M.worlds)} worlds exceed the set-function cap {world_cap}"
         )
+
+
+def set_function_of(M: UpperProbStructure, world_cap: int = DEFAULT_WORLD_CAP) -> SetFunction:
+    """The upper envelope of M's measures, as a total set function."""
+    check_world_cap(M, world_cap)
     values = {}
     for r in range(len(M.worlds) + 1):
         for combo in itertools.combinations(M.worlds, r):
@@ -173,7 +178,7 @@ def set_function_of(M: UpperProbStructure, world_cap: int = DEFAULT_WORLD_CAP) -
 # Serialization
 
 
-_JSON_NAMES = {dict: "an object", list: "a list", str: "a string"}
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
 def _load_json(data: Union[bytes, str], what: str) -> dict:
@@ -188,8 +193,9 @@ def _load_json(data: Union[bytes, str], what: str) -> dict:
 
 
 def _typed(x, kind: type, what: str):
-    """x, which must be of the JSON type kind (dict, list or str)."""
-    if not isinstance(x, kind):
+    """x, which must be of the JSON type kind (dict, list, str or int;
+    true and false are not ints here)."""
+    if type(x) is not kind:
         raise ValidationError(f"{what} must be {_JSON_NAMES[kind]}")
     return x
 

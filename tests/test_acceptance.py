@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from uplogic.covers import check_properties, l4_instances, search_violation
 from uplogic.envelope import is_upper_probability
-from uplogic.formula import And, Basic, Not, Prop, Rel, Term, conj_all, lconj_all
+from uplogic.formula import And, Basic, Not, Prop, Rel, Term, basics_of, conj_all, lconj_all
 from uplogic.parser import ParseError, parse_likelihood, parse_prop, parse_term, print_formula
 from uplogic.semantics import eval_term, evaluate
 from uplogic.solver import SatVerdict, sat, valid
@@ -133,20 +133,9 @@ def test_06_solver_round_trip():
             assert evaluate(res.model, f)  # independent model check
             assert len(res.model.worlds) <= 2 ** n
             distinct_args = {phi for _, phi in
-                             (part for b in _basics(f) for part in b.term.parts)}
+                             (part for b in basics_of(f) for part in b.term.parts)}
             assert len(res.model.measures) <= max(1, len(distinct_args))
         assert confirmed >= 50
-
-
-def _basics(f):
-    from uplogic.formula import LAnd, LNot, LOr
-    if isinstance(f, Basic):
-        return [f]
-    if isinstance(f, LNot):
-        return _basics(f.sub)
-    if isinstance(f, (LAnd, LOr)):
-        return _basics(f.left) + _basics(f.right)
-    return []
 
 
 def test_07_lp_oracle_equivalence():

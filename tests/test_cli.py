@@ -235,6 +235,15 @@ class TestProps:
         assert set(doc) == {"1", "2", "3", "4", "5", "6"}
         assert all(v["pass"] for v in doc.values())
 
+    def test_world_cap_exit_3(self, capsys, tmp_path):
+        worlds = [{"id": f"w{i}"} for i in range(18)]
+        doc = {"props": [], "worlds": worlds, "measures": [{"dist": {"w0": 1}}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "props", "--model", str(path), "--max-sets", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: 18 worlds exceed the set-function cap 16\n"
+
 
 class TestMalformedDocuments:
     """Every document shape ends in exit 2 with one line, never a traceback."""
@@ -291,6 +300,27 @@ class TestMalformedDocuments:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("doc", [
+        {"sets": "ab", "target": "ab", "n": 1, "k": 0},
+        {"sets": ["ab"], "target": ["a"], "n": 1, "k": 0},
+        {"sets": [["a", 1]], "target": ["a"], "n": 1, "k": 0},
+        {"sets": [["a"]], "target": "a", "n": 1, "k": 0},
+        {"sets": [["a"]], "target": ["a"], "n": "1", "k": 0},
+        {"sets": [["a"]], "target": ["a"], "n": 1, "k": 0.0},
+        {"sets": [["a"]], "target": ["a"], "n": True, "k": 0},
+        {"sets": [["a"]], "target": ["a"], "n": 1},
+        [{"sets": [["a"]], "target": ["a"], "n": 1, "k": 0}],
+    ], ids=["sets-string", "set-string", "element-int", "target-string",
+            "n-string", "k-float", "n-bool", "no-k", "document-list"])
+    def test_bad_certificate(self, capsys, tmp_path, doc):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "covers", "verify", "--certificate", str(path),
+                             "--omega", "a,b")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # Arbitrary bytes, arbitrary JSON, and valid documents with one part
 # replaced or deleted.
 _json = st.recursive(
@@ -305,6 +335,7 @@ _GOOD_STRUCTURE = {
     "measures": [{"id": "m0", "dist": {"w0": "1/2", "w1": "1/2"}}, {"dist": {"w1": 1}}],
 }
 _GOOD_FUNCTION = {"omega": ["a", "b"], "v": {"": 0, "a": "1/2", "b": "2/3", "a,b": 1}}
+_GOOD_CERTIFICATE = {"sets": [["a"], ["a", "b"], ["b"]], "target": ["a"], "n": 1, "k": 1}
 
 
 def _paths(doc, at=()):
@@ -357,3 +388,14 @@ def test_any_function_file_ends_in_an_exit_code(tmp_path_factory, doc):
                  ["envelope", "--function", str(path)],
                  ["covers", "search", "--function", str(path), "--m-max", "2"]):
         assert _exits_cleanly(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_damaged(_GOOD_CERTIFICATE) | _json | st.binary(max_size=40))
+def test_any_certificate_file_ends_in_an_exit_code(tmp_path_factory, doc):
+    folder = tmp_path_factory.mktemp("certificate")
+    path, function = folder / "cert.json", folder / "v.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    function.write_text(json.dumps(_GOOD_FUNCTION))
+    assert _exits_cleanly(["covers", "verify", "--certificate", str(path),
+                           "--omega", "a,b", "--function", str(function)])
