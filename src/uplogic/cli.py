@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import covers, envelope, lp, parser, semantics, solver, structure
-from .errors import InputError, ResourceError, UplogicError, ValidationError
+from .errors import InputError, ResourceError, ValidationError
 from .formula import basics_of
 from .parser import ParseError
 

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError, ResourceError
 from .formula import (

@@ -45,32 +45,16 @@ class EnvelopeResult:
     shortfall_value: Optional[Fraction] = None  # dominated max at failing set
 
 
-def _dominated_system(
-    v: SetFunction,
-    objective_set: frozenset,
-) -> lp.LinearSystem:
+def _dominated_system(v: SetFunction) -> lp.LinearSystem:
+    """The probability measures dominated by v: sum mu = 1, and
+    mu(X) <= v(X) for every proper nonempty X."""
     ground = list(v.ground)
-    n = len(ground)
-    index = {g: i for i, g in enumerate(ground)}
-    constraints = []
-    one = [Fraction(1)] * n
-    # normalization: sum mu = 1 (two weak rows)
-    constraints.append((one, lp.Relation.GE, Fraction(1)))
-    constraints.append(([-x for x in one], lp.Relation.GE, Fraction(-1)))
-    # domination: mu(X) <= v(X) for every proper nonempty X
+    full = frozenset(ground)
+    constraints = [(dict.fromkeys(ground, 1), lp.Relation.EQ, 1)]
     for X, bound in v.values.items():
-        if not X or X == frozenset(ground):
-            continue
-        row = [Fraction(0)] * n
-        for g in X:
-            row[index[g]] = Fraction(-1)
-        constraints.append((row, lp.Relation.GE, -bound))
-    obj = [Fraction(0)] * n
-    for g in objective_set:
-        obj[index[g]] = Fraction(1)
-    return lp.make_system(
-        ground, constraints, objective=(obj, lp.Direction.MAX), nonneg=ground
-    )
+        if X and X != full:
+            constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
+    return lp.make_system(ground, constraints, nonneg=ground)
 
 
 def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
@@ -79,7 +63,7 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     A = frozenset(A)
     if not A <= frozenset(v.ground):
         raise InputError(f"subset {sorted(A)} not within the ground set")
-    outcome = lp.optimize(_dominated_system(v, A))
+    outcome = lp.optimize(_dominated_system(v), dict.fromkeys(A, 1), lp.Direction.MAX)
     if outcome.verdict is not lp.Verdict.OPTIMAL:
         raise InputError(
             "the dominated-measure polytope is empty; v admits no probability "

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import InputError, ResourceError
 
@@ -34,9 +34,12 @@ def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f"UPLOGIC_ATOM_CAP is not an integer: {raw!r}")
+    if cap < 0:
+        raise InputError(f"UPLOGIC_ATOM_CAP is negative: {raw!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------

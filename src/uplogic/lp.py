@@ -1,9 +1,13 @@
 """Exact rational linear constraint solving.
 
-Systems mix weak (>=) and strict (>) inequalities over named real
-variables.  Feasibility and optimization are decided exactly: a two-phase
-tableau simplex, Dantzig pivoting with a switch to Bland's rule to
-guarantee termination.
+A system is nothing but its rows: equalities (=), weak (>=) and strict (>)
+inequalities over named real variables.  Each row is sparse, a map from
+variable name to nonzero coefficient; a variable the row leaves out has
+coefficient 0.  The objective is not part of the system but an argument
+of optimize(system, objective, direction), so one system serves both a
+minimum and a maximum.  Feasibility and optimization are decided exactly:
+a two-phase tableau simplex, Dantzig pivoting with a switch to Bland's
+rule to guarantee termination.
 
 The tableau is fraction-free: each row is a list of Python ints over one
 positive denominator, built from its constraint's numerators and the lcm of
@@ -22,25 +26,31 @@ with b >= 0, and a row a.x >= b with b <= 0 (negated to -a.x <= -b),
 starts on its own slack, so every homogeneous row a.x >= 0 or
 a.x - delta >= 0 costs no phase-1 work.  Only a row a.x >= b with b > 0,
 or an equality, starts on an artificial column that phase 1 must drive
-to zero.  Pivots touch only the nonzero columns of the pivot row.
+to zero; an equality has no slack, so a = row is one tableau row where a
+pair of >= rows would be two.  Pivots touch only the nonzero columns of
+the pivot row.
 
 Strict inequalities are honored by the slack method: each row c.x > b is
 rewritten as c.x - delta >= b for a single fresh delta >= 0, delta <= 1,
 and delta is maximized; the original system is strictly feasible iff the
-optimum has delta > 0.
+optimum has delta > 0.  An optimum over a system with strict rows is
+attained iff the system stays strictly feasible with the objective pinned
+to its value by one = row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
 
 class Relation(Enum):
+    EQ = "="
     GE = ">="
     GT = ">"
 
@@ -52,14 +62,14 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: Mapping[str, Fraction]  # variable -> nonzero coefficient
     rel: Relation
     bound: Fraction
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Constraints c.x >= b or c.x > b over the named variables.
+    """Rows c.x = b, c.x >= b or c.x > b over the named variables.
 
     Variables listed in `nonneg` carry an implicit x >= 0 and are handled
     natively by the simplex (no free-variable split); all others are free.
@@ -67,23 +77,23 @@ class LinearSystem:
 
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    objective: Optional[tuple[tuple[Fraction, ...], Direction]] = None
     nonneg: frozenset = frozenset()
 
     def __post_init__(self):
         if not self.variables:
             raise InputError("system must have at least one variable")
-        if len(set(self.variables)) != len(self.variables):
+        known = frozenset(self.variables)
+        if len(known) != len(self.variables):
             raise InputError("duplicate variable name")
-        n = len(self.variables)
+        _check_names(known, self.nonneg, "nonneg")
         for c in self.constraints:
-            if len(c.coeffs) != n:
-                raise InputError("constraint width does not match variable count")
-        if self.objective is not None and len(self.objective[0]) != n:
-            raise InputError("objective width does not match variable count")
-        unknown = self.nonneg - set(self.variables)
-        if unknown:
-            raise InputError(f"nonneg names unknown variables: {sorted(unknown)}")
+            _check_names(known, c.coeffs, "constraint")
+
+
+def _check_names(known: frozenset, names, what: str) -> None:
+    if not known.issuperset(names):
+        unknown = sorted(set(names) - known)
+        raise InputError(f"{what} names unknown variables: {unknown}")
 
 
 class Verdict(Enum):
@@ -104,8 +114,7 @@ class LPOutcome:
 
 def make_system(
     variables: Sequence[str],
-    constraints: Sequence[tuple[Sequence[Fraction], Relation, Fraction]],
-    objective: Optional[tuple[Sequence[Fraction], Direction]] = None,
+    constraints: Sequence[tuple[Mapping[str, Fraction], Relation, Fraction]],
     nonneg: Sequence[str] = (),
 ) -> LinearSystem:
     return LinearSystem(
@@ -113,16 +122,15 @@ def make_system(
         constraints=tuple(
             Constraint(_fractions(co), rel, Fraction(b)) for co, rel, b in constraints
         ),
-        objective=None
-        if objective is None
-        else (_fractions(objective[0]), objective[1]),
         nonneg=frozenset(nonneg),
     )
 
 
-def _fractions(xs: Sequence) -> tuple[Fraction, ...]:
+def _fractions(coeffs: Mapping) -> dict[str, Fraction]:
+    """The nonzero entries of coeffs, as Fractions."""
     # Fraction(x) of a Fraction builds a new one; most entries already are
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+    return {v: x if type(x) is Fraction else Fraction(x)
+            for v, x in coeffs.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +388,9 @@ class _Encoding:
             n += 1
         self.n = n
 
-    def row(self, coeffs: Sequence[Fraction], delta_coeff: Fraction = 0) -> list:
+    def row(self, coeffs: Mapping[str, Fraction], delta_coeff: Fraction = 0) -> list:
         out = [0] * self.n
-        for v, x in zip(self.sys.variables, coeffs):
-            if x == 0:
-                continue
+        for v, x in coeffs.items():
             pos, neg = self.cols[v]
             out[pos] = x
             if neg is not None:
@@ -404,22 +410,23 @@ class _Encoding:
         return point
 
 
+_HOLDS = {Relation.EQ: operator.eq, Relation.GE: operator.ge, Relation.GT: operator.gt}
+
+
 def _check_point(sys: LinearSystem, point: dict) -> None:
     """Raise InternalCheckError unless point satisfies every row and every
     non-negativity of sys.  Exact in integers: the point is put over its
     common denominator once, each row over the lcm of its coefficients'
     and bound's denominators."""
-    xs = [point[v] for v in sys.variables]
-    den = lcm(*[x.denominator for x in xs])
-    nums = [x.numerator * (den // x.denominator) for x in xs]
+    den = lcm(*[x.denominator for x in point.values()])
+    nums = {v: x.numerator * (den // x.denominator) for v, x in point.items()}
     for c in sys.constraints:
         b = c.bound
-        row_den = lcm(b.denominator, *[a.denominator for a in c.coeffs if a])
-        lhs = sum(a.numerator * (row_den // a.denominator) * x
-                  for a, x in zip(c.coeffs, nums) if a)
+        row_den = lcm(b.denominator, *[a.denominator for a in c.coeffs.values()])
+        lhs = sum(a.numerator * (row_den // a.denominator) * nums[v]
+                  for v, a in c.coeffs.items())
         rhs = b.numerator * (row_den // b.denominator) * den
-        ok = lhs >= rhs if c.rel is Relation.GE else lhs > rhs
-        if not ok:
+        if not _HOLDS[c.rel](lhs, rhs):
             raise InternalCheckError(
                 f"solver returned a point violating {c.coeffs} {c.rel.value} {c.bound}"
             )
@@ -428,17 +435,19 @@ def _check_point(sys: LinearSystem, point: dict) -> None:
             raise InternalCheckError(f"solver returned negative {v}")
 
 
+# the simplex's relation for each row of the weak relaxation
+_WEAK = {Relation.EQ: "=", Relation.GE: ">=", Relation.GT: ">="}
+
+
 def _solve_weak_max(
     sys: LinearSystem,
-    objective: Sequence[Fraction],
-    *,
-    strict_as_weak: bool = True,
+    objective: Mapping[str, Fraction],
 ) -> tuple[str, Optional[Fraction], Optional[dict], Optional[dict]]:
     """Maximize objective over the weak relaxation of sys.
 
     Returns (status, value, point, ray)."""
     enc = _Encoding(sys, extra_delta=False)
-    rows = [(enc.row(c.coeffs), ">=", c.bound) for c in sys.constraints]
+    rows = [(enc.row(c.coeffs), _WEAK[c.rel], c.bound) for c in sys.constraints]
     sx = _Simplex(enc.n, rows, enc.row(objective))
     status, value, point = sx.solve()
     if status == "infeasible":
@@ -456,12 +465,10 @@ def _strict_feasible(sys: LinearSystem) -> tuple[str, Optional[dict]]:
     rows = []
     for c in sys.constraints:
         delta = Fraction(-1) if c.rel is Relation.GT else Fraction(0)
-        rows.append((enc.row(c.coeffs, delta), ">=", c.bound))
+        rows.append((enc.row(c.coeffs, delta), _WEAK[c.rel], c.bound))
     # 0 <= delta <= 1; maximize delta
-    zero = [Fraction(0)] * len(sys.variables)
-    rows.append((enc.row(zero, Fraction(-1)), ">=", Fraction(-1)))
-    objective = enc.row(zero, Fraction(1))
-    sx = _Simplex(enc.n, rows, objective)
+    rows.append((enc.row({}, Fraction(-1)), ">=", Fraction(-1)))
+    sx = _Simplex(enc.n, rows, enc.row({}, Fraction(1)))
     status, value, internal = sx.solve()
     if status == "infeasible":
         return ("infeasible", None)
@@ -477,31 +484,35 @@ def _strict_feasible(sys: LinearSystem) -> tuple[str, Optional[dict]]:
 
 def feasible(sys: LinearSystem) -> LPOutcome:
     """Exact feasibility of sys, strict rows honored strictly."""
-    if sys.objective is not None:
-        raise InputError("feasible() takes a system without an objective")
     status, point = _strict_feasible(sys)
     if status == "infeasible":
         return LPOutcome(Verdict.INFEASIBLE)
     return LPOutcome(Verdict.FEASIBLE, point=point)
 
 
-def optimize(sys: LinearSystem) -> LPOutcome:
-    """Exact optimum of the objective over the closure of the feasible set.
+def optimize(
+    sys: LinearSystem,
+    objective: Mapping[str, Fraction],
+    direction: Direction,
+) -> LPOutcome:
+    """Exact optimum of the objective (a sparse row, like a constraint's
+    coefficients) over the closure of the feasible set of sys.
 
     attained=False marks an optimum approached only in the limit of the
     strict constraints (the point is then omitted).  INFEASIBLE when the
     system, with strictness honored, has no solution.
     """
-    if sys.objective is None:
-        raise InputError("optimize() requires an objective")
-    coeffs, direction = sys.objective
+    objective = _fractions(objective)
+    _check_names(frozenset(sys.variables), objective, "objective")
     has_strict = any(c.rel is Relation.GT for c in sys.constraints)
     if has_strict:
         status, _ = _strict_feasible(sys)
         if status == "infeasible":
             return LPOutcome(Verdict.INFEASIBLE)
-    sign = Fraction(1) if direction is Direction.MAX else Fraction(-1)
-    status, value, point, ray = _solve_weak_max(sys, [sign * x for x in coeffs])
+    sign = 1 if direction is Direction.MAX else -1
+    status, value, point, ray = _solve_weak_max(
+        sys, {v: sign * x for v, x in objective.items()}
+    )
     if status == "infeasible":
         return LPOutcome(Verdict.INFEASIBLE)
     if status == "unbounded":
@@ -513,11 +524,7 @@ def optimize(sys: LinearSystem) -> LPOutcome:
     # Does some strictly feasible point attain the closure optimum?
     pinned = LinearSystem(
         variables=sys.variables,
-        constraints=sys.constraints
-        + (
-            Constraint(tuple(coeffs), Relation.GE, value),
-            Constraint(tuple(-x for x in coeffs), Relation.GE, -value),
-        ),
+        constraints=sys.constraints + (Constraint(objective, Relation.EQ, value),),
         nonneg=sys.nonneg,
     )
     status, witness = _strict_feasible(pinned)

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import lp
-from .errors import InputError, InternalCheckError, ResourceError, UplogicError
+from .errors import InternalCheckError, ResourceError, UplogicError
 from .formula import (
     Basic,
     LNot,
@@ -99,111 +99,77 @@ class _Worlds:
         return mask
 
 
+ONE = Fraction(1)
+
+
 class _DisjunctLP:
     """Witness LP for one conjunction of normalized basic constraints."""
 
     def __init__(self, worlds: _Worlds, basics: Sequence[Basic], extra_args=()):
         self.worlds = worlds
         mask_of: dict[int, int] = {}  # extension mask -> measure index
-        self._arg_cache: dict = {}
-
-        def measure_index(phi) -> int:
-            key = phi
-            if key not in self._arg_cache:
+        self._arg_cache: dict = {}  # argument -> measure index
+        for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
+            if phi not in self._arg_cache:
                 mask = worlds.extension_mask(phi)
-                if mask not in mask_of:
-                    mask_of[mask] = len(mask_of)
-                self._arg_cache[key] = mask_of[mask]
-            return self._arg_cache[key]
+                self._arg_cache[phi] = mask_of.setdefault(mask, len(mask_of))
 
-        rows: list[tuple[list, lp.Relation, Fraction]] = []
-        basic_terms: list[tuple[dict, lp.Relation, Fraction]] = []
-        for b in basics:
-            by_measure: dict[int, Fraction] = {}
-            for coeff, phi in b.term.parts:
-                t = measure_index(phi)
-                by_measure[t] = by_measure.get(t, Fraction(0)) + coeff
-            rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
-            basic_terms.append((by_measure, rel, b.bound))
-        for coeff, phi in extra_args:
-            measure_index(phi)
-
-        self.masks = [m for m, _ in sorted(mask_of.items(), key=lambda kv: kv[1])]
-        self.T = len(self.masks)
+        masks = list(mask_of)  # in order of measure index
+        T = len(masks)
         # merge worlds by membership signature across all argument extensions
         sig_of: dict[tuple, int] = {}
         self.class_rep: list[int] = []
-        self.world_class: list[int] = []
         for w in range(len(worlds.ids)):
-            sig = tuple((m >> w) & 1 for m in self.masks)
+            sig = tuple((m >> w) & 1 for m in masks)
             if sig not in sig_of:
                 sig_of[sig] = len(self.class_rep)
                 self.class_rep.append(w)
-            self.world_class.append(sig_of[sig])
-        self.sigs = sorted(sig_of, key=sig_of.get)
+        sigs = list(sig_of)
         C = len(self.class_rep)
 
-        self.variables = [f"x_{i}_{c}" for i in range(self.T) for c in range(C)]
-        var_index = {v: k for k, v in enumerate(self.variables)}
-        nvars = len(self.variables)
-
-        def col(i: int, c: int) -> int:
-            return i * C + c
-
-        def zero_row() -> list:
-            return [Fraction(0)] * nvars
-
+        names = [[f"x_{i}_{c}" for c in range(C)] for i in range(T)]
+        self._names = names
+        self.variables = [x for row in names for x in row]
+        # the classes inside measure i's own argument extension
+        self._inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
+        rows: list[tuple[dict, lp.Relation, Fraction]] = []
         # each measure sums to 1
-        for i in range(self.T):
-            row = zero_row()
-            for c in range(C):
-                row[col(i, c)] = Fraction(1)
-            rows.append((row, lp.Relation.GE, Fraction(1)))
-            rows.append(([-x for x in row], lp.Relation.GE, Fraction(-1)))
+        for row in names:
+            rows.append((dict.fromkeys(row, ONE), lp.Relation.EQ, ONE))
         # dominance: measure i attains the max on its own extension
-        for i in range(self.T):
-            in_i = [c for c in range(C) if self.sigs[c][i]]
-            for j in range(self.T):
-                if j == i:
-                    continue
-                row = zero_row()
-                for c in in_i:
-                    row[col(i, c)] = Fraction(1)
-                    row[col(j, c)] += Fraction(-1)
-                rows.append((row, lp.Relation.GE, Fraction(0)))
+        for i, inside in enumerate(self._inside):
+            for j in range(T):
+                if j != i:
+                    row = {names[i][c]: ONE for c in inside}
+                    row.update({names[j][c]: -ONE for c in inside})
+                    rows.append((row, lp.Relation.GE, Fraction(0)))
         # the disjunct's constraints over the y_i = mu_i(extension_i)
-        for by_measure, rel, bound in basic_terms:
-            row = zero_row()
-            for i, coeff in by_measure.items():
-                for c in range(C):
-                    if self.sigs[c][i]:
-                        row[col(i, c)] += coeff
-            rows.append((row, rel, bound))
+        for b in basics:
+            rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
+            rows.append((self.term_row(b.term), rel, b.bound))
         self.rows = rows
-        self.nvars = nvars
 
-    def system(self, objective=None) -> lp.LinearSystem:
-        return lp.make_system(
-            self.variables, self.rows, objective=objective, nonneg=self.variables
-        )
-
-    def objective_row(self, t: Term) -> list:
-        C = len(self.class_rep)
-        row = [Fraction(0)] * self.nvars
+    def term_row(self, t: Term) -> dict:
+        """The term as a row: the sum of coeff * mu_i(extension_i)."""
+        by_measure: dict[int, Fraction] = {}
         for coeff, phi in t.parts:
             i = self._arg_cache[phi]
-            for c in range(C):
-                if self.sigs[c][i]:
-                    row[i * C + c] += coeff
-        return row
+            by_measure[i] = by_measure.get(i, 0) + coeff
+        return {
+            self._names[i][c]: coeff
+            for i, coeff in by_measure.items()
+            for c in self._inside[i]
+        }
+
+    def system(self) -> lp.LinearSystem:
+        return lp.make_system(self.variables, self.rows, nonneg=self.variables)
 
     def measures(self, point: dict) -> list[dict]:
-        C = len(self.class_rep)
         out = []
-        for i in range(self.T):
+        for names in self._names:
             mu = {}
-            for c in range(C):
-                mass = point[f"x_{i}_{c}"]
+            for c, x in enumerate(names):
+                mass = point[x]
                 if mass != 0:
                     wid = self.worlds.ids[self.class_rep[c]]
                     mu[wid] = mu.get(wid, Fraction(0)) + mass
@@ -211,9 +177,9 @@ class _DisjunctLP:
         return out
 
 
-def _prepare(f: LikelihoodFormula, prop_cap: Optional[int]):
+def _prepare(f: LikelihoodFormula, prop_cap: Optional[int], extra_props=()):
     cap = atom_cap(DEFAULT_PROP_CAP if prop_cap is None else prop_cap)
-    props = likelihood_props(f)
+    props = sorted(set(likelihood_props(f)).union(extra_props))
     if len(props) > cap:
         raise ResourceError(
             f"{len(props)} distinct propositions exceed the cap {cap}"
@@ -242,7 +208,7 @@ def sat(f: LikelihoodFormula, prop_cap: Optional[int] = None) -> SatResult:
     lp_sizes = []
     for basics in disjuncts:
         dlp = _DisjunctLP(worlds, basics)
-        lp_sizes.append({"variables": dlp.nvars, "rows": len(dlp.rows)})
+        lp_sizes.append({"variables": len(dlp.variables), "rows": len(dlp.rows)})
         outcome = lp.feasible(dlp.system())
         if outcome.verdict is lp.Verdict.FEASIBLE:
             model = _structure_from(worlds, dlp.measures(outcome.point))
@@ -279,27 +245,20 @@ def bounds(
     Endpoints carry attainment flags: an open endpoint is approached only
     in the limit of some strict constraint.
     """
-    combined_props = sorted(set(likelihood_props(f)) | {
-        p for _, phi in t.parts for p in props_of(phi)
-    })
-    cap = atom_cap(DEFAULT_PROP_CAP if prop_cap is None else prop_cap)
-    if len(combined_props) > cap:
-        raise ResourceError(
-            f"{len(combined_props)} distinct propositions exceed the cap {cap}"
-        )
-    worlds = _Worlds(combined_props)
-    disjuncts = dnf(normalize(f))
+    worlds, disjuncts = _prepare(
+        f, prop_cap, [p for _, phi in t.parts for p in props_of(phi)]
+    )
     lower: Optional[tuple[Fraction, bool]] = None
     upper: Optional[tuple[Fraction, bool]] = None
     provenance = []
     for idx, basics in enumerate(disjuncts):
         dlp = _DisjunctLP(worlds, basics, extra_args=t.parts)
-        obj = dlp.objective_row(t)
-        lo = lp.optimize(dlp.system((obj, lp.Direction.MIN)))
+        system, obj = dlp.system(), dlp.term_row(t)
+        lo = lp.optimize(system, obj, lp.Direction.MIN)
         if lo.verdict is lp.Verdict.INFEASIBLE:
             provenance.append({"disjunct": idx, "feasible": False})
             continue
-        hi = lp.optimize(dlp.system((obj, lp.Direction.MAX)))
+        hi = lp.optimize(system, obj, lp.Direction.MAX)
         if lo.verdict is not lp.Verdict.OPTIMAL or hi.verdict is not lp.Verdict.OPTIMAL:
             raise InternalCheckError("term range must be bounded over measures")
         provenance.append(

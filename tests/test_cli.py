@@ -150,6 +150,13 @@ class TestSatValid:
         code, out, _ = run(capsys, "valid", "--formula", "l(p) + l(!p) >= 1")
         assert code == 0 and out.strip() == "VALID"
 
+    def test_lp_sizes_json(self, capsys):
+        # two measures over four atom classes: one = row per measure and
+        # two dominance rows, plus the two basics
+        code, out, _ = run(capsys, "--json", "sat", "--formula", "l(p) >= 1/2 & l(q) <= 1/3")
+        assert code == 0
+        assert json.loads(out)["stats"]["lp_sizes"] == [{"variables": 8, "rows": 6}]
+
     def test_invalid_with_countermodel_json(self, capsys):
         code, out, _ = run(capsys, "--json", "valid", "--formula", "l(p) >= 1/2")
         assert code == 1
@@ -170,6 +177,31 @@ class TestBounds:
             capsys, "bounds", "--formula", "l(true) = 0", "--term", "l(p)",
         )
         assert code == 1 and out.strip() == "UNSAT"
+
+
+class TestAtomCap:
+    """UPLOGIC_ATOM_CAP overrides the proposition cap; a bad value is an
+    input error."""
+
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    def test_bad_value_exit_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("UPLOGIC_ATOM_CAP", raw)
+        code, out, err = run(capsys, "sat", "--formula", "l(true) >= 0")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "UPLOGIC_ATOM_CAP" in err
+
+    def test_cap_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("UPLOGIC_ATOM_CAP", "1")
+        code, _, err = run(capsys, "sat", "--formula", "l(p & q) >= 1/2")
+        assert code == 3
+        assert err.strip() == "error: 2 distinct propositions exceed the cap 1"
+
+    def test_bounds_counts_the_term(self, capsys, monkeypatch):
+        monkeypatch.setenv("UPLOGIC_ATOM_CAP", "1")
+        code, _, _ = run(capsys, "bounds", "--formula", "l(p) >= 1/2", "--term", "l(p)")
+        assert code == 0
+        code, _, err = run(capsys, "bounds", "--formula", "l(p) >= 1/2", "--term", "l(q)")
+        assert code == 3 and "2 distinct propositions" in err
 
 
 class TestEnvelope:

@@ -18,12 +18,23 @@ from uplogic.lp import (
     optimize,
 )
 
-GE, GT = Relation.GE, Relation.GT
+EQ, GE, GT = Relation.EQ, Relation.GE, Relation.GT
+MAX, MIN = Direction.MAX, Direction.MIN
 
 
-def sys1(constraints, objective=None, nvars=1, names=None):
-    names = names or [f"x{i}" for i in range(nvars)]
-    return make_system(names, constraints, objective=objective)
+def dense(names, constraints, nonneg=()):
+    """A system from rows written as dense vectors over names; lp takes
+    each row as a map from variable name to coefficient."""
+    return make_system(
+        names, [(dict(zip(names, co)), rel, b) for co, rel, b in constraints], nonneg
+    )
+
+
+def sys1(constraints):
+    return dense(["x0"], constraints)
+
+
+X = {"x0": F(1)}  # the objective x0 of a one-variable system
 
 
 class TestFeasible:
@@ -46,36 +57,24 @@ class TestFeasible:
         out = feasible(sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(0))]))
         assert out.verdict is Verdict.INFEASIBLE
 
-    def test_rejects_objective(self):
-        with pytest.raises(InputError):
-            feasible(sys1([([F(1)], GE, F(0))], objective=([F(1)], Direction.MAX)))
-
 
 class TestOptimize:
     def test_closed_max(self):
-        out = optimize(
-            sys1([([F(1)], GE, F(0)), ([F(-1)], GE, F(-1))],
-                 objective=([F(1)], Direction.MAX))
-        )
+        out = optimize(sys1([([F(1)], GE, F(0)), ([F(-1)], GE, F(-1))]), X, MAX)
         assert out.verdict is Verdict.OPTIMAL
         assert out.value == 1 and out.attained
         assert out.point["x0"] == 1
 
     def test_open_max_not_attained(self):
-        out = optimize(
-            sys1([([F(1)], GT, F(0)), ([F(-1)], GT, F(-1))],
-                 objective=([F(1)], Direction.MAX))
-        )
+        out = optimize(sys1([([F(1)], GT, F(0)), ([F(-1)], GT, F(-1))]), X, MAX)
         assert out.verdict is Verdict.OPTIMAL
         assert out.value == 1 and not out.attained
 
     def test_unbounded(self):
         out = optimize(
-            make_system(
-                ["x", "y"],
-                [([F(1), F(0)], GE, F(0)), ([F(0), F(1)], GE, F(0))],
-                objective=([F(1), F(1)], Direction.MAX),
-            )
+            dense(["x", "y"], [([F(1), F(0)], GE, F(0)), ([F(0), F(1)], GE, F(0))]),
+            {"x": F(1), "y": F(1)},
+            MAX,
         )
         assert out.verdict is Verdict.UNBOUNDED
         d = out.direction
@@ -83,20 +82,61 @@ class TestOptimize:
 
     def test_minimize(self):
         out = optimize(
-            make_system(
-                ["x", "y"],
-                [([F(1), F(1)], GE, F(2))],
-                objective=([F(1), F(1)], Direction.MIN),
-            )
+            dense(["x", "y"], [([F(1), F(1)], GE, F(2))]), {"x": F(1), "y": F(1)}, MIN
         )
         assert out.value == 2 and out.attained
 
     def test_strictly_infeasible_reported(self):
-        out = optimize(
-            sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(0))],
-                 objective=([F(1)], Direction.MAX))
-        )
+        out = optimize(sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(0))]), X, MAX)
         assert out.verdict is Verdict.INFEASIBLE
+
+
+class TestEquality:
+    """An = row is one row of the system, beside weak and strict rows."""
+
+    def test_strict_row_beside_equality(self):
+        out = feasible(sys1([([F(1)], EQ, F(1, 2)), ([F(1)], GT, F(0))]))
+        assert out.verdict is Verdict.FEASIBLE and out.point == {"x0": F(1, 2)}
+        out = feasible(sys1([([F(1)], EQ, F(0)), ([F(1)], GT, F(0))]))
+        assert out.verdict is Verdict.INFEASIBLE
+
+    def test_open_max_on_an_equality(self):
+        # y >= 0, x + y = 1, y > 0: x approaches 1 and never reaches it
+        sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1)), ([F(0), F(1)], GT, F(0))],
+                    nonneg=["y"])
+        out = optimize(sys, {"x": F(1)}, MAX)
+        assert out.verdict is Verdict.OPTIMAL
+        assert out.value == 1 and not out.attained and out.point is None
+
+    def test_equality_is_one_row(self):
+        sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1))], nonneg=["x", "y"])
+        assert len(sys.constraints) == 1
+        out = optimize(sys, {"x": F(2), "y": F(1)}, MAX)
+        assert (out.value, out.point) == (2, {"x": F(1), "y": F(0)})
+
+
+class TestInputChecks:
+    def test_duplicate_variable(self):
+        with pytest.raises(InputError, match="duplicate variable name"):
+            make_system(["x", "x"], [])
+
+    def test_row_names_unknown_variable(self):
+        with pytest.raises(InputError, match=r"constraint names unknown variables: \['z'\]"):
+            make_system(["x"], [({"x": F(1), "z": F(2)}, GE, F(0))])
+
+    def test_objective_names_unknown_variable(self):
+        sys = make_system(["x"], [({"x": F(1)}, GE, F(0))])
+        with pytest.raises(InputError, match=r"objective names unknown variables: \['z'\]"):
+            optimize(sys, {"z": F(1)}, MAX)
+
+    def test_nonneg_names_unknown_variable(self):
+        with pytest.raises(InputError, match=r"nonneg names unknown variables: \['z'\]"):
+            make_system(["x"], [], nonneg=["z"])
+
+    def test_zero_entries_are_dropped(self):
+        sys = make_system(["x", "y"], [({"x": 0, "y": F(-1, 2)}, GE, 0)])
+        assert sys.constraints[0].coeffs == {"y": F(-1, 2)}
+        assert type(sys.constraints[0].coeffs["y"]) is F
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +212,7 @@ def test_oracle_agreement_200_random_systems():
         nvars = rng.randint(1, 4)
         constraints, objective, direction = random_bounded_system(rng, nvars)
         names = [f"x{i}" for i in range(nvars)]
-        sys = make_system(names, constraints, objective=(objective, direction))
-        out = optimize(sys)
+        out = optimize(dense(names, constraints), dict(zip(names, objective)), direction)
         expected = vertex_oracle(nvars, constraints, objective, direction)
         if expected is None:
             assert out.verdict is Verdict.INFEASIBLE
@@ -189,8 +228,7 @@ def test_optimum_dominates_sampled_feasible_points():
         nvars = rng.randint(1, 3)
         constraints, objective, _ = random_bounded_system(rng, nvars)
         names = [f"x{i}" for i in range(nvars)]
-        sys = make_system(names, constraints, objective=(objective, Direction.MAX))
-        out = optimize(sys)
+        out = optimize(dense(names, constraints), dict(zip(names, objective)), MAX)
         if out.verdict is not Verdict.OPTIMAL:
             continue
         for _ in range(20):
@@ -221,16 +259,15 @@ def test_zero_rhs_rows_start_on_slack(monkeypatch):
     names = ["x", "y", "z"]
     weak = [([F(1), F(-1), F(0)], GE, F(0)), ([F(0), F(1), F(-1)], GE, F(0))]
     strict = [([F(-1), F(2), F(0)], GT, F(0)), ([F(0), F(0), F(1)], GT, F(0))]
-    low = optimize(make_system(names, weak, objective=([F(1), F(0), F(0)], Direction.MIN),
-                               nonneg=names))
+    low = optimize(dense(names, weak, nonneg=names), {"x": F(1)}, MIN)
     assert low.verdict is Verdict.OPTIMAL and low.value == 0
-    assert feasible(make_system(names, weak + strict, nonneg=names)).verdict is Verdict.FEASIBLE
+    assert feasible(dense(names, weak + strict, nonneg=names)).verdict is Verdict.FEASIBLE
     assert len(built) == 2
     assert all(not s.art_cols for s in built)
     # a row with a positive bound is the only one that needs an artificial
     built.clear()
-    out = feasible(make_system(names, weak + strict + [([F(1), F(1), F(1)], GE, F(3))],
-                               nonneg=names))
+    out = feasible(dense(names, weak + strict + [([F(1), F(1), F(1)], GE, F(3))],
+                         nonneg=names))
     assert out.verdict is Verdict.FEASIBLE
     assert [len(s.art_cols) for s in built] == [1]
 
@@ -249,11 +286,11 @@ def test_check_point_rejects_a_point_one_unit_off():
     one_off = dict(point, x=point["x"] - F(1, D))
     # every row is checked: the row the moved point breaks comes last
     loose = [([F(1), F(0), F(0)], GE, F(0)), ([F(0), F(0), F(-1)], GE, F(-1))]
-    weak = make_system(names, loose + [(coeffs, GE, at)], nonneg=["y"])
+    weak = dense(names, loose + [(coeffs, GE, at)], nonneg=["y"])
     lp._check_point(weak, point)
     with pytest.raises(InternalCheckError, match=r"violating .* >= "):
         lp._check_point(weak, one_off)
-    strict = make_system(names, loose + [(coeffs, GT, at - F(1, 3 * D))], nonneg=["y"])
+    strict = dense(names, loose + [(coeffs, GT, at - F(1, 3 * D))], nonneg=["y"])
     lp._check_point(strict, point)
     with pytest.raises(InternalCheckError, match=r"violating .* > "):
         lp._check_point(strict, one_off)
@@ -274,7 +311,7 @@ def test_oracle_agreement_mixed_sign_bounds():
         seen["zero"] += any(b == 0 and any(co) for co, _, b in constraints)
         seen["positive"] += any(b > 0 for _, _, b in constraints)
         names = [f"x{i}" for i in range(nvars)]
-        out = optimize(make_system(names, constraints, objective=(objective, direction)))
+        out = optimize(dense(names, constraints), dict(zip(names, objective)), direction)
         expected = vertex_oracle(nvars, constraints, objective, direction)
         if expected is None:
             seen["infeasible"] += 1
@@ -283,6 +320,62 @@ def test_oracle_agreement_mixed_sign_bounds():
             assert out.verdict is Verdict.OPTIMAL
             assert out.value == expected
     assert all(seen.values()), seen
+
+
+def test_check_point_rejects_a_point_one_unit_off_an_equality():
+    D = 10**30 + 57
+    names = ["x", "y"]
+    point = {"x": F(5 * 10**29, D), "y": F(1, 3)}
+    coeffs = [F(1, 3), F(-2, 7)]
+    at = sum(c * point[v] for c, v in zip(coeffs, names))
+    sys = dense(names, [([F(0), F(1)], GE, F(0)), (coeffs, EQ, at)])
+    lp._check_point(sys, point)
+    for off in (F(1, D), F(-1, D)):  # either side of the row
+        with pytest.raises(InternalCheckError, match=r"violating .* = "):
+            lp._check_point(sys, dict(point, x=point["x"] + off))
+
+
+def test_oracle_agreement_with_equality_rows():
+    """One = row to lp, its two >= halves to the oracle; free and nonneg
+    variables, the nonneg ones given to the oracle as x >= 0 rows."""
+    rng = random.Random(6061)
+    seen = {"feasible": 0, "infeasible": 0, "free": 0, "nonneg": 0, "two_eq": 0}
+    for _ in range(160):
+        nvars = rng.randint(1, 4)
+        names = [f"x{i}" for i in range(nvars)]
+        nonneg = [v for v in names if rng.random() < 0.5]
+        constraints, objective, direction = random_bounded_system(rng, nvars)
+        constraints = constraints[: 2 * nvars + rng.randint(0, 1)]
+        # a point inside the box, so that most equalities are satisfiable
+        plant = [F(rng.randint(0 if v in nonneg else -3, 3), rng.randint(1, 3))
+                 for v in names]
+        equalities = []
+        for _ in range(rng.randint(1, 2)):
+            coeffs = [F(rng.randint(-3, 3)) for _ in range(nvars)]
+            bound = sum(c * x for c, x in zip(coeffs, plant))
+            if rng.random() < 0.25:
+                bound += rng.choice([-1, 1])
+            equalities.append((coeffs, bound))
+        sys = dense(names, constraints + [(co, EQ, b) for co, b in equalities], nonneg)
+        assert sum(c.rel is EQ for c in sys.constraints) == len(equalities)
+        halves = [(co, GE, b) for co, b in equalities]
+        halves += [([-x for x in co], GE, -b) for co, b in equalities]
+        signs = [([F(int(v == w)) for w in names], GE, F(0)) for v in nonneg]
+        out = optimize(sys, dict(zip(names, objective)), direction)
+        expected = vertex_oracle(nvars, constraints + halves + signs, objective, direction)
+        if expected is None:
+            seen["infeasible"] += 1
+            assert out.verdict is Verdict.INFEASIBLE
+        else:
+            seen["feasible"] += 1
+            assert out.verdict is Verdict.OPTIMAL
+            assert out.value == expected
+            for co, b in equalities:
+                assert sum(c * out.point[v] for c, v in zip(co, names)) == b
+        seen["free"] += len(nonneg) < nvars
+        seen["nonneg"] += bool(nonneg)
+        seen["two_eq"] += len(equalities) == 2
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
