@@ -19,7 +19,9 @@ quantification over arbitrarily large set covers.
 
 The attainment test is done in integers: v as a table indexed by ground
 bitmask over one denominator (covers.mask_tables), and each witness as the
-table of its subset sums over its own denominator.
+table of its subset sums over its own denominator.  The polytope depends on
+v alone, so every LP on one set function shares one system
+(SetFunction.dominated, built once).
 """
 
 from __future__ import annotations
@@ -45,25 +47,13 @@ class EnvelopeResult:
     shortfall_value: Optional[Fraction] = None  # dominated max at failing set
 
 
-def _dominated_system(v: SetFunction) -> lp.LinearSystem:
-    """The probability measures dominated by v: sum mu = 1, and
-    mu(X) <= v(X) for every proper nonempty X."""
-    ground = list(v.ground)
-    full = frozenset(ground)
-    constraints = [(dict.fromkeys(ground, 1), lp.Relation.EQ, 1)]
-    for X, bound in v.values.items():
-        if X and X != full:
-            constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
-    return lp.make_system(ground, constraints, nonneg=ground)
-
-
 def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     """max mu(A) over probability measures dominated by v, with an
     optimal measure."""
     A = frozenset(A)
     if not A <= frozenset(v.ground):
         raise InputError(f"subset {sorted(A)} not within the ground set")
-    outcome = lp.optimize(_dominated_system(v), dict.fromkeys(A, 1), lp.Direction.MAX)
+    outcome = lp.optimize(v.dominated, dict.fromkeys(A, 1), lp.Direction.MAX)
     if outcome.verdict is not lp.Verdict.OPTIMAL:
         raise InputError(
             "the dominated-measure polytope is empty; v admits no probability "

@@ -1,14 +1,27 @@
 """Decision procedures: satisfiability, validity, and tightest bounds.
 
-The reduction: normalize, take the DNF over basic constraints, and solve
-one exact LP per disjunct.  Worlds are the atoms over the formula's
-propositions.  Per disjunct, each distinct propositional argument phi_i
-gets its own candidate measure (variables x[i][world] >= 0 summing to 1);
-dominance rows force measure i to attain the maximum over all measures on
-phi_i's extension, so the value of l(phi_i) is an honest upper
-probability.  A designated witness measure per argument loses no
-generality: restricting a satisfying measure set to one maximizer per
-argument preserves every argument's upper probability.
+The reduction: normalize, walk the DNF over basic constraints lazily, and
+solve one exact LP per disjunct reached.  The walk visits the disjuncts in
+exactly the order, and with exactly the literal order, of formula.dnf
+without building the list: the top-level disjunction splits into
+branches, each branch's conjunction into conjuncts, dnf expands each
+conjunct alone (a short list), and the branch's disjuncts are the
+itertools.product of those lists.  sat stops at the first feasible
+disjunct.  A branch that mixes basic conjuncts (units) with other
+conjuncts first gets one LP on its units alone: every disjunct of the
+branch contains them, so if that LP is infeasible the whole branch is
+refuted and skipped (the theory check on forced literals of DPLL(T)).
+The number of disjuncts is counted, never enumerated: a sum over
+disjunction, a product over conjunction.
+
+Worlds are the atoms over the formula's propositions.  Per disjunct, each
+distinct propositional argument phi_i gets its own candidate measure
+(variables x[i][world] >= 0 summing to 1); dominance rows force measure i
+to attain the maximum over all measures on phi_i's extension, so the
+value of l(phi_i) is an honest upper probability.  A designated witness
+measure per argument loses no generality: restricting a satisfying measure
+set to one maximizer per argument preserves every argument's upper
+probability.
 
 Atoms sharing a membership signature across all arguments are
 interchangeable, so the LP merges them into one column per signature
@@ -18,16 +31,19 @@ answer is re-checked by the model checker before being returned.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import InternalCheckError, ResourceError, UplogicError
 from .formula import (
     Basic,
+    LAnd,
     LNot,
+    LOr,
     LikelihoodFormula,
     Rel,
     Term,
@@ -73,7 +89,7 @@ class BoundsResult:
     lower_attained: bool
     upper: Fraction
     upper_attained: bool
-    provenance: tuple[dict, ...] = ()  # one entry per satisfiable disjunct
+    provenance: tuple[dict, ...] = ()  # one entry per disjunct, in dnf order
 
 
 class _Worlds:
@@ -90,12 +106,16 @@ class _Worlds:
         else:
             self.ids = ("w0",)
             self.assignments = [{}]
+        self._masks: dict = {}  # argument -> extension mask
 
     def extension_mask(self, phi) -> int:
-        mask = 0
-        for i, assign in enumerate(self.assignments):
-            if holds(phi, assign):
-                mask |= 1 << i
+        mask = self._masks.get(phi)
+        if mask is None:
+            mask = 0
+            for i, assign in enumerate(self.assignments):
+                if holds(phi, assign):
+                    mask |= 1 << i
+            self._masks[phi] = mask
         return mask
 
 
@@ -184,9 +204,56 @@ def _prepare(f: LikelihoodFormula, prop_cap: Optional[int], extra_props=()):
         raise ResourceError(
             f"{len(props)} distinct propositions exceed the cap {cap}"
         )
-    worlds = _Worlds(props)
-    disjuncts = dnf(normalize(f))
-    return worlds, disjuncts
+    return _Worlds(props), normalize(f)
+
+
+def _operands(g: LikelihoodFormula, node: type) -> list[LikelihoodFormula]:
+    """The operands of g's top-level chain of node (LOr or LAnd), left to
+    right."""
+    out, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        if isinstance(h, node):
+            stack += (h.right, h.left)
+        else:
+            out.append(h)
+    return out
+
+
+def _count(g: LikelihoodFormula) -> int:
+    """len(dnf(g)) for a normalized g, counted without building the DNF."""
+    if isinstance(g, LOr):
+        return _count(g.left) + _count(g.right)
+    if isinstance(g, LAnd):
+        return _count(g.left) * _count(g.right)
+    return 1
+
+
+def _solve(worlds: _Worlds, basics: Sequence[Basic], lp_sizes: list):
+    """The witness LP of a conjunction of basics and its feasibility."""
+    dlp = _DisjunctLP(worlds, basics)
+    lp_sizes.append({"variables": len(dlp.variables), "rows": len(dlp.rows)})
+    return dlp, lp.feasible(dlp.system())
+
+
+def _disjuncts(
+    worlds: _Worlds, g: LikelihoodFormula, lp_sizes: list
+) -> Iterator[tuple[int, list[Basic]]]:
+    """(index, basics) for each disjunct of dnf(g), in dnf's order and
+    literal order, except the disjuncts of a branch whose units one LP
+    refutes (that LP's size goes to lp_sizes)."""
+    idx = 0
+    for branch in _operands(g, LOr):
+        conjuncts = _operands(branch, LAnd)
+        units = [c for c in conjuncts if isinstance(c, Basic)]
+        if units and len(units) < len(conjuncts):
+            _, outcome = _solve(worlds, units, lp_sizes)
+            if outcome.verdict is lp.Verdict.INFEASIBLE:
+                idx += _count(branch)
+                continue
+        for parts in itertools.product(*[dnf(c) for c in conjuncts]):
+            yield idx, [b for part in parts for b in part]
+            idx += 1
 
 
 def _structure_from(worlds: _Worlds, measures: list[dict]) -> UpperProbStructure:
@@ -204,27 +271,18 @@ def sat(f: LikelihoodFormula, prop_cap: Optional[int] = None) -> SatResult:
     The model, when present, has exactly the formula's atom worlds and one
     measure per distinct likelihood argument of the satisfied disjunct.
     """
-    worlds, disjuncts = _prepare(f, prop_cap)
-    lp_sizes = []
-    for basics in disjuncts:
-        dlp = _DisjunctLP(worlds, basics)
-        lp_sizes.append({"variables": len(dlp.variables), "rows": len(dlp.rows)})
-        outcome = lp.feasible(dlp.system())
+    worlds, g = _prepare(f, prop_cap)
+    stats = {"disjuncts": _count(g), "lp_sizes": []}
+    for _, basics in _disjuncts(worlds, g, stats["lp_sizes"]):
+        dlp, outcome = _solve(worlds, basics, stats["lp_sizes"])
         if outcome.verdict is lp.Verdict.FEASIBLE:
             model = _structure_from(worlds, dlp.measures(outcome.point))
             if not evaluate(model, f):
                 raise InternalCheckError(
                     "extracted witness structure fails the model checker"
                 )
-            return SatResult(
-                SatVerdict.SAT,
-                model=model,
-                stats={"disjuncts": len(disjuncts), "lp_sizes": lp_sizes},
-            )
-    return SatResult(
-        SatVerdict.UNSAT,
-        stats={"disjuncts": len(disjuncts), "lp_sizes": lp_sizes},
-    )
+            return SatResult(SatVerdict.SAT, model=model, stats=stats)
+    return SatResult(SatVerdict.UNSAT, stats=stats)
 
 
 def valid(f: LikelihoodFormula, prop_cap: Optional[int] = None) -> ValidityResult:
@@ -245,13 +303,20 @@ def bounds(
     Endpoints carry attainment flags: an open endpoint is approached only
     in the limit of some strict constraint.
     """
-    worlds, disjuncts = _prepare(
+    worlds, g = _prepare(
         f, prop_cap, [p for _, phi in t.parts for p in props_of(phi)]
     )
     lower: Optional[tuple[Fraction, bool]] = None
     upper: Optional[tuple[Fraction, bool]] = None
     provenance = []
-    for idx, basics in enumerate(disjuncts):
+
+    def refuted_up_to(idx: int) -> None:
+        provenance.extend(
+            {"disjunct": j, "feasible": False} for j in range(len(provenance), idx)
+        )
+
+    for idx, basics in _disjuncts(worlds, g, []):
+        refuted_up_to(idx)
         dlp = _DisjunctLP(worlds, basics, extra_args=t.parts)
         system, obj = dlp.system(), dlp.term_row(t)
         lo = lp.optimize(system, obj, lp.Direction.MIN)
@@ -277,6 +342,7 @@ def bounds(
             upper = (hi.value, hi.attained)
     if lower is None:
         raise UnsatInputError("formula is unsatisfiable; no bounds exist")
+    refuted_up_to(_count(g))
     return BoundsResult(
         lower=lower[0],
         lower_attained=lower[1],

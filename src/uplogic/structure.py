@@ -21,9 +21,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from . import lp
 from .errors import InputError, ResourceError, ValidationError
 
 DEFAULT_WORLD_CAP = 16
@@ -69,7 +71,7 @@ class UpperProbStructure:
         object.__setattr__(self, "measure_ids", ids)
         if len(ids) != len(self.measures):
             raise ValidationError("measure_ids length mismatch")
-        world_set = set(self.worlds)
+        world_set = self.world_set
         for w in self.worlds:
             if w not in self.assignment:
                 raise ValidationError(f"world {w!r} has no truth assignment")
@@ -84,17 +86,23 @@ class UpperProbStructure:
             if total != 1:
                 raise ValidationError(f"measure {mid!r} sums to {total}, not 1")
 
+    @cached_property
+    def world_set(self) -> frozenset:
+        return frozenset(self.worlds)
+
     def mass(self, measure_index: int, world: str) -> Fraction:
         return self.measures[measure_index].get(world, Fraction(0))
 
     def measure_of(self, measure_index: int, S: Iterable[str]) -> Fraction:
+        """The measure's mass on the set S, summed over its own entries."""
+        S = frozenset(S)
         mu = self.measures[measure_index]
-        return sum((mu.get(w, Fraction(0)) for w in S), Fraction(0))
+        return sum((m for w, m in mu.items() if w in S), Fraction(0))
 
 
 def _check_subset(M: UpperProbStructure, S: Iterable[str]) -> frozenset:
     S = frozenset(S)
-    unknown = S - set(M.worlds)
+    unknown = S - M.world_set
     if unknown:
         raise InputError(f"unknown world id(s): {', '.join(sorted(unknown))}")
     return S
@@ -142,6 +150,19 @@ class SetFunction:
         if X not in self.values:
             raise InputError(f"subset {sorted(X)} not within the ground set")
         return self.values[X]
+
+    @cached_property
+    def dominated(self) -> lp.LinearSystem:
+        """The probability measures dominated by v, as a linear system over
+        the ground elements: sum mu = 1, and mu(X) <= v(X) for every proper
+        nonempty X.  Built once per set function."""
+        ground = list(self.ground)
+        full = frozenset(ground)
+        constraints = [(dict.fromkeys(ground, 1), lp.Relation.EQ, 1)]
+        for X, bound in self.values.items():
+            if X and X != full:
+                constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
+        return lp.make_system(ground, constraints, nonneg=ground)
 
     def dual(self, X: Iterable[str]) -> Fraction:
         """The dual lower function 1 - v(complement of X)."""

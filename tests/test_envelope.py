@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from uplogic import envelope
+from uplogic import envelope, lp
 from uplogic.envelope import EnvelopeResult, dominated_max, is_upper_probability
 from uplogic.errors import InputError, ResourceError
 from uplogic.structure import SetFunction, UpperProbStructure, set_function_of
@@ -291,3 +291,19 @@ def test_each_lp_reaches_a_new_subset(monkeypatch):
     assert res.is_upper_probability
     assert calls == [frozenset({g}) for g in ground]
     assert sorted(tuple(mu) for mu in res.witness) == [(g,) for g in ground]
+
+
+def test_one_polytope_per_set_function(monkeypatch):
+    """The LPs on one set function share its polytope, built once."""
+    built = []
+    make_system = lp.make_system
+    monkeypatch.setattr(lp, "make_system",
+                        lambda *args, **kw: built.append(args) or make_system(*args, **kw))
+    ground = tuple("abcde")
+    v = _vacuous_fn(ground)
+    assert is_upper_probability(v).is_upper_probability  # five LPs
+    assert dominated_max(v, {"a", "b"})[0] == 1
+    assert len(built) == 1
+    w = _vacuous_fn(ground)  # equal, but another set function
+    assert dominated_max(w, {"a"})[0] == 1
+    assert len(built) == 2

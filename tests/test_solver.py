@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from uplogic import lp, solver
 from uplogic.errors import ResourceError
-from uplogic.formula import Basic, LNot, Not, Prop, Rel, Term, lconj_all
+from uplogic.formula import Basic, LNot, Not, Prop, Rel, Term, dnf, lconj_all, normalize
 from uplogic.parser import parse_likelihood, parse_term
 from uplogic.semantics import eval_term, evaluate
 from uplogic.solver import SatVerdict, UnsatInputError, bounds, sat, valid
@@ -174,3 +175,124 @@ class TestBounds:
             if evaluate(M, f):
                 got = eval_term(M, parse_term("l(q)"))
                 assert res.lower <= got <= res.upper
+
+
+def _random_suite_formulas():
+    """The formulas of the random suites above, with their negations, and
+    deeper ones whose branches mix units with clauses more often."""
+    out = []
+    for seed, n, depth in [(101, 120, 3), (103, 120, 3), (107, 60, 3), (113, 60, 5)]:
+        rng = random.Random(seed)
+        for _ in range(n):
+            f = _random_lform(rng, depth)
+            out += [f, LNot(f)]
+    return out
+
+
+def reference_sat(f):
+    """The eager search: one LP per disjunct of dnf(normalize(f)), in order,
+    up to the first feasible one."""
+    worlds, _ = solver._prepare(f, None)
+    disjuncts = dnf(normalize(f))
+    for basics in disjuncts:
+        dlp = solver._DisjunctLP(worlds, basics)
+        outcome = lp.feasible(dlp.system())
+        if outcome.verdict is lp.Verdict.FEASIBLE:
+            model = solver._structure_from(worlds, dlp.measures(outcome.point))
+            return SatVerdict.SAT, model, len(disjuncts)
+    return SatVerdict.UNSAT, None, len(disjuncts)
+
+
+def _clauses(k):
+    return " & ".join(["(l(p) >= 1/3 | l(q) <= 1/2)"] * k)
+
+
+class TestLazyWalk:
+    def test_same_verdict_and_model_as_eager_loop(self):
+        for f in _random_suite_formulas():
+            res = sat(f)
+            verdict, model, n = reference_sat(f)
+            assert res.verdict is verdict
+            assert res.model == model
+            assert res.stats["disjuncts"] == n
+
+    def test_walk_is_dnf_less_refuted_disjuncts(self):
+        skipped = 0
+        for f in _random_suite_formulas():
+            worlds, g = solver._prepare(f, None)
+            full = dnf(g)
+            walked = list(solver._disjuncts(worlds, g, []))
+            assert solver._count(g) == len(full)
+            assert [i for i, _ in walked] == sorted({i for i, _ in walked})
+            kept = dict(walked)
+            for idx, basics in enumerate(full):
+                if idx in kept:
+                    assert kept[idx] == basics
+                else:
+                    skipped += 1
+                    dlp = solver._DisjunctLP(worlds, basics)
+                    assert lp.feasible(dlp.system()).verdict is lp.Verdict.INFEASIBLE
+        assert skipped
+
+    def test_forty_clauses_one_lp(self):
+        res = sat(parse_likelihood(_clauses(40)))
+        assert res.verdict is SatVerdict.SAT
+        assert res.stats["disjuncts"] == 2**40
+        assert len(res.stats["lp_sizes"]) == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 40])
+    def test_refuted_unit_one_lp(self, k):
+        res = sat(parse_likelihood(_clauses(k) + " & l(p) + l(!p) < 1"))
+        assert res.verdict is SatVerdict.UNSAT
+        assert res.stats["disjuncts"] == 2**k
+        assert len(res.stats["lp_sizes"]) == 1
+
+    def test_unit_lp_then_disjunct(self):
+        # a feasible unit check comes before the first disjunct's own LP
+        res = sat(parse_likelihood("l(q) >= 1/4 & (l(p) >= 1/2 | l(p) <= 1/4)"))
+        assert res.verdict is SatVerdict.SAT
+        assert len(res.stats["lp_sizes"]) == 2
+
+    def test_units_alone_get_no_extra_lp(self):
+        res = sat(parse_likelihood("l(p) >= 1/2 & l(q) >= 1/2 | l(p) + l(!p) < 1"))
+        assert res.verdict is SatVerdict.SAT
+        assert len(res.stats["lp_sizes"]) == 1
+
+    def test_refuted_branch_skipped_for_the_next(self):
+        f = parse_likelihood(
+            "l(p) + l(!p) < 1 & (l(p) >= 1/2 | l(q) >= 1/2) | l(p) = 1/3"
+        )
+        res = sat(f)
+        assert res.verdict is SatVerdict.SAT
+        assert res.stats["disjuncts"] == 3
+        assert len(res.stats["lp_sizes"]) == 2
+        assert evaluate(res.model, f)
+
+    def test_bounds_refuted_units_unsat(self):
+        f = parse_likelihood(_clauses(3) + " & l(true) < 1")
+        with pytest.raises(UnsatInputError):
+            bounds(f, parse_term("l(p)"))
+
+    def test_bounds_provenance_one_entry_per_disjunct(self):
+        f = parse_likelihood(
+            "l(true) < 1 & (l(p) >= 1/2 | l(q) >= 1/2) | l(p) = 1/3 | l(p) = 2/3"
+        )
+        res = bounds(f, parse_term("l(p)"))
+        assert (res.lower, res.upper) == (F(1, 3), F(2, 3))
+        assert [e["disjunct"] for e in res.provenance] == [0, 1, 2, 3]
+        assert [e["feasible"] for e in res.provenance] == [False, False, True, True]
+
+
+class TestModelRecheck:
+    def test_measure_of_walks_the_support(self):
+        rng = random.Random(127)
+        for _ in range(200):
+            M = random_structure(rng, max_worlds=6)
+            for _ in range(5):
+                S = [w for w in M.worlds if rng.random() < 0.5]
+                if rng.random() < 0.3:
+                    S.append("elsewhere")
+                for i, mu in enumerate(M.measures):
+                    full = sum((mu.get(w, F(0)) for w in set(S)), F(0))
+                    assert M.measure_of(i, S) == full
+                    assert M.measure_of(i, frozenset(S)) == full
