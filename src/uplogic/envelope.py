@@ -63,18 +63,15 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     return outcome.value, measure
 
 
-def is_upper_probability(
-    v: SetFunction,
-    ground_cap: int = DEFAULT_GROUND_CAP,
-) -> EnvelopeResult:
+def is_upper_probability(v: SetFunction) -> EnvelopeResult:
     """Decide whether v is the upper envelope of some measure set.
 
     YES comes with witness measures realizing v exactly; NO names a
     specific failing subset (or the normalization failure).
     """
-    if len(v.ground) > ground_cap:
+    if len(v.ground) > DEFAULT_GROUND_CAP:
         raise ResourceError(
-            f"{len(v.ground)} ground elements exceed the cap {ground_cap}"
+            f"{len(v.ground)} ground elements exceed the cap {DEFAULT_GROUND_CAP}"
         )
     empty, full = frozenset(), frozenset(v.ground)
     if v(empty) != 0:

@@ -5,6 +5,12 @@ true/false, negation, conjunction and disjunction.  Likelihood formulas are
 boolean combinations of basic constraints ``t R b`` where ``t`` is a linear
 combination of likelihood terms ``l(phi)`` with exact rational coefficients.
 
+Conjunction and disjunction are n-ary: And, Or, LAnd and LOr hold a tuple
+``parts`` of two or more operands, and their constructors splice in an
+operand of the same kind, so ``LAnd(LAnd(a, b), c) == LAnd(a, b, c) ==
+LAnd(a, LAnd(b, c))``.  No node has a part of its own kind, and a chain
+``a & b & c`` is one node whatever its grouping.
+
 Implication is desugared into ``!a | b`` at construction time, so the AST
 core has no implication node.
 """
@@ -71,16 +77,32 @@ class Not(PropFormula):
     sub: PropFormula
 
 
-@dataclass(frozen=True, slots=True)
-class And(PropFormula):
-    left: PropFormula
-    right: PropFormula
+class _NAry:
+    """A connective over a tuple ``parts`` of two or more operands; an
+    operand of the node's own kind is spliced in."""
+
+    __slots__ = ()
+
+    def __init__(self, *parts):
+        if len(parts) < 2:
+            raise InputError(f"{type(self).__name__} needs at least two operands")
+        flat: list = []
+        for part in parts:
+            if type(part) is type(self):
+                flat += part.parts
+            else:
+                flat.append(part)
+        object.__setattr__(self, "parts", tuple(flat))
 
 
-@dataclass(frozen=True, slots=True)
-class Or(PropFormula):
-    left: PropFormula
-    right: PropFormula
+@dataclass(frozen=True, slots=True, init=False)
+class And(_NAry, PropFormula):
+    parts: tuple[PropFormula, ...]
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Or(_NAry, PropFormula):
+    parts: tuple[PropFormula, ...]
 
 
 TRUE = Const(True)
@@ -96,21 +118,15 @@ def iff(a: PropFormula, b: PropFormula) -> PropFormula:
 
 
 def conj_all(parts: Sequence[PropFormula]) -> PropFormula:
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    if len(parts) < 2:
+        return parts[0] if parts else TRUE
+    return And(*parts)
 
 
 def disj_all(parts: Sequence[PropFormula]) -> PropFormula:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    if len(parts) < 2:
+        return parts[0] if parts else FALSE
+    return Or(*parts)
 
 
 def props_of(phi: PropFormula) -> list[str]:
@@ -123,8 +139,8 @@ def props_of(phi: PropFormula) -> list[str]:
         elif isinstance(f, Not):
             walk(f.sub)
         elif isinstance(f, (And, Or)):
-            walk(f.left)
-            walk(f.right)
+            for part in f.parts:
+                walk(part)
 
     walk(phi)
     return sorted(seen)
@@ -146,10 +162,14 @@ def holds(phi: PropFormula, assignment: Mapping[str, bool], *, strict: bool = Fa
         return phi.value
     if isinstance(phi, Not):
         return not holds(phi.sub, assignment, strict=strict)
-    if isinstance(phi, And):
-        return holds(phi.left, assignment, strict=strict) and holds(phi.right, assignment, strict=strict)
-    if isinstance(phi, Or):
-        return holds(phi.left, assignment, strict=strict) or holds(phi.right, assignment, strict=strict)
+    if isinstance(phi, (And, Or)):
+        # an And is false at its first false part, an Or true at its first
+        # true one; a plain loop, as this runs once per world and argument
+        is_and = isinstance(phi, And)
+        for part in phi.parts:
+            if (not holds(part, assignment, strict=strict)) is is_and:
+                return not is_and
+        return is_and
     raise InputError(f"not a propositional formula: {phi!r}")
 
 
@@ -258,34 +278,26 @@ class LNot(LikelihoodFormula):
     sub: LikelihoodFormula
 
 
-@dataclass(frozen=True, slots=True)
-class LAnd(LikelihoodFormula):
-    left: LikelihoodFormula
-    right: LikelihoodFormula
+@dataclass(frozen=True, slots=True, init=False)
+class LAnd(_NAry, LikelihoodFormula):
+    parts: tuple[LikelihoodFormula, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class LOr(LikelihoodFormula):
-    left: LikelihoodFormula
-    right: LikelihoodFormula
+@dataclass(frozen=True, slots=True, init=False)
+class LOr(_NAry, LikelihoodFormula):
+    parts: tuple[LikelihoodFormula, ...]
 
 
 def lconj_all(parts: Sequence[LikelihoodFormula]) -> LikelihoodFormula:
     if not parts:
         raise InputError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = LAnd(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else LAnd(*parts)
 
 
 def ldisj_all(parts: Sequence[LikelihoodFormula]) -> LikelihoodFormula:
     if not parts:
         raise InputError("empty disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = LOr(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else LOr(*parts)
 
 
 def basics_of(f: LikelihoodFormula) -> list[Basic]:
@@ -299,7 +311,7 @@ def basics_of(f: LikelihoodFormula) -> list[Basic]:
         elif isinstance(g, LNot):
             stack.append(g.sub)
         elif isinstance(g, (LAnd, LOr)):
-            stack += (g.right, g.left)
+            stack += reversed(g.parts)
     return out
 
 
@@ -315,6 +327,9 @@ def likelihood_props(f: LikelihoodFormula) -> list[str]:
     return sorted(seen)
 
 
+_DUAL = {LAnd: LOr, LOr: LAnd}
+
+
 def normalize(f: LikelihoodFormula) -> LikelihoodFormula:
     """Equivalent formula using only >= and > in Basics and no negations.
 
@@ -327,12 +342,9 @@ def normalize(f: LikelihoodFormula) -> LikelihoodFormula:
     def go(g: LikelihoodFormula, neg: bool) -> LikelihoodFormula:
         if isinstance(g, LNot):
             return go(g.sub, not neg)
-        if isinstance(g, LAnd):
-            l, r = go(g.left, neg), go(g.right, neg)
-            return LOr(l, r) if neg else LAnd(l, r)
-        if isinstance(g, LOr):
-            l, r = go(g.left, neg), go(g.right, neg)
-            return LAnd(l, r) if neg else LOr(l, r)
+        if isinstance(g, (LAnd, LOr)):
+            node = _DUAL[type(g)] if neg else type(g)
+            return node(*[go(part, neg) for part in g.parts])
         if isinstance(g, Basic):
             t, b = g.term, g.bound
             rel = g.rel
@@ -357,13 +369,19 @@ def dnf(f: LikelihoodFormula) -> list[list[Basic]]:
     """Disjunctive normal form over Basic literals.
 
     Requires f normalized (no LNot nodes); Basics are treated as opaque.
+    The disjuncts of a disjunction are its parts' in turn; those of a
+    conjunction are one disjunct of each part, concatenated, with the last
+    part varying fastest.
     """
     if isinstance(f, Basic):
         return [[f]]
     if isinstance(f, LOr):
-        return dnf(f.left) + dnf(f.right)
+        return [d for part in f.parts for d in dnf(part)]
     if isinstance(f, LAnd):
-        return [l + r for l in dnf(f.left) for r in dnf(f.right)]
+        return [
+            [b for d in combo for b in d]
+            for combo in itertools.product(*[dnf(part) for part in f.parts])
+        ]
     if isinstance(f, LNot):
         raise InputError("dnf requires a normalized formula (no negations)")
     raise InputError(f"not a likelihood formula: {f!r}")
@@ -372,30 +390,32 @@ def dnf(f: LikelihoodFormula) -> list[list[Basic]]:
 # ---------------------------------------------------------------------------
 # Canonical token stream (shared by the printer and the size measure)
 
-_PROP_LEVEL = {Or: 1, And: 2, Not: 3, Prop: 4, Const: 4}
-_LIKE_LEVEL = {LOr: 1, LAnd: 2, LNot: 3, Basic: 4}
+_LEVEL = {Or: 1, And: 2, Not: 3, Prop: 4, Const: 4, LOr: 1, LAnd: 2, LNot: 3, Basic: 4}
+_SYMBOL = {Not: "!", And: "&", Or: "|", LNot: "~", LAnd: "&", LOr: "|"}
 
 
-def _prop_tokens(phi: PropFormula, need: int) -> Iterator[str]:
-    level = _PROP_LEVEL[type(phi)]
+def _tokens(f: Union[PropFormula, LikelihoodFormula], need: int) -> Iterator[str]:
+    """The tokens of f, in parentheses if its level is below need."""
+    level = _LEVEL[type(f)]
     parens = level < need
     if parens:
         yield "("
-    if isinstance(phi, Prop):
-        yield phi.name
-    elif isinstance(phi, Const):
-        yield "true" if phi.value else "false"
-    elif isinstance(phi, Not):
-        yield "!"
-        yield from _prop_tokens(phi.sub, 3)
-    elif isinstance(phi, And):
-        yield from _prop_tokens(phi.left, 2)
-        yield "&"
-        yield from _prop_tokens(phi.right, 3)
-    elif isinstance(phi, Or):
-        yield from _prop_tokens(phi.left, 1)
-        yield "|"
-        yield from _prop_tokens(phi.right, 2)
+    if isinstance(f, Prop):
+        yield f.name
+    elif isinstance(f, Const):
+        yield "true" if f.value else "false"
+    elif isinstance(f, Basic):
+        yield from _term_tokens(f.term)
+        yield f.rel.value
+        yield _rat_token(f.bound)
+    elif isinstance(f, (Not, LNot)):
+        yield _SYMBOL[type(f)]
+        yield from _tokens(f.sub, 3)
+    else:
+        for i, part in enumerate(f.parts):
+            if i:
+                yield _SYMBOL[type(f)]
+            yield from _tokens(part, level + 1)
     if parens:
         yield ")"
 
@@ -416,38 +436,12 @@ def _term_tokens(t: Term) -> Iterator[str]:
             yield _rat_token(mag)
         yield "l"
         yield "("
-        yield from _prop_tokens(arg, 0)
-        yield ")"
-
-
-def _lform_tokens(f: LikelihoodFormula, need: int) -> Iterator[str]:
-    level = _LIKE_LEVEL[type(f)]
-    parens = level < need
-    if parens:
-        yield "("
-    if isinstance(f, Basic):
-        yield from _term_tokens(f.term)
-        yield f.rel.value
-        yield _rat_token(f.bound)
-    elif isinstance(f, LNot):
-        yield "~"
-        yield from _lform_tokens(f.sub, 3)
-    elif isinstance(f, LAnd):
-        yield from _lform_tokens(f.left, 2)
-        yield "&"
-        yield from _lform_tokens(f.right, 3)
-    elif isinstance(f, LOr):
-        yield from _lform_tokens(f.left, 1)
-        yield "|"
-        yield from _lform_tokens(f.right, 2)
-    if parens:
+        yield from _tokens(arg, 0)
         yield ")"
 
 
 def canonical_tokens(f: Union[PropFormula, LikelihoodFormula]) -> list[str]:
-    if isinstance(f, PropFormula):
-        return list(_prop_tokens(f, 0))
-    return list(_lform_tokens(f, 0))
+    return list(_tokens(f, 0))
 
 
 def size(f: Union[PropFormula, LikelihoodFormula]) -> int:

@@ -19,7 +19,10 @@ Grammar (whitespace-insensitive):
 
 "~" negates likelihood formulas, "!" negates propositions.  "->" is
 desugared to "!a | b".  Identifiers match [A-Za-z_][A-Za-z0-9_]* and may
-not be the keywords true, false or l.  Nesting is bounded by MAX_NESTING.
+not be the keywords true, false or l.  Each chain of "&" or "|" becomes one
+n-ary node, so "a & (b & c)" parses to the same node as "a & b & c" and
+prints as the latter.  Nesting is bounded by MAX_NESTING; a flat chain
+counts as one level, whatever its length.
 """
 
 from __future__ import annotations
@@ -57,10 +60,11 @@ _KEYWORDS = {"true", "false", "l"}
 # How deep a formula may nest.  The parser rejects input that opens more
 # than this many groups, negations, implications and l(.) arguments inside
 # one another, or whose syntax tree is more than this many levels deep (a
-# chain a & b & c nests to the left: two levels; l(p) sits one level below
-# its basic).  Every recursive walker on formulas (this parser, normalize,
-# dnf, the printer, hashing) takes at most four stack frames per level, so
-# the bound keeps them all inside Python's default recursion limit of 1000.
+# chain a & b & c of any length is one node with its operands one level
+# below it; l(p) sits one level below its basic).  Every recursive walker on
+# formulas (this parser, normalize, dnf, the printer, hashing) takes at most
+# four stack frames per level, so the bound keeps them all inside Python's
+# default recursion limit of 1000.
 MAX_NESTING = 200
 
 
@@ -161,18 +165,18 @@ class _Parser:
         return left
 
     def pdisj(self) -> fm.PropFormula:
-        out = self.pconj()
+        parts = [self.pconj()]
         while self.at_sym("|"):
             self.advance()
-            out = fm.Or(out, self.pconj())
-        return out
+            parts.append(self.pconj())
+        return fm.disj_all(parts)
 
     def pconj(self) -> fm.PropFormula:
-        out = self.pneg()
+        parts = [self.pneg()]
         while self.at_sym("&"):
             self.advance()
-            out = fm.And(out, self.pneg())
-        return out
+            parts.append(self.pneg())
+        return fm.conj_all(parts)
 
     def pneg(self) -> fm.PropFormula:
         if self.at_sym("!"):
@@ -203,18 +207,18 @@ class _Parser:
     # -- likelihood formulas ----------------------------------------------
 
     def lform(self) -> fm.LikelihoodFormula:
-        out = self.lconj()
+        parts = [self.lconj()]
         while self.at_sym("|"):
             self.advance()
-            out = fm.LOr(out, self.lconj())
-        return out
+            parts.append(self.lconj())
+        return fm.ldisj_all(parts)
 
     def lconj(self) -> fm.LikelihoodFormula:
-        out = self.lneg()
+        parts = [self.lneg()]
         while self.at_sym("&"):
             self.advance()
-            out = fm.LAnd(out, self.lneg())
-        return out
+            parts.append(self.lneg())
+        return fm.lconj_all(parts)
 
     def lneg(self) -> fm.LikelihoodFormula:
         if self.at_sym("~"):
@@ -285,7 +289,7 @@ def _levels(f) -> int:
         elif isinstance(g, (fm.Not, fm.LNot)):
             todo.append((g.sub, d + 1))
         elif isinstance(g, (fm.And, fm.Or, fm.LAnd, fm.LOr)):
-            todo += [(g.left, d + 1), (g.right, d + 1)]
+            todo += [(part, d + 1) for part in g.parts]
     return deepest
 
 
@@ -315,7 +319,6 @@ def parse_term(text: str) -> fm.Term:
 # ---------------------------------------------------------------------------
 # Printing
 
-_NO_SPACE_BEFORE = {")", "(", "&-follow"}  # see _join
 _TIGHT_AFTER = {"(", "!", "~", "u-", "l"}
 
 
@@ -324,11 +327,8 @@ def _join(tokens: list[str]) -> str:
     prev: Optional[str] = None
     for tok in tokens:
         text = "-" if tok == "u-" else tok
-        if prev is None or prev in _TIGHT_AFTER or text in (")",) or (text == "(" and prev == "l"):
+        if prev is None or prev in _TIGHT_AFTER or text == ")":
             out.append(text)
-        elif text == "(":
-            # grouping paren after an operator gets a space
-            out.append(" " + text if prev not in _TIGHT_AFTER else text)
         else:
             out.append(" " + text)
         prev = tok

@@ -53,7 +53,7 @@ def evaluate(M: UpperProbStructure, f: LikelihoodFormula) -> bool:
     if isinstance(f, LNot):
         return not evaluate(M, f.sub)
     if isinstance(f, LAnd):
-        return evaluate(M, f.left) and evaluate(M, f.right)
+        return all(evaluate(M, part) for part in f.parts)
     if isinstance(f, LOr):
-        return evaluate(M, f.left) or evaluate(M, f.right)
+        return any(evaluate(M, part) for part in f.parts)
     raise InputError(f"not a likelihood formula: {f!r}")

@@ -32,6 +32,7 @@ answer is re-checked by the model checker before being returned.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -89,7 +90,6 @@ class BoundsResult:
     lower_attained: bool
     upper: Fraction
     upper_attained: bool
-    provenance: tuple[dict, ...] = ()  # one entry per disjunct, in dnf order
 
 
 class _Worlds:
@@ -197,8 +197,8 @@ class _DisjunctLP:
         return out
 
 
-def _prepare(f: LikelihoodFormula, prop_cap: Optional[int], extra_props=()):
-    cap = atom_cap(DEFAULT_PROP_CAP if prop_cap is None else prop_cap)
+def _prepare(f: LikelihoodFormula, extra_props=()):
+    cap = atom_cap(DEFAULT_PROP_CAP)
     props = sorted(set(likelihood_props(f)).union(extra_props))
     if len(props) > cap:
         raise ResourceError(
@@ -207,25 +207,17 @@ def _prepare(f: LikelihoodFormula, prop_cap: Optional[int], extra_props=()):
     return _Worlds(props), normalize(f)
 
 
-def _operands(g: LikelihoodFormula, node: type) -> list[LikelihoodFormula]:
-    """The operands of g's top-level chain of node (LOr or LAnd), left to
-    right."""
-    out, stack = [], [g]
-    while stack:
-        h = stack.pop()
-        if isinstance(h, node):
-            stack += (h.right, h.left)
-        else:
-            out.append(h)
-    return out
+def _operands(g: LikelihoodFormula, node: type) -> tuple[LikelihoodFormula, ...]:
+    """The operands of g if it is a node (LOr or LAnd), else g alone."""
+    return g.parts if isinstance(g, node) else (g,)
 
 
 def _count(g: LikelihoodFormula) -> int:
     """len(dnf(g)) for a normalized g, counted without building the DNF."""
     if isinstance(g, LOr):
-        return _count(g.left) + _count(g.right)
+        return sum(_count(part) for part in g.parts)
     if isinstance(g, LAnd):
-        return _count(g.left) * _count(g.right)
+        return math.prod(_count(part) for part in g.parts)
     return 1
 
 
@@ -238,22 +230,19 @@ def _solve(worlds: _Worlds, basics: Sequence[Basic], lp_sizes: list):
 
 def _disjuncts(
     worlds: _Worlds, g: LikelihoodFormula, lp_sizes: list
-) -> Iterator[tuple[int, list[Basic]]]:
-    """(index, basics) for each disjunct of dnf(g), in dnf's order and
-    literal order, except the disjuncts of a branch whose units one LP
-    refutes (that LP's size goes to lp_sizes)."""
-    idx = 0
+) -> Iterator[list[Basic]]:
+    """The disjuncts of dnf(g), in dnf's order and literal order, except
+    those of a branch whose units one LP refutes (that LP's size goes to
+    lp_sizes)."""
     for branch in _operands(g, LOr):
         conjuncts = _operands(branch, LAnd)
         units = [c for c in conjuncts if isinstance(c, Basic)]
         if units and len(units) < len(conjuncts):
             _, outcome = _solve(worlds, units, lp_sizes)
             if outcome.verdict is lp.Verdict.INFEASIBLE:
-                idx += _count(branch)
                 continue
         for parts in itertools.product(*[dnf(c) for c in conjuncts]):
-            yield idx, [b for part in parts for b in part]
-            idx += 1
+            yield [b for part in parts for b in part]
 
 
 def _structure_from(worlds: _Worlds, measures: list[dict]) -> UpperProbStructure:
@@ -265,15 +254,15 @@ def _structure_from(worlds: _Worlds, measures: list[dict]) -> UpperProbStructure
     )
 
 
-def sat(f: LikelihoodFormula, prop_cap: Optional[int] = None) -> SatResult:
+def sat(f: LikelihoodFormula) -> SatResult:
     """SAT with a verified witness structure, or UNSAT.
 
     The model, when present, has exactly the formula's atom worlds and one
     measure per distinct likelihood argument of the satisfied disjunct.
     """
-    worlds, g = _prepare(f, prop_cap)
+    worlds, g = _prepare(f)
     stats = {"disjuncts": _count(g), "lp_sizes": []}
-    for _, basics in _disjuncts(worlds, g, stats["lp_sizes"]):
+    for basics in _disjuncts(worlds, g, stats["lp_sizes"]):
         dlp, outcome = _solve(worlds, basics, stats["lp_sizes"])
         if outcome.verdict is lp.Verdict.FEASIBLE:
             model = _structure_from(worlds, dlp.measures(outcome.point))
@@ -285,68 +274,41 @@ def sat(f: LikelihoodFormula, prop_cap: Optional[int] = None) -> SatResult:
     return SatResult(SatVerdict.UNSAT, stats=stats)
 
 
-def valid(f: LikelihoodFormula, prop_cap: Optional[int] = None) -> ValidityResult:
+def valid(f: LikelihoodFormula) -> ValidityResult:
     """VALID iff the negation is unsatisfiable; else a countermodel."""
-    result = sat(LNot(f), prop_cap)
+    result = sat(LNot(f))
     if result.verdict is SatVerdict.UNSAT:
         return ValidityResult(valid=True)
     return ValidityResult(valid=False, countermodel=result.model)
 
 
-def bounds(
-    f: LikelihoodFormula,
-    t: Term,
-    prop_cap: Optional[int] = None,
-) -> BoundsResult:
+def bounds(f: LikelihoodFormula, t: Term) -> BoundsResult:
     """Exact inf/sup of the term's value over all structures satisfying f.
 
     Endpoints carry attainment flags: an open endpoint is approached only
     in the limit of some strict constraint.
     """
-    worlds, g = _prepare(
-        f, prop_cap, [p for _, phi in t.parts for p in props_of(phi)]
-    )
+    worlds, g = _prepare(f, [p for _, phi in t.parts for p in props_of(phi)])
     lower: Optional[tuple[Fraction, bool]] = None
     upper: Optional[tuple[Fraction, bool]] = None
-    provenance = []
-
-    def refuted_up_to(idx: int) -> None:
-        provenance.extend(
-            {"disjunct": j, "feasible": False} for j in range(len(provenance), idx)
-        )
-
-    for idx, basics in _disjuncts(worlds, g, []):
-        refuted_up_to(idx)
+    for basics in _disjuncts(worlds, g, []):
         dlp = _DisjunctLP(worlds, basics, extra_args=t.parts)
         system, obj = dlp.system(), dlp.term_row(t)
         lo = lp.optimize(system, obj, lp.Direction.MIN)
         if lo.verdict is lp.Verdict.INFEASIBLE:
-            provenance.append({"disjunct": idx, "feasible": False})
             continue
         hi = lp.optimize(system, obj, lp.Direction.MAX)
         if lo.verdict is not lp.Verdict.OPTIMAL or hi.verdict is not lp.Verdict.OPTIMAL:
             raise InternalCheckError("term range must be bounded over measures")
-        provenance.append(
-            {
-                "disjunct": idx,
-                "feasible": True,
-                "lower": lo.value,
-                "lower_attained": lo.attained,
-                "upper": hi.value,
-                "upper_attained": hi.attained,
-            }
-        )
         if lower is None or (lo.value, not lo.attained) < (lower[0], not lower[1]):
             lower = (lo.value, lo.attained)
         if upper is None or (hi.value, hi.attained) > (upper[0], upper[1]):
             upper = (hi.value, hi.attained)
     if lower is None:
         raise UnsatInputError("formula is unsatisfiable; no bounds exist")
-    refuted_up_to(_count(g))
     return BoundsResult(
         lower=lower[0],
         lower_attained=lower[1],
         upper=upper[0],
         upper_attained=upper[1],
-        provenance=tuple(provenance),
     )

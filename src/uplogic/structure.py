@@ -177,17 +177,17 @@ class SetFunction:
         return out
 
 
-def check_world_cap(M: UpperProbStructure, world_cap: int = DEFAULT_WORLD_CAP) -> None:
+def check_world_cap(M: UpperProbStructure) -> None:
     """Refuse a structure too large for tables over all subsets of worlds."""
-    if len(M.worlds) > world_cap:
+    if len(M.worlds) > DEFAULT_WORLD_CAP:
         raise ResourceError(
-            f"{len(M.worlds)} worlds exceed the set-function cap {world_cap}"
+            f"{len(M.worlds)} worlds exceed the set-function cap {DEFAULT_WORLD_CAP}"
         )
 
 
-def set_function_of(M: UpperProbStructure, world_cap: int = DEFAULT_WORLD_CAP) -> SetFunction:
+def set_function_of(M: UpperProbStructure) -> SetFunction:
     """The upper envelope of M's measures, as a total set function."""
-    check_world_cap(M, world_cap)
+    check_world_cap(M)
     values = {}
     for r in range(len(M.worlds) + 1):
         for combo in itertools.combinations(M.worlds, r):

@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 
 from uplogic import cli
 from uplogic.cli import main
-from uplogic.parser import MAX_NESTING
+from uplogic.formula import Rel
+from uplogic.parser import MAX_NESTING, print_formula
+
+from test_parser import basics, lforms
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 MARBLE = os.path.join(FIX, "marble.json")
@@ -72,37 +77,50 @@ class TestParserReuse:
 
 
 class TestNesting:
-    """Deep formulas end in a parse error, never a RecursionError."""
+    """Deep formulas end in a parse error, never a RecursionError; long flat
+    chains are not deep."""
 
     @pytest.mark.parametrize("formula", [
-        " & ".join(["l(p) >= 1/2"] * 1000),
         "l(" + "!" * 500 + "p) >= 0",
         "(" * 1000 + "l(p) >= 0" + ")" * 1000,
         "l(" + " -> ".join(["p"] * 1000) + ") >= 0",
-    ], ids=["1000-conjuncts", "500-negations", "1000-parentheses", "1000-implications"])
+    ], ids=["500-negations", "1000-parentheses", "1000-implications"])
     def test_too_deep_is_a_parse_error(self, capsys, formula):
         code, out, err = run(capsys, "sat", "--formula", formula)
         assert code == 2 and out == ""
         assert err.startswith("error: parse error") and err.count("\n") == 1
         assert f"at most {MAX_NESTING} levels of nesting" in err
 
+    @pytest.mark.parametrize("formula", [
+        " & ".join(["l(p) >= 1/2"] * 1000),
+        " | ".join(["l(p) >= 1/2"] * 1000),
+        "l(" + " & ".join(["p"] * 1000) + ") >= 1/2",
+    ], ids=["1000-conjuncts", "1000-disjuncts", "1000-operand-argument"])
+    def test_long_flat_chain_answers(self, capsys, formula):
+        assert run(capsys, "sat", "--formula", formula) == (0, "SAT\n", "")
+
     @pytest.mark.parametrize("verb", ["sat", "valid", "bounds"])
     def test_at_the_limit_answers(self, capsys, verb):
         k = MAX_NESTING - 1
-        at_limit = [
+        flat = [
             " & ".join(["l(p) >= 1/2"] * MAX_NESTING),
             " | ".join(["l(p) >= 1/2"] * MAX_NESTING),
             "l(" + " & ".join(["p"] * MAX_NESTING) + ") >= 0",
+        ]
+        nested = [
             "l(" + "!" * k + "p) >= 0",
             "~" * k + "l(p) >= 0",
             "(" * k + "l(p) >= 0" + ")" * k,
             "l(" + "(" * k + "p" + ")" * k + ") >= 0",
         ]
         term = ["--term", "l(p)"] if verb == "bounds" else []
-        for f in at_limit:
+        for f in flat + nested:
             assert run(capsys, verb, "--formula", f, *term)[0] in (0, 1)
             deeper = run(capsys, verb, "--formula", "~(" + f + ")", *term)
-            assert deeper[0] == 2 and "levels of nesting" in deeper[2]
+            if f in flat:
+                assert deeper[0] in (0, 1)
+            else:
+                assert deeper[0] == 2 and "levels of nesting" in deeper[2]
 
 
 class TestCheck:
@@ -431,3 +449,54 @@ def test_any_certificate_file_ends_in_an_exit_code(tmp_path_factory, doc):
     function.write_text(json.dumps(_GOOD_FUNCTION))
     assert _exits_cleanly(["covers", "verify", "--certificate", str(path),
                            "--omega", "a,b", "--function", str(function)])
+
+
+# Formula text: printed random formulas with coefficients up to 10**30, flat
+# chains longer than MAX_NESTING, groups nested to just below and above it,
+# and junk.  A chain has one connective and no = basics: valid negates it,
+# and the negation of a chain of = under |, or of a chain mixing & and |, is
+# a conjunction of two-way clauses whose 2**n disjuncts the solver walks one
+# by one when each is infeasible.
+_huge = st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+_names = st.sampled_from(["p", "q"])
+_basic_text = basics(_huge, _names).map(print_formula)
+_inequality_text = basics(_huge, _names).filter(lambda b: b.rel is not Rel.EQ).map(print_formula)
+
+
+def _flat(parts, sym, n):
+    """n basics joined by sym, cycling through parts."""
+    return f" {sym} ".join(itertools.islice(itertools.cycle(parts), n))
+
+
+def _nested(f, shape, k):
+    """f inside k groups or k negations, or an l(.) argument nested k groups
+    deep with & and | in turn."""
+    if shape == "(":
+        return "(" * k + f + ")" * k
+    if shape == "~":
+        return "~" * k + "(" + f + ")"
+    arg = "p"
+    for i in range(k):
+        arg = f"q {'&|'[i % 2]} ({arg})"
+    return f"l({arg}) >= 1/2"
+
+
+_formula_text = st.one_of(
+    lforms(_huge, _names).map(print_formula),
+    st.builds(_flat, st.lists(_inequality_text, min_size=1, max_size=2),
+              st.sampled_from("&|"), st.integers(MAX_NESTING + 1, MAX_NESTING + 20)),
+    st.builds(_nested, _basic_text, st.sampled_from(["(", "~", "l"]),
+              st.integers(MAX_NESTING - 3, MAX_NESTING + 1)),
+    st.text(alphabet="l()pq!~&|<>=+-/0123456789 ", max_size=40),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_formula_text)
+def test_any_formula_text_ends_in_an_exit_code(text):
+    for argv in (["sat", "--formula=" + text],
+                 ["valid", "--formula=" + text],
+                 ["bounds", "--formula=" + text, "--term=l(p)"],
+                 ["parse", "--", text]):
+        assert _exits_cleanly(argv)

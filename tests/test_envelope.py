@@ -94,10 +94,11 @@ class TestIsUpperProbability:
         res = is_upper_probability(bad_empty)
         assert not res.is_upper_probability and res.failing_set == frozenset()
 
-    def test_ground_cap(self):
+    def test_ground_cap(self, monkeypatch):
+        monkeypatch.setattr(envelope, "DEFAULT_GROUND_CAP", 3)
         v = _vacuous_fn(tuple(str(i) for i in range(4)))
         with pytest.raises(ResourceError):
-            is_upper_probability(v, ground_cap=3)
+            is_upper_probability(v)
 
     def test_witnesses_are_dominated(self, table_upper):
         res = is_upper_probability(table_upper)

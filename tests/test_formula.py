@@ -230,5 +230,5 @@ def _well_normalized(f):
     if isinstance(f, Basic):
         return f.rel in (Rel.GE, Rel.GT)
     if isinstance(f, (LAnd, LOr)):
-        return _well_normalized(f.left) and _well_normalized(f.right)
+        return all(_well_normalized(part) for part in f.parts)
     return False  # LNot must not survive

@@ -51,8 +51,10 @@ class TestParseLikelihood:
     def test_basic_conjunction(self):
         f = parse_likelihood("l(p) >= 1/2 & l(!p) = 0")
         assert isinstance(f, LAnd)
-        assert f.left == Basic(Term(((F(1), p),)), Rel.GE, F(1, 2))
-        assert f.right == Basic(Term(((F(1), Not(p)),)), Rel.EQ, F(0))
+        assert f.parts == (
+            Basic(Term(((F(1), p),)), Rel.GE, F(1, 2)),
+            Basic(Term(((F(1), Not(p)),)), Rel.EQ, F(0)),
+        )
 
     def test_coefficients_and_signs(self):
         f = parse_likelihood("2 l(p) - 3 l(q & r) > -1")
@@ -109,7 +111,11 @@ rationals = st.builds(
 )
 
 
-def props(depth=3):
+def operands(inner):
+    return st.lists(inner, min_size=2, max_size=4)
+
+
+def props(names=names):
     base = st.one_of(
         names.map(Prop),
         st.sampled_from([parse_prop("true"), parse_prop("false")]),
@@ -118,32 +124,34 @@ def props(depth=3):
         base,
         lambda inner: st.one_of(
             inner.map(Not),
-            st.tuples(inner, inner).map(lambda t: And(*t)),
-            st.tuples(inner, inner).map(lambda t: Or(*t)),
+            operands(inner).map(lambda t: And(*t)),
+            operands(inner).map(lambda t: Or(*t)),
         ),
         max_leaves=6,
     )
 
 
-terms = st.lists(
-    st.tuples(rationals.filter(lambda x: x != 0), props()), min_size=1, max_size=3
-).map(lambda parts: Term(tuple(parts)))
+def basics(numbers=rationals, names=names):
+    terms = st.lists(
+        st.tuples(numbers.filter(lambda x: x != 0), props(names)), min_size=1, max_size=3
+    ).map(lambda parts: Term(tuple(parts)))
+    return st.builds(Basic, terms, st.sampled_from(list(Rel)), numbers)
 
-basics = st.builds(Basic, terms, st.sampled_from(list(Rel)), rationals)
 
-lforms = st.recursive(
-    basics,
-    lambda inner: st.one_of(
-        inner.map(LNot),
-        st.tuples(inner, inner).map(lambda t: LAnd(*t)),
-        st.tuples(inner, inner).map(lambda t: LOr(*t)),
-    ),
-    max_leaves=5,
-)
+def lforms(numbers=rationals, names=names):
+    return st.recursive(
+        basics(numbers, names),
+        lambda inner: st.one_of(
+            inner.map(LNot),
+            operands(inner).map(lambda t: LAnd(*t)),
+            operands(inner).map(lambda t: LOr(*t)),
+        ),
+        max_leaves=5,
+    )
 
 
 @settings(max_examples=1000, deadline=None)
-@given(lforms)
+@given(lforms())
 def test_print_parse_round_trip(f):
     assert parse_likelihood(print_formula(f)) == f
 

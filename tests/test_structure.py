@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from uplogic import structure
 from uplogic.errors import InputError, ResourceError, ValidationError
 from uplogic.structure import (
     SetFunction,
@@ -131,10 +132,11 @@ class TestSetFunction:
             else:
                 assert veps(X) == v(X)
 
-    def test_world_cap(self):
+    def test_world_cap(self, monkeypatch):
         M = random_structure(random.Random(1), max_worlds=5)
+        monkeypatch.setattr(structure, "DEFAULT_WORLD_CAP", len(M.worlds) - 1)
         with pytest.raises(ResourceError):
-            set_function_of(M, world_cap=len(M.worlds) - 1)
+            set_function_of(M)
 
     def test_file_round_trip(self, veps):
         again = load_set_function(save_set_function(veps))
