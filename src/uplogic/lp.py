@@ -9,17 +9,28 @@ minimum and a maximum.  Feasibility and optimization are decided exactly:
 a two-phase tableau simplex, Dantzig pivoting with a switch to Bland's
 rule to guarantee termination.
 
-The tableau is fraction-free: each row is a list of Python ints over one
-positive denominator, built from its constraint's numerators and the lcm of
-its denominators.  A pivot divides the pivot row by the pivot entry, which
-only sets the row's denominator to the pivot numerator; every other row
-with a nonzero entry in the entering column becomes num*P - F*p over den*P
-(P the pivot row's denominator, F the row's entry, p the pivot row), and
-each changed row is divided by the gcd of its entries and denominator, in
-the style of Bareiss elimination.  The cost row is held the same way, so
-Dantzig's choice compares numerators and the ratio test cross-multiplies.
-Every comparison is exact, so the pivots, points and rays are those of a
-tableau of Fractions; points, rays and values leave as Fractions.
+Each system has one tableau, built the first time feasible or optimize
+needs it and cached on the system: phase 1, plus the delta maximization
+below when the system has strict rows.  feasible reads its point off that
+tableau.  Each optimize runs phase 2 on a copy of it, so its answer does
+not depend on the calls made before; a minimum and a maximum, or the many
+objectives of one polytope, share one phase 1.  Tableau rows are never
+changed in place, only replaced, so a copy shares them.
+
+The tableau is fraction-free and sparse: each row is a map from column to
+nonzero Python int over one positive denominator, built from its
+constraint's numerators and the lcm of its denominators; the right-hand
+side is the entry at column RHS.  A pivot divides the pivot row by the
+pivot entry, which only sets the row's denominator to the pivot
+numerator; every other row with a nonzero entry in the entering column
+becomes num*P - F*p over den*P (P the pivot row's denominator, F the row's
+entry, p the pivot row), and each changed row is divided by the gcd of its
+entries and denominator, in the style of Bareiss elimination.  The cost
+row is held the same way, so Dantzig's choice compares numerators and the
+ratio test cross-multiplies; ties go to the lowest column and, in the
+ratio test, to the lowest basic column.  Every comparison is exact, so the
+pivots, points and rays are those of a dense tableau of Fractions; points,
+rays and values leave as Fractions.
 
 The simplex starts from a basis of one column per row.  A row a.x <= b
 with b >= 0, and a row a.x >= b with b <= 0 (negated to -a.x <= -b),
@@ -33,9 +44,11 @@ the pivot row.
 Strict inequalities are honored by the slack method: each row c.x > b is
 rewritten as c.x - delta >= b for a single fresh delta >= 0, delta <= 1,
 and delta is maximized; the original system is strictly feasible iff the
-optimum has delta > 0.  An optimum over a system with strict rows is
-attained iff the system stays strictly feasible with the objective pinned
-to its value by one = row.
+optimum has delta > 0.  The optimum of an objective over the closure is
+attained iff delta > 0 somewhere on the optimal face.  At an optimal
+tableau the face is the set of feasible points with every column of
+negative reduced cost at zero, so optimize, on the same copy, maximizes
+delta with those columns banned from entering.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
@@ -88,6 +102,11 @@ class LinearSystem:
         _check_names(known, self.nonneg, "nonneg")
         for c in self.constraints:
             _check_names(known, c.coeffs, "constraint")
+
+    @cached_property
+    def _tableau(self) -> Optional[tuple[_Encoding, _Simplex]]:
+        """_phase_one(self), built once: feasible reads it, optimize copies it."""
+        return _phase_one(self)
 
 
 def _check_names(known: frozenset, names, what: str) -> None:
@@ -141,40 +160,57 @@ def _fractions(coeffs: Mapping) -> dict[str, Fraction]:
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
+RHS = -1  # the column of a tableau row's right-hand side
 
-def _reduce(row: list, den: int) -> tuple[list, int]:
+
+def _integers(a: Sequence) -> tuple[dict, int]:
+    """The nonzero entries of a dense vector of ints and Fractions, as
+    {index: int} over the lcm of their denominators."""
+    den = lcm(*[x.denominator for x in a if x])
+    return {j: x.numerator * (den // x.denominator) for j, x in enumerate(a) if x}, den
+
+
+def _reduce(row: dict, den: int) -> tuple[dict, int]:
     """row / den in lowest terms: divide numerators and den by their gcd."""
     if den == 1:
         return row, den
-    g = gcd(den, *row)
+    g = gcd(den, *row.values())
     if g == 1:
         return row, den
-    return [x // g for x in row], den // g
+    return {j: x // g for j, x in row.items()}, den // g
 
 
-def _eliminate(row: list, den: int, e: int, nz: list, piv_den: int):
+def _axpy(row: dict, s: int, f: int, other) -> dict:
+    """A new row s*row - f*other, other given as (column, entry) pairs and
+    f nonzero; zero entries are dropped."""
+    out = {j: x * s for j, x in row.items()} if s != 1 else dict(row)
+    for j, y in other:
+        x = out.get(j, 0) - f * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]  # f*y != 0, so the entry was there
+    return out
+
+
+def _eliminate(row: dict, den: int, e: int, nz: list, piv_den: int):
     """Subtract row[e]/den times the pivot row from row/den.
 
     The pivot row is given by its nonzero entries nz over piv_den; its entry
     in column e is piv_den, so column e of the result is zero.  Returns the
-    new (row, den) in lowest terms; row is updated in place when piv_den
-    is 1."""
-    f = row[e]
-    if piv_den != 1:
-        row = [x * piv_den for x in row]
-        den *= piv_den
-    for j, y in nz:
-        row[j] -= f * y
-    return _reduce(row, den)
+    new (row, den) in lowest terms."""
+    return _reduce(_axpy(row, piv_den, row[e], nz), den * piv_den)
 
 
 class _Simplex:
     """Two-phase tableau simplex in exact rational arithmetic.
 
-    Row i of the tableau is T[i][j] / D[i]: Python ints over one positive
-    denominator, kept in lowest terms (gcd(D[i], *T[i]) == 1).  The cost
-    row is held the same way.  Comparisons on these rows are exact, so
-    the pivot sequence is that of a tableau of Fractions.
+    Row i of the tableau is T[i][j] / D[i]: a sparse map from column to
+    nonzero int over one positive denominator, kept in lowest terms
+    (gcd(D[i], *T[i].values()) == 1), with the right-hand side at column
+    RHS.  The cost row is held the same way.  Comparisons on these rows
+    are exact, so the pivot sequence is that of a tableau of Fractions.
+    Rows are replaced, never changed in place, so copy() shares them.
     """
 
     def __init__(self, n: int, rows: list[tuple[list, str, object]], c: list):
@@ -184,68 +220,60 @@ class _Simplex:
         # Entries are ints or Fractions; each row is scaled to integers by
         # the lcm of its denominators, which is already in lowest terms.
         self.n_struct = n
-        body: list[list[int]] = []
+        body: list[dict] = []
         dens: list[int] = []
         kinds: list[str] = []
         for a, rel, b in rows:
-            den = lcm(b.denominator, *[x.denominator for x in a if x])
-            nums = [x.numerator * (den // x.denominator) if x else 0 for x in a]
-            nums.append(b.numerator * (den // b.denominator))
-            if nums[-1] < 0 or (nums[-1] == 0 and rel == ">="):
-                nums = [-x for x in nums]
-                rel = _FLIP[rel]
+            nums, den = _integers(list(a) + [b])
+            rhs = nums.pop(n, 0)
+            if rhs < 0 or (rhs == 0 and rel == ">="):
+                nums = {j: -x for j, x in nums.items()}
+                rhs, rel = -rhs, _FLIP[rel]
+            if rhs:
+                nums[RHS] = rhs
             body.append(nums)
             dens.append(den)
             kinds.append(rel)
-        m = len(body)
-        self.m = m
-        n_slack = sum(1 for k in kinds if k != "=")
-        self.ncols = n + n_slack
-        art_cols: list[int] = []
+        self.m = len(body)
+        self.ncols = n + sum(1 for k in kinds if k != "=")
+        self.total = self.ncols + sum(1 for k in kinds if k != "<=")
         basis: list[int] = []
-        T: list[list[int]] = []
-        slack_at = n
-        art_at = self.ncols
-        n_art = sum(1 for k in kinds if k != "<=")
-        total = self.ncols + n_art
-        for i in range(m):
-            den = dens[i]
-            row = body[i][:n] + [0] * (total - n) + body[i][n:]
-            if kinds[i] == "<=":
+        art_cols: list[int] = []
+        slack_at, art_at = n, self.ncols
+        for row, den, kind in zip(body, dens, kinds):
+            if kind == "<=":
                 row[slack_at] = den
                 basis.append(slack_at)
                 slack_at += 1
-            elif kinds[i] == ">=":
+                continue
+            if kind == ">=":
                 row[slack_at] = -den
                 slack_at += 1
-                row[art_at] = den
-                basis.append(art_at)
-                art_cols.append(art_at)
-                art_at += 1
-            else:
-                row[art_at] = den
-                basis.append(art_at)
-                art_cols.append(art_at)
-                art_at += 1
-            T.append(row)
-        self.T = T
+            row[art_at] = den
+            basis.append(art_at)
+            art_cols.append(art_at)
+            art_at += 1
+        self.T = body
         self.D = dens
         self.basis = basis
         self.art_cols = set(art_cols)
-        self.total = total
-        self.cden = lcm(*[x.denominator for x in c if x])
-        self.c = [x.numerator * (self.cden // x.denominator) if x else 0 for x in c]
-        self.c += [0] * (total - n)
+        self.c, self.cden = _integers(c)
 
-    def _reduced_costs(self, c: list[int], cden: int) -> tuple[list[int], int]:
+    def copy(self) -> _Simplex:
+        """A tableau to pivot on that leaves this one as it is."""
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
+        other.T, other.D, other.basis = list(self.T), list(self.D), list(self.basis)
+        return other
+
+    def _reduced_costs(self, c: dict, cden: int) -> tuple[dict, int]:
         # cost row = c_j - sum over basic rows of c_basis * row, over one den
-        costs, den = c + [0], cden
+        costs, den = dict(c), cden
         for i, b in enumerate(self.basis):
-            cb = c[b]
+            cb = c.get(b)
             if cb:
-                s, f = cden * self.D[i], cb * den
-                costs = [x * s - f * y for x, y in zip(costs, self.T[i])]
-                costs, den = _reduce(costs, den * s)
+                s = cden * self.D[i]
+                costs, den = _reduce(_axpy(costs, s, cb * den, self.T[i].items()), den * s)
         return costs, den
 
     def _pivot(self, r: int, e: int) -> tuple[list, int]:
@@ -254,19 +282,20 @@ class _Simplex:
         T, D = self.T, self.D
         prow, piv = T[r], T[r][e]
         if piv < 0:
-            prow, piv = [-x for x in prow], -piv
+            prow, piv = {j: -x for j, x in prow.items()}, -piv
         prow, piv = _reduce(prow, piv)
         T[r], D[r] = prow, piv
-        nz = [(j, y) for j, y in enumerate(prow) if y]
+        nz = list(prow.items())
         for i in range(self.m):
-            if i != r and T[i][e]:
+            if i != r and e in T[i]:
                 T[i], D[i] = _eliminate(T[i], D[i], e, nz, piv)
         self.basis[r] = e
         return nz, piv
 
-    def _run(self, c: list[int], cden: int, banned: set) -> str:
-        """Maximize c / cden over current tableau.  Returns 'optimal' or
-        'unbounded'."""
+    def _run(self, c: dict, cden: int, banned: set) -> str:
+        """Maximize c / cden over the current tableau, never entering a
+        banned column.  Returns 'optimal' (the final cost row is left in
+        self.costs) or 'unbounded'."""
         T, basis = self.T, self.basis
         costs, den = self._reduced_costs(c, cden)
         iters = 0
@@ -276,25 +305,23 @@ class _Simplex:
             bland = iters > bland_after
             e = -1
             best = 0
-            for j in range(self.total):
-                if j in banned:
-                    continue
-                cj = costs[j]
-                if cj > 0:
+            for j, cj in costs.items():
+                if cj > 0 and j != RHS and j not in banned:
                     if bland:
-                        e = j
-                        break
-                    if cj > best:
+                        if e < 0 or j < e:
+                            e = j
+                    elif cj > best or (cj == best and j < e):
                         best = cj
                         e = j
             if e < 0:
+                self.costs = costs
                 return "optimal"
             # ratio test: rhs_i / a_i, the row denominators cancel
             r = -1
             for i in range(self.m):
-                a = T[i][e]
+                a = T[i].get(e, 0)
                 if a > 0:
-                    b = T[i][-1]
+                    b = T[i].get(RHS, 0)
                     if r < 0:
                         r, rb, ra = i, b, a
                         continue
@@ -310,34 +337,30 @@ class _Simplex:
         """Two phases.  Returns (status, value, point) with point over
         structural columns; status in {'optimal', 'unbounded', 'infeasible'}."""
         if self.art_cols:
-            phase1 = [0] * self.total
-            for j in self.art_cols:
-                phase1[j] = -1
-            status = self._run(phase1, 1, banned=set())
+            status = self._run(dict.fromkeys(self.art_cols, -1), 1, banned=set())
             if status != "optimal":
                 raise InternalCheckError("phase 1 cannot be unbounded")
             # every rhs is >= 0, so the residual is 0 iff each term is
-            if any(self.T[i][-1] for i in range(self.m) if self.basis[i] in self.art_cols):
+            if any(self.T[i].get(RHS) for i in range(self.m)
+                   if self.basis[i] in self.art_cols):
                 return ("infeasible", None, None)
             self._evict_artificials()
         status = self._run(self.c, self.cden, banned=self.art_cols)
         point = self._point()
         if status == "unbounded":
             return ("unbounded", None, point)
-        value = sum(
-            (self.c[j] * x for j, x in enumerate(point) if x != 0), Fraction(0)
-        ) / self.cden
-        return ("optimal", value, point)
+        return ("optimal", self._value(self.c, self.cden, point), point)
+
+    @staticmethod
+    def _value(c: dict, cden: int, point: list) -> Fraction:
+        return sum((x * point[j] for j, x in c.items()), Fraction(0)) / cden
 
     def _evict_artificials(self) -> None:
         drop: list[int] = []
         for i in range(self.m):
             if self.basis[i] in self.art_cols:
-                row = self.T[i]
-                e = next(
-                    (j for j in range(self.total) if j not in self.art_cols and row[j] != 0),
-                    -1,
-                )
+                e = min((j for j in self.T[i] if j != RHS and j not in self.art_cols),
+                        default=-1)
                 if e >= 0:
                     self._pivot(i, e)
                 else:
@@ -351,7 +374,7 @@ class _Simplex:
     def _point(self) -> list[Fraction]:
         x = [Fraction(0)] * self.total
         for i, b in enumerate(self.basis):
-            x[b] = Fraction(self.T[i][-1], self.D[i])
+            x[b] = Fraction(self.T[i].get(RHS, 0), self.D[i])
         return x[: self.n_struct]
 
     def ray(self) -> list[Fraction]:
@@ -360,7 +383,7 @@ class _Simplex:
         d = [Fraction(0)] * self.total
         d[e] = Fraction(1)
         for i, b in enumerate(self.basis):
-            d[b] = Fraction(-self.T[i][e], self.D[i])
+            d[b] = Fraction(-self.T[i].get(e, 0), self.D[i])
         return d[: self.n_struct]
 
 
@@ -369,11 +392,13 @@ class _Simplex:
 
 
 class _Encoding:
-    """Maps named (possibly free) variables to internal nonnegative columns."""
+    """Maps named (possibly free) variables to internal nonnegative columns.
+
+    It keeps the variable names, not the system, so that the tableau cached
+    on a system holds no reference back to it."""
 
     def __init__(self, sys: LinearSystem, extra_delta: bool):
-        self.sys = sys
-        self.cols: dict[str, tuple[int, Optional[int]]] = {}
+        self.cols: dict[str, tuple[int, Optional[int]]] = {}  # in sys order
         n = 0
         for v in sys.variables:
             if v in sys.nonneg:
@@ -401,8 +426,7 @@ class _Encoding:
 
     def decode(self, internal: list) -> dict:
         point = {}
-        for v in self.sys.variables:
-            pos, neg = self.cols[v]
+        for v, (pos, neg) in self.cols.items():
             val = internal[pos]
             if neg is not None:
                 val -= internal[neg]
@@ -439,54 +463,33 @@ def _check_point(sys: LinearSystem, point: dict) -> None:
 _WEAK = {Relation.EQ: "=", Relation.GE: ">=", Relation.GT: ">="}
 
 
-def _solve_weak_max(
-    sys: LinearSystem,
-    objective: Mapping[str, Fraction],
-) -> tuple[str, Optional[Fraction], Optional[dict], Optional[dict]]:
-    """Maximize objective over the weak relaxation of sys.
-
-    Returns (status, value, point, ray)."""
-    enc = _Encoding(sys, extra_delta=False)
-    rows = [(enc.row(c.coeffs), _WEAK[c.rel], c.bound) for c in sys.constraints]
-    sx = _Simplex(enc.n, rows, enc.row(objective))
-    status, value, point = sx.solve()
-    if status == "infeasible":
-        return ("infeasible", None, None, None)
-    if status == "unbounded":
-        return ("unbounded", None, None, enc.decode(sx.ray()))
-    return ("optimal", value, enc.decode(point), None)
-
-
-def _strict_feasible(sys: LinearSystem) -> tuple[str, Optional[dict]]:
-    """Decide feasibility of sys honoring strictness.
-
-    Returns ('feasible', point) or ('infeasible', None)."""
-    enc = _Encoding(sys, extra_delta=True)
-    rows = []
-    for c in sys.constraints:
-        delta = Fraction(-1) if c.rel is Relation.GT else Fraction(0)
-        rows.append((enc.row(c.coeffs, delta), _WEAK[c.rel], c.bound))
-    # 0 <= delta <= 1; maximize delta
-    rows.append((enc.row({}, Fraction(-1)), ">=", Fraction(-1)))
-    sx = _Simplex(enc.n, rows, enc.row({}, Fraction(1)))
-    status, value, internal = sx.solve()
-    if status == "infeasible":
-        return ("infeasible", None)
+def _phase_one(sys: LinearSystem) -> Optional[tuple[_Encoding, _Simplex]]:
+    """sys's tableau after phase 1 and, with strict rows, the delta
+    maximization; None when sys, strictness honored, is infeasible."""
+    strict = any(c.rel is Relation.GT for c in sys.constraints)
+    enc = _Encoding(sys, extra_delta=strict)
+    rows = [(enc.row(c.coeffs, -1 if c.rel is Relation.GT else 0), _WEAK[c.rel], c.bound)
+            for c in sys.constraints]
+    if strict:  # 0 <= delta <= 1
+        rows.append((enc.row({}, -1), ">=", Fraction(-1)))
+    # the objective is delta, or nothing at all without strict rows
+    sx = _Simplex(enc.n, rows, enc.row({}, 1))
+    status, value, _ = sx.solve()
     if status == "unbounded":
         raise InternalCheckError("delta objective is bounded by construction")
-    has_strict = any(c.rel is Relation.GT for c in sys.constraints)
-    if has_strict and value == 0:
-        return ("infeasible", None)
-    point = enc.decode(internal)
-    _check_point(sys, point)
-    return ("feasible", point)
+    if status == "infeasible" or (strict and value == 0):
+        return None
+    return enc, sx
 
 
 def feasible(sys: LinearSystem) -> LPOutcome:
     """Exact feasibility of sys, strict rows honored strictly."""
-    status, point = _strict_feasible(sys)
-    if status == "infeasible":
+    tableau = sys._tableau
+    if tableau is None:
         return LPOutcome(Verdict.INFEASIBLE)
+    enc, sx = tableau
+    point = enc.decode(sx._point())
+    _check_point(sys, point)
     return LPOutcome(Verdict.FEASIBLE, point=point)
 
 
@@ -504,30 +507,25 @@ def optimize(
     """
     objective = _fractions(objective)
     _check_names(frozenset(sys.variables), objective, "objective")
-    has_strict = any(c.rel is Relation.GT for c in sys.constraints)
-    if has_strict:
-        status, _ = _strict_feasible(sys)
-        if status == "infeasible":
-            return LPOutcome(Verdict.INFEASIBLE)
-    sign = 1 if direction is Direction.MAX else -1
-    status, value, point, ray = _solve_weak_max(
-        sys, {v: sign * x for v, x in objective.items()}
-    )
-    if status == "infeasible":
+    tableau = sys._tableau
+    if tableau is None:
         return LPOutcome(Verdict.INFEASIBLE)
-    if status == "unbounded":
-        return LPOutcome(Verdict.UNBOUNDED, direction=ray)
-    value = sign * value
-    if not has_strict:
-        _check_point(sys, point)
-        return LPOutcome(Verdict.OPTIMAL, point=point, value=value, attained=True)
-    # Does some strictly feasible point attain the closure optimum?
-    pinned = LinearSystem(
-        variables=sys.variables,
-        constraints=sys.constraints + (Constraint(objective, Relation.EQ, value),),
-        nonneg=sys.nonneg,
-    )
-    status, witness = _strict_feasible(pinned)
-    if status == "feasible":
-        return LPOutcome(Verdict.OPTIMAL, point=witness, value=value, attained=True)
-    return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
+    enc, built = tableau
+    sign = 1 if direction is Direction.MAX else -1
+    c, cden = _integers(enc.row({v: sign * x for v, x in objective.items()}))
+    sx = built.copy()
+    if sx._run(c, cden, banned=sx.art_cols) == "unbounded":
+        return LPOutcome(Verdict.UNBOUNDED, direction=enc.decode(sx.ray()))
+    internal = sx._point()
+    value = sign * sx._value(c, cden, internal)
+    if enc.delta_col is not None:
+        # attained iff delta > 0 on the optimal face: the columns of
+        # negative reduced cost stay at zero
+        face = sx.art_cols | {j for j, d in sx.costs.items() if d < 0}
+        sx._run({enc.delta_col: 1}, 1, banned=face)
+        internal = sx._point()
+        if internal[enc.delta_col] == 0:
+            return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
+    point = enc.decode(internal)
+    _check_point(sys, point)
+    return LPOutcome(Verdict.OPTIMAL, point=point, value=value, attained=True)

@@ -6,11 +6,13 @@ exactly the order, and with exactly the literal order, of formula.dnf
 without building the list: the top-level disjunction splits into
 branches, each branch's conjunction into conjuncts, dnf expands each
 conjunct alone (a short list), and the branch's disjuncts are the
-itertools.product of those lists.  sat stops at the first feasible
-disjunct.  A branch that mixes basic conjuncts (units) with other
-conjuncts first gets one LP on its units alone: every disjunct of the
-branch contains them, so if that LP is infeasible the whole branch is
-refuted and skipped (the theory check on forced literals of DPLL(T)).
+itertools.product of those lists.  A conjunct that a branch repeats is
+expanded once, at its first place, so its copies add neither rows nor
+disjuncts.  sat stops at the first feasible disjunct.  A branch that
+mixes basic conjuncts (units) with other conjuncts first gets one LP on
+its units alone: every disjunct of the branch contains them, so if that
+LP is infeasible the whole branch is refuted and skipped (the theory
+check on forced literals of DPLL(T)).
 The number of disjuncts is counted, never enumerated: a sum over
 disjunction, a product over conjunction.
 
@@ -233,9 +235,11 @@ def _disjuncts(
 ) -> Iterator[list[Basic]]:
     """The disjuncts of dnf(g), in dnf's order and literal order, except
     those of a branch whose units one LP refutes (that LP's size goes to
-    lp_sizes)."""
+    lp_sizes).  A conjunct that a branch repeats is walked once, at its
+    first place: its literals would only repeat rows of the disjunct's
+    LP, and the branch's disjuncts would multiply for nothing."""
     for branch in _operands(g, LOr):
-        conjuncts = _operands(branch, LAnd)
+        conjuncts = list(dict.fromkeys(_operands(branch, LAnd)))
         units = [c for c in conjuncts if isinstance(c, Basic)]
         if units and len(units) < len(conjuncts):
             _, outcome = _solve(worlds, units, lp_sizes)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from typing import Optional
 
 import pytest
 
-from uplogic import lp
+from uplogic import envelope, lp, solver
 from uplogic.errors import InputError, InternalCheckError
 from uplogic.lp import (
     Direction,
@@ -17,6 +18,8 @@ from uplogic.lp import (
     make_system,
     optimize,
 )
+from uplogic.parser import parse_likelihood, parse_term
+from uplogic.structure import SetFunction
 
 EQ, GE, GT = Relation.EQ, Relation.GE, Relation.GT
 MAX, MIN = Direction.MAX, Direction.MIN
@@ -639,9 +642,179 @@ def test_integer_tableau_matches_fraction_tableau():
         if got[0] == "unbounded":
             assert new.ray() == ref.ray()
         for row, den in zip(new.T, new.D):
-            assert den > 0 and math.gcd(den, *row) == 1
+            assert den > 0 and math.gcd(den, *row.values()) == 1 and all(row.values())
         seen[got[0]] += 1
         seen["eq_negative_rhs"] += any(rel == "=" and b < 0 for _, rel, b in rows)
         seen["huge"] += any(abs(x) > 10**20 for a, _, _ in rows for x in a)
         seen["pivots"] += len(new.pivots)
     assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# One tableau per system.  reference_optimize is optimize as it was: a cold
+# two-phase solve of the weak relaxation and, over strict rows, a strict
+# feasibility check with the objective pinned to its optimum by one = row,
+# all on FractionSimplex.  optimize re-optimizes a copy of the system's one
+# tableau and decides attainment on the optimal face; the verdict, value and
+# attainment must be the reference's.
+
+_REF_REL = {EQ: "=", GE: ">=", GT: ">="}
+
+
+def _reference_encoding(sys, delta):
+    """Columns of the internal nonnegative form: a free variable is split
+    in two, and with delta one more column comes last."""
+    cols, n = {}, 0
+    for v in sys.variables:
+        cols[v] = (n, None) if v in sys.nonneg else (n, n + 1)
+        n += 1 if v in sys.nonneg else 2
+
+    def row(coeffs, delta_coeff=0):
+        out = [ZERO] * (n + delta)
+        for v, x in coeffs.items():
+            pos, neg = cols[v]
+            out[pos] = x
+            if neg is not None:
+                out[neg] = -x
+        if delta:
+            out[n] = F(delta_coeff)
+        return out
+
+    return n + delta, row
+
+
+def _reference_strict_feasible(sys):
+    n, row = _reference_encoding(sys, delta=True)
+    rows = [(row(c.coeffs, -1 if c.rel is GT else 0), _REF_REL[c.rel], c.bound)
+            for c in sys.constraints]
+    rows.append((row({}, -1), ">=", F(-1)))
+    status, value, _ = FractionSimplex(n, rows, row({}, 1)).solve()
+    strict = any(c.rel is GT for c in sys.constraints)
+    return status == "optimal" and (value > 0 or not strict)
+
+
+def reference_optimize(sys, objective, direction):
+    """(verdict, value, attained) of optimize as it was."""
+    strict = any(c.rel is GT for c in sys.constraints)
+    if strict and not _reference_strict_feasible(sys):
+        return Verdict.INFEASIBLE, None, True
+    sign = 1 if direction is MAX else -1
+    n, row = _reference_encoding(sys, delta=False)
+    rows = [(row(c.coeffs), _REF_REL[c.rel], c.bound) for c in sys.constraints]
+    status, value, _ = FractionSimplex(
+        n, rows, row({v: sign * x for v, x in objective.items()})).solve()
+    if status == "infeasible":
+        return Verdict.INFEASIBLE, None, True
+    if status == "unbounded":
+        return Verdict.UNBOUNDED, None, True
+    value = sign * value
+    if not strict:
+        return Verdict.OPTIMAL, value, True
+    pinned = lp.LinearSystem(
+        sys.variables, sys.constraints + (lp.Constraint(objective, EQ, value),), sys.nonneg)
+    return Verdict.OPTIMAL, value, _reference_strict_feasible(pinned)
+
+
+def random_strict_system(rng):
+    """A system with strict rows over 1-4 variables, some of them nonneg;
+    most have a box, two thirds bound the objective by a weak or a strict
+    row (so that the optimal face is often a facet, and the optimum often
+    not attained), some carry an = row."""
+    nvars = rng.randint(1, 4)
+    names = [f"x{i}" for i in range(nvars)]
+    nonneg = [v for v in names if rng.random() < 0.3]
+    constraints, objective, direction = random_bounded_system(rng, nvars)
+    if rng.random() < 0.25:
+        constraints = constraints[2 * nvars:]  # no box: unbounded ones too
+    rels = [GE, GT, GT]
+    constraints = [(co, rng.choice(rels), b) for co, _, b in constraints]
+    if rng.random() < 2 / 3:  # the optimal face is often a whole facet
+        sign = 1 if direction is MAX else -1
+        constraints.append(([-sign * x for x in objective], rng.choice([GE, GT]),
+                            F(rng.randint(-3, 2))))
+    if rng.random() < 0.2:
+        constraints.append(([F(rng.randint(-2, 2)) for _ in names], EQ,
+                            F(rng.randint(-1, 1))))
+    if not any(rel is GT for _, rel, _ in constraints):
+        constraints.append(([F(1)] + [F(0)] * (nvars - 1), GT, F(-3)))
+    return dense(names, constraints, nonneg), dict(zip(names, objective)), direction
+
+
+def test_face_step_matches_pinned_reference():
+    rng = random.Random(9091)
+    seen = collections.Counter()
+    for _ in range(400):
+        sys, objective, direction = random_strict_system(rng)
+        out = optimize(sys, objective, direction)
+        verdict, value, attained = reference_optimize(sys, objective, direction)
+        assert (out.verdict, out.value) == (verdict, value)
+        if verdict is Verdict.OPTIMAL:
+            assert out.attained == attained
+            if attained:  # a strictly feasible point at the optimum
+                assert sum(x * out.point[v] for v, x in objective.items()) == value
+            else:
+                assert out.point is None
+        seen[verdict, attained] += 1
+    assert set(seen) == {(Verdict.OPTIMAL, True), (Verdict.OPTIMAL, False),
+                         (Verdict.INFEASIBLE, True), (Verdict.UNBOUNDED, True)}, seen
+    assert min(seen.values()) >= 10, seen
+
+
+def _fresh(sys):
+    """An equal system with no tableau built yet."""
+    return lp.LinearSystem(sys.variables, sys.constraints, sys.nonneg)
+
+
+def test_interleaved_objectives_answer_as_on_a_fresh_system(monkeypatch):
+    rng = random.Random(5150)
+    built = []
+
+    class Counting(lp._Simplex):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lp, "_Simplex", Counting)
+    strict = 0
+    for _ in range(60):
+        sys, first, _ = random_strict_system(rng)
+        if rng.random() < 0.5:  # the weak relaxation, rows as they were
+            sys = dense(sys.variables, [
+                ([c.coeffs.get(v, 0) for v in sys.variables], GE if c.rel is GT else c.rel,
+                 c.bound) for c in sys.constraints], sys.nonneg)
+        strict += any(c.rel is GT for c in sys.constraints)
+        second = {v: F(rng.randint(-3, 3)) for v in sys.variables}
+        calls = [(first, MAX), (second, MIN), (first, MIN), (second, MAX), (first, MAX)]
+        built.clear()
+        got = [optimize(sys, o, d) for o, d in calls] + [feasible(sys)]
+        assert len(built) == 1  # one tableau, built once
+        want = [optimize(_fresh(sys), o, d) for o, d in calls] + [feasible(_fresh(sys))]
+        assert got == want
+    assert 10 < strict < 50
+
+
+def test_one_tableau_per_bounds_disjunct_and_per_set_function(monkeypatch):
+    built, calls = [], []
+
+    class Counting(lp._Simplex):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lp, "_Simplex", Counting)
+    monkeypatch.setattr(lp, "optimize",
+                        lambda *args: calls.append(args) or optimize(*args))
+    # two disjuncts reach an LP: one tableau and two optimize calls each
+    res = solver.bounds(parse_likelihood("l(p) = 1/4 | l(p) < 3/4 & l(q) > 1/2"),
+                        parse_term("l(p)"))
+    assert (res.lower, res.lower_attained) == (F(0), True)
+    assert (res.upper, res.upper_attained) == (F(3, 4), False)
+    assert (len(built), len(calls)) == (2, 4)
+    # the vacuous set function on five elements: five LPs, one polytope
+    built.clear()
+    calls.clear()
+    ground = tuple("abcde")
+    subsets = [frozenset(c) for r in range(6) for c in itertools.combinations(ground, r)]
+    v = SetFunction(ground, {X: F(1) if X else F(0) for X in subsets})
+    assert envelope.is_upper_probability(v).is_upper_probability
+    assert (len(built), len(calls)) == (1, 5)

@@ -11,7 +11,7 @@ from uplogic.semantics import eval_term, evaluate
 from uplogic.solver import SatVerdict, UnsatInputError, bounds, sat, valid
 
 from conftest import random_structure
-from test_formula import _random_lform
+from test_formula import _random_lform, _random_term
 
 p, q = Prop("p"), Prop("q")
 
@@ -290,6 +290,70 @@ class TestLazyWalk:
         res = bounds(f, parse_term("l(p)"))
         assert (res.lower, res.lower_attained) == (F(1, 2), True)
         assert (res.upper, res.upper_attained) == (F(1), True)
+
+
+class TestRepeatedConjuncts:
+    """A conjunct that a branch repeats is walked once."""
+
+    def test_bounds_under_forty_equal_clauses(self):
+        res = bounds(parse_likelihood(_clauses(40)), parse_term("l(p)"))
+        assert (res.lower, res.lower_attained) == (F(0), True)
+        assert (res.upper, res.upper_attained) == (F(1), True)
+
+    def test_valid_chain_of_forty_equalities(self):
+        # the negation is forty copies of (l(false) < 0 | l(false) > 0)
+        f = parse_likelihood(" | ".join(["l(false) = 0"] * 40))
+        assert valid(f).valid
+        res = sat(LNot(f))
+        assert res.verdict is SatVerdict.UNSAT
+        assert res.stats["disjuncts"] == 2**40
+        assert len(res.stats["lp_sizes"]) == 2
+
+    def test_same_model_as_without_the_repeat(self):
+        once = parse_likelihood("l(p) >= 1/3 & (l(q) < 1/2 | l(p) > 2/3)")
+        thrice = parse_likelihood(
+            "l(p) >= 1/3 & (l(q) < 1/2 | l(p) > 2/3) & l(p) >= 1/3"
+            " & (l(q) < 1/2 | l(p) > 2/3) & l(p) >= 1/3")
+        a, b = sat(once), sat(thrice)
+        assert a.model == b.model and a.stats["lp_sizes"] == b.stats["lp_sizes"]
+
+
+class TestBoundsMetamorphic:
+    """Each end of bounds(f, t) is checked by sat on f & t compared with it:
+    a closed upper end U makes f & t >= U SAT and f & t > U UNSAT; an open
+    one makes f & t >= U UNSAT and f & t > U - eps SAT; the lower end the
+    mirrored way.  Half the formulas bound t itself by a strict row."""
+
+    EPS = F(1, 10**9)
+
+    def _sat(self, f, t, rel, bound):
+        res = sat(lconj_all([f, Basic(t, rel, bound)]))
+        return res.verdict is SatVerdict.SAT
+
+    def test_ends_are_sharp(self):
+        rng = random.Random(131)
+        seen = {"upper closed": 0, "upper open": 0, "lower closed": 0, "lower open": 0}
+        for _ in range(200):
+            f, t = _random_lform(rng, 2), _random_term(rng)
+            if rng.random() < 0.5:  # a strict row on t itself, for open ends
+                rel = rng.choice([Rel.GT, Rel.LT])
+                f = lconj_all([f, Basic(t, rel, F(rng.randint(-2, 2), rng.randint(1, 3)))])
+            try:
+                res = bounds(f, t)
+            except UnsatInputError:
+                continue
+            U, L = res.upper, res.lower
+            if res.upper_attained:
+                assert self._sat(f, t, Rel.GE, U) and not self._sat(f, t, Rel.GT, U)
+            else:
+                assert not self._sat(f, t, Rel.GE, U) and self._sat(f, t, Rel.GT, U - self.EPS)
+            if res.lower_attained:
+                assert self._sat(f, t, Rel.LE, L) and not self._sat(f, t, Rel.LT, L)
+            else:
+                assert not self._sat(f, t, Rel.LE, L) and self._sat(f, t, Rel.LT, L + self.EPS)
+            seen["upper closed" if res.upper_attained else "upper open"] += 1
+            seen["lower closed" if res.lower_attained else "lower open"] += 1
+        assert min(seen.values()) >= 5, seen
 
 
 class TestModelRecheck:
