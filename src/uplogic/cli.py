@@ -37,11 +37,6 @@ def _emit(args, human: str, doc: dict) -> None:
         print(human)
 
 
-def _read_formula(args) -> "parser.fm.LikelihoodFormula":
-    text = args.formula
-    return parser.parse_likelihood(text)
-
-
 def _load_structure(path: str) -> structure.UpperProbStructure:
     with open(path, "rb") as fh:
         return structure.load_structure(fh.read())
@@ -68,7 +63,7 @@ def cmd_parse(args) -> int:
 
 def cmd_check(args) -> int:
     M = _load_structure(args.model)
-    f = _read_formula(args)
+    f = parser.parse_likelihood(args.formula)
     verdict = semantics.evaluate(M, f)
     terms = [
         {
@@ -84,7 +79,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    f = _read_formula(args)
+    f = parser.parse_likelihood(args.formula)
     result = solver.sat(f)
     is_sat = result.verdict is solver.SatVerdict.SAT
     if is_sat and args.model_out:
@@ -98,7 +93,7 @@ def cmd_sat(args) -> int:
 
 
 def cmd_valid(args) -> int:
-    f = _read_formula(args)
+    f = parser.parse_likelihood(args.formula)
     result = solver.valid(f)
     if not result.valid and args.counter_out:
         with open(args.counter_out, "w", encoding="utf-8") as fh:
@@ -111,7 +106,7 @@ def cmd_valid(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    f = _read_formula(args)
+    f = parser.parse_likelihood(args.formula)
     t = parser.parse_term(args.term)
     try:
         b = solver.bounds(f, t)

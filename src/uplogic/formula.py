@@ -146,28 +146,21 @@ def props_of(phi: PropFormula) -> list[str]:
     return sorted(seen)
 
 
-def holds(phi: PropFormula, assignment: Mapping[str, bool], *, strict: bool = False) -> bool:
-    """Truth of phi under a world's assignment.
-
-    Propositions missing from the assignment are false unless strict, in
-    which case they raise InputError.
-    """
+def holds(phi: PropFormula, assignment: Mapping[str, bool]) -> bool:
+    """Truth of phi under a world's assignment.  Propositions missing from
+    the assignment are false."""
     if isinstance(phi, Prop):
-        if phi.name in assignment:
-            return assignment[phi.name]
-        if strict:
-            raise InputError(f"unknown proposition: {phi.name}")
-        return False
+        return assignment.get(phi.name, False)
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, Not):
-        return not holds(phi.sub, assignment, strict=strict)
+        return not holds(phi.sub, assignment)
     if isinstance(phi, (And, Or)):
         # an And is false at its first false part, an Or true at its first
         # true one; a plain loop, as this runs once per world and argument
         is_and = isinstance(phi, And)
         for part in phi.parts:
-            if (not holds(part, assignment, strict=strict)) is is_and:
+            if (not holds(part, assignment)) is is_and:
                 return not is_and
         return is_and
     raise InputError(f"not a propositional formula: {phi!r}")

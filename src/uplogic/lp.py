@@ -1,25 +1,29 @@
 """Exact rational linear constraint solving.
 
 A system is nothing but its rows: equalities (=), weak (>=) and strict (>)
-inequalities over named real variables.  Each row is sparse, a map from
-variable name to nonzero coefficient; a variable the row leaves out has
-coefficient 0.  The objective is not part of the system but an argument
-of optimize(system, objective, direction), so one system serves both a
-minimum and a maximum.  Feasibility and optimization are decided exactly:
-a two-phase tableau simplex, Dantzig pivoting with a switch to Bland's
-rule to guarantee termination.
+inequalities over named variables, every one of them >= 0 (the probability
+masses and dominated measures this package solves for).  Each row is
+sparse, a map from variable name to nonzero coefficient; a variable the
+row leaves out has coefficient 0.  The objective is not part of the
+system but an argument of optimize(system, objective, direction), so one
+system serves both a minimum and a maximum.  Feasibility and optimization
+are decided exactly: a tableau simplex, Dantzig pivoting with a switch to
+Bland's rule to guarantee termination.
 
 Each system has one tableau, built the first time feasible or optimize
-needs it and cached on the system: phase 1, plus the delta maximization
-below when the system has strict rows.  feasible reads its point off that
-tableau.  Each optimize runs phase 2 on a copy of it, so its answer does
-not depend on the calls made before; a minimum and a maximum, or the many
-objectives of one polytope, share one phase 1.  Tableau rows are never
-changed in place, only replaced, so a copy shares them.
+needs it and cached on the system: phase_one drives the artificial columns
+out of the basis and, when the system has strict rows, _run maximizes
+delta (below).  feasible reads its point off that tableau.  Each optimize
+runs the same _run on a copy of it, so its answer does not depend on the
+calls made before; a minimum and a maximum, or the many objectives of one
+polytope, share one phase 1.  Tableau rows are never changed in place,
+only replaced, so a copy shares them.
 
-The tableau is fraction-free and sparse: each row is a map from column to
-nonzero Python int over one positive denominator, built from its
-constraint's numerators and the lcm of its denominators; the right-hand
+Column j of the tableau is variable j of the system, and delta, when there
+is one, is the column after the last variable.  The tableau is
+fraction-free and sparse: each row is a map from column to nonzero Python
+int over one positive denominator, built straight from its constraint's
+map as its numerators over the lcm of its denominators; the right-hand
 side is the entry at column RHS.  A pivot divides the pivot row by the
 pivot entry, which only sets the row's denominator to the pivot
 numerator; every other row with a nonzero entry in the entering column
@@ -83,35 +87,35 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rows c.x = b, c.x >= b or c.x > b over the named variables.
-
-    Variables listed in `nonneg` carry an implicit x >= 0 and are handled
-    natively by the simplex (no free-variable split); all others are free.
+    """Rows c.x = b, c.x >= b or c.x > b over the named variables, each of
+    them >= 0.  A free quantity would be the difference of two variables.
     """
 
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    nonneg: frozenset = frozenset()
 
     def __post_init__(self):
         if not self.variables:
             raise InputError("system must have at least one variable")
-        known = frozenset(self.variables)
-        if len(known) != len(self.variables):
+        if len(self._columns) != len(self.variables):
             raise InputError("duplicate variable name")
-        _check_names(known, self.nonneg, "nonneg")
         for c in self.constraints:
-            _check_names(known, c.coeffs, "constraint")
+            _check_names(self._columns, c.coeffs, "constraint")
 
     @cached_property
-    def _tableau(self) -> Optional[tuple[_Encoding, _Simplex]]:
+    def _columns(self) -> dict[str, int]:
+        """The tableau column of each variable: its place in `variables`."""
+        return {v: j for j, v in enumerate(self.variables)}
+
+    @cached_property
+    def _tableau(self) -> Optional[_Simplex]:
         """_phase_one(self), built once: feasible reads it, optimize copies it."""
         return _phase_one(self)
 
 
-def _check_names(known: frozenset, names, what: str) -> None:
-    if not known.issuperset(names):
-        unknown = sorted(set(names) - known)
+def _check_names(columns: Mapping, names: Mapping, what: str) -> None:
+    if not columns.keys() >= names.keys():
+        unknown = sorted(names.keys() - columns.keys())
         raise InputError(f"{what} names unknown variables: {unknown}")
 
 
@@ -134,14 +138,12 @@ class LPOutcome:
 def make_system(
     variables: Sequence[str],
     constraints: Sequence[tuple[Mapping[str, Fraction], Relation, Fraction]],
-    nonneg: Sequence[str] = (),
 ) -> LinearSystem:
     return LinearSystem(
         variables=tuple(variables),
         constraints=tuple(
             Constraint(_fractions(co), rel, Fraction(b)) for co, rel, b in constraints
         ),
-        nonneg=frozenset(nonneg),
     )
 
 
@@ -153,9 +155,7 @@ def _fractions(coeffs: Mapping) -> dict[str, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Core simplex on internal nonnegative variables.
-#
-# Internal problem: maximize c.x subject to rows (a, rel, b) with
+# Core simplex: maximize c.x subject to rows a.x rel b with
 # rel in {"<=", ">=", "="}, x >= 0.
 
 _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
@@ -163,11 +163,11 @@ _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 RHS = -1  # the column of a tableau row's right-hand side
 
 
-def _integers(a: Sequence) -> tuple[dict, int]:
-    """The nonzero entries of a dense vector of ints and Fractions, as
-    {index: int} over the lcm of their denominators."""
-    den = lcm(*[x.denominator for x in a if x])
-    return {j: x.numerator * (den // x.denominator) for j, x in enumerate(a) if x}, den
+def _integers(row: Mapping) -> tuple[dict, int]:
+    """The nonzero entries of a sparse {column: int or Fraction} row, as
+    {column: int} over the lcm of their denominators."""
+    den = lcm(*[x.denominator for x in row.values() if x])
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items() if x}, den
 
 
 def _reduce(row: dict, den: int) -> tuple[dict, int]:
@@ -203,7 +203,8 @@ def _eliminate(row: dict, den: int, e: int, nz: list, piv_den: int):
 
 
 class _Simplex:
-    """Two-phase tableau simplex in exact rational arithmetic.
+    """Tableau simplex in exact rational arithmetic: phase_one, then _run
+    for each objective.
 
     Row i of the tableau is T[i][j] / D[i]: a sparse map from column to
     nonzero int over one positive denominator, kept in lowest terms
@@ -213,7 +214,8 @@ class _Simplex:
     Rows are replaced, never changed in place, so copy() shares them.
     """
 
-    def __init__(self, n: int, rows: list[tuple[list, str, object]], c: list):
+    def __init__(self, n: int, rows: list[tuple[Mapping, str]]):
+        # Rows are (a, rel) over columns 0..n-1, with b at column RHS.
         # Normalize rows to rhs >= 0, assign slack/surplus/artificial columns.
         # A ">=" row with rhs 0 is flipped too: as "<=" its slack is a
         # feasible starting basic variable, so it needs no artificial.
@@ -223,14 +225,12 @@ class _Simplex:
         body: list[dict] = []
         dens: list[int] = []
         kinds: list[str] = []
-        for a, rel, b in rows:
-            nums, den = _integers(list(a) + [b])
-            rhs = nums.pop(n, 0)
+        for a, rel in rows:
+            nums, den = _integers(a)
+            rhs = nums.get(RHS, 0)
             if rhs < 0 or (rhs == 0 and rel == ">="):
                 nums = {j: -x for j, x in nums.items()}
-                rhs, rel = -rhs, _FLIP[rel]
-            if rhs:
-                nums[RHS] = rhs
+                rel = _FLIP[rel]
             body.append(nums)
             dens.append(den)
             kinds.append(rel)
@@ -257,7 +257,6 @@ class _Simplex:
         self.D = dens
         self.basis = basis
         self.art_cols = set(art_cols)
-        self.c, self.cden = _integers(c)
 
     def copy(self) -> _Simplex:
         """A tableau to pivot on that leaves this one as it is."""
@@ -333,9 +332,9 @@ class _Simplex:
                 return "unbounded"
             costs, den = _eliminate(costs, den, e, *self._pivot(r, e))
 
-    def solve(self) -> tuple[str, Optional[Fraction], Optional[list]]:
-        """Two phases.  Returns (status, value, point) with point over
-        structural columns; status in {'optimal', 'unbounded', 'infeasible'}."""
+    def phase_one(self) -> bool:
+        """Drive the artificial columns out of the basis; False when the
+        rows have no solution."""
         if self.art_cols:
             status = self._run(dict.fromkeys(self.art_cols, -1), 1, banned=set())
             if status != "optimal":
@@ -343,17 +342,9 @@ class _Simplex:
             # every rhs is >= 0, so the residual is 0 iff each term is
             if any(self.T[i].get(RHS) for i in range(self.m)
                    if self.basis[i] in self.art_cols):
-                return ("infeasible", None, None)
+                return False
             self._evict_artificials()
-        status = self._run(self.c, self.cden, banned=self.art_cols)
-        point = self._point()
-        if status == "unbounded":
-            return ("unbounded", None, point)
-        return ("optimal", self._value(self.c, self.cden, point), point)
-
-    @staticmethod
-    def _value(c: dict, cden: int, point: list) -> Fraction:
-        return sum((x * point[j] for j, x in c.items()), Fraction(0)) / cden
+        return True
 
     def _evict_artificials(self) -> None:
         drop: list[int] = []
@@ -387,63 +378,19 @@ class _Simplex:
         return d[: self.n_struct]
 
 
-# ---------------------------------------------------------------------------
-# Translation between LinearSystem and the internal nonnegative form.
-
-
-class _Encoding:
-    """Maps named (possibly free) variables to internal nonnegative columns.
-
-    It keeps the variable names, not the system, so that the tableau cached
-    on a system holds no reference back to it."""
-
-    def __init__(self, sys: LinearSystem, extra_delta: bool):
-        self.cols: dict[str, tuple[int, Optional[int]]] = {}  # in sys order
-        n = 0
-        for v in sys.variables:
-            if v in sys.nonneg:
-                self.cols[v] = (n, None)
-                n += 1
-            else:
-                self.cols[v] = (n, n + 1)
-                n += 2
-        self.delta_col = None
-        if extra_delta:
-            self.delta_col = n
-            n += 1
-        self.n = n
-
-    def row(self, coeffs: Mapping[str, Fraction], delta_coeff: Fraction = 0) -> list:
-        out = [0] * self.n
-        for v, x in coeffs.items():
-            pos, neg = self.cols[v]
-            out[pos] = x
-            if neg is not None:
-                out[neg] = -x
-        if self.delta_col is not None:
-            out[self.delta_col] = delta_coeff
-        return out
-
-    def decode(self, internal: list) -> dict:
-        point = {}
-        for v, (pos, neg) in self.cols.items():
-            val = internal[pos]
-            if neg is not None:
-                val -= internal[neg]
-            point[v] = val
-        return point
-
-
 _HOLDS = {Relation.EQ: operator.eq, Relation.GE: operator.ge, Relation.GT: operator.gt}
 
 
 def _check_point(sys: LinearSystem, point: dict) -> None:
-    """Raise InternalCheckError unless point satisfies every row and every
-    non-negativity of sys.  Exact in integers: the point is put over its
-    common denominator once, each row over the lcm of its coefficients'
-    and bound's denominators."""
+    """Raise InternalCheckError unless point is >= 0 and satisfies every row
+    of sys.  Exact in integers: the point is put over its common
+    denominator once, each row over the lcm of its coefficients' and
+    bound's denominators."""
     den = lcm(*[x.denominator for x in point.values()])
     nums = {v: x.numerator * (den // x.denominator) for v, x in point.items()}
+    for v, x in nums.items():
+        if x < 0:
+            raise InternalCheckError(f"solver returned negative {v}")
     for c in sys.constraints:
         b = c.bound
         row_den = lcm(b.denominator, *[a.denominator for a in c.coeffs.values()])
@@ -454,41 +401,44 @@ def _check_point(sys: LinearSystem, point: dict) -> None:
             raise InternalCheckError(
                 f"solver returned a point violating {c.coeffs} {c.rel.value} {c.bound}"
             )
-    for v in sys.nonneg:
-        if point[v] < 0:
-            raise InternalCheckError(f"solver returned negative {v}")
 
 
 # the simplex's relation for each row of the weak relaxation
 _WEAK = {Relation.EQ: "=", Relation.GE: ">=", Relation.GT: ">="}
 
 
-def _phase_one(sys: LinearSystem) -> Optional[tuple[_Encoding, _Simplex]]:
+def _phase_one(sys: LinearSystem) -> Optional[_Simplex]:
     """sys's tableau after phase 1 and, with strict rows, the delta
     maximization; None when sys, strictness honored, is infeasible."""
+    delta = len(sys.variables)  # delta's column, when sys has strict rows
+    cols = sys._columns
+    rows = []
+    for c in sys.constraints:
+        row = {cols[v]: x for v, x in c.coeffs.items()}
+        if c.rel is Relation.GT:
+            row[delta] = -1
+        row[RHS] = c.bound
+        rows.append((row, _WEAK[c.rel]))
     strict = any(c.rel is Relation.GT for c in sys.constraints)
-    enc = _Encoding(sys, extra_delta=strict)
-    rows = [(enc.row(c.coeffs, -1 if c.rel is Relation.GT else 0), _WEAK[c.rel], c.bound)
-            for c in sys.constraints]
     if strict:  # 0 <= delta <= 1
-        rows.append((enc.row({}, -1), ">=", Fraction(-1)))
-    # the objective is delta, or nothing at all without strict rows
-    sx = _Simplex(enc.n, rows, enc.row({}, 1))
-    status, value, _ = sx.solve()
-    if status == "unbounded":
-        raise InternalCheckError("delta objective is bounded by construction")
-    if status == "infeasible" or (strict and value == 0):
+        rows.append(({delta: -1, RHS: -1}, ">="))
+    sx = _Simplex(delta + strict, rows)
+    if not sx.phase_one():
         return None
-    return enc, sx
+    if strict:
+        if sx._run({delta: 1}, 1, banned=sx.art_cols) == "unbounded":
+            raise InternalCheckError("delta objective is bounded by construction")
+        if sx._point()[delta] == 0:
+            return None
+    return sx
 
 
 def feasible(sys: LinearSystem) -> LPOutcome:
     """Exact feasibility of sys, strict rows honored strictly."""
-    tableau = sys._tableau
-    if tableau is None:
+    sx = sys._tableau
+    if sx is None:
         return LPOutcome(Verdict.INFEASIBLE)
-    enc, sx = tableau
-    point = enc.decode(sx._point())
+    point = dict(zip(sys.variables, sx._point()))
     _check_point(sys, point)
     return LPOutcome(Verdict.FEASIBLE, point=point)
 
@@ -506,26 +456,27 @@ def optimize(
     system, with strictness honored, has no solution.
     """
     objective = _fractions(objective)
-    _check_names(frozenset(sys.variables), objective, "objective")
-    tableau = sys._tableau
-    if tableau is None:
+    cols = sys._columns
+    _check_names(cols, objective, "objective")
+    built = sys._tableau
+    if built is None:
         return LPOutcome(Verdict.INFEASIBLE)
-    enc, built = tableau
     sign = 1 if direction is Direction.MAX else -1
-    c, cden = _integers(enc.row({v: sign * x for v, x in objective.items()}))
+    c, cden = _integers({cols[v]: sign * x for v, x in objective.items()})
     sx = built.copy()
     if sx._run(c, cden, banned=sx.art_cols) == "unbounded":
-        return LPOutcome(Verdict.UNBOUNDED, direction=enc.decode(sx.ray()))
+        return LPOutcome(Verdict.UNBOUNDED, direction=dict(zip(sys.variables, sx.ray())))
     internal = sx._point()
-    value = sign * sx._value(c, cden, internal)
-    if enc.delta_col is not None:
+    value = sign * sum((x * internal[j] for j, x in c.items()), Fraction(0)) / cden
+    delta = len(sys.variables)
+    if sx.n_struct > delta:  # sys has strict rows, and delta a column
         # attained iff delta > 0 on the optimal face: the columns of
         # negative reduced cost stay at zero
         face = sx.art_cols | {j for j, d in sx.costs.items() if d < 0}
-        sx._run({enc.delta_col: 1}, 1, banned=face)
+        sx._run({delta: 1}, 1, banned=face)
         internal = sx._point()
-        if internal[enc.delta_col] == 0:
+        if internal[delta] == 0:
             return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
-    point = enc.decode(internal)
+    point = dict(zip(sys.variables, internal))
     _check_point(sys, point)
     return LPOutcome(Verdict.OPTIMAL, point=point, value=value, attained=True)

@@ -184,7 +184,7 @@ class _DisjunctLP:
         }
 
     def system(self) -> lp.LinearSystem:
-        return lp.make_system(self.variables, self.rows, nonneg=self.variables)
+        return lp.make_system(self.variables, self.rows)
 
     def measures(self, point: dict) -> list[dict]:
         out = []

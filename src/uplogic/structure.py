@@ -162,12 +162,7 @@ class SetFunction:
         for X, bound in self.values.items():
             if X and X != full:
                 constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
-        return lp.make_system(ground, constraints, nonneg=ground)
-
-    def dual(self, X: Iterable[str]) -> Fraction:
-        """The dual lower function 1 - v(complement of X)."""
-        X = frozenset(X)
-        return 1 - self(frozenset(self.ground) - X)
+        return lp.make_system(ground, constraints)
 
     def subsets(self) -> list[frozenset]:
         out = []

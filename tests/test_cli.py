@@ -498,5 +498,6 @@ def test_any_formula_text_ends_in_an_exit_code(text):
     for argv in (["sat", "--formula=" + text],
                  ["valid", "--formula=" + text],
                  ["bounds", "--formula=" + text, "--term=l(p)"],
+                 ["check", "--model", os.path.join(FIX, "marble.json"), "--formula=" + text],
                  ["parse", "--", text]):
         assert _exits_cleanly(argv)

@@ -25,12 +25,10 @@ EQ, GE, GT = Relation.EQ, Relation.GE, Relation.GT
 MAX, MIN = Direction.MAX, Direction.MIN
 
 
-def dense(names, constraints, nonneg=()):
+def dense(names, constraints):
     """A system from rows written as dense vectors over names; lp takes
     each row as a map from variable name to coefficient."""
-    return make_system(
-        names, [(dict(zip(names, co)), rel, b) for co, rel, b in constraints], nonneg
-    )
+    return make_system(names, [(dict(zip(names, co)), rel, b) for co, rel, b in constraints])
 
 
 def sys1(constraints):
@@ -105,14 +103,13 @@ class TestEquality:
 
     def test_open_max_on_an_equality(self):
         # y >= 0, x + y = 1, y > 0: x approaches 1 and never reaches it
-        sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1)), ([F(0), F(1)], GT, F(0))],
-                    nonneg=["y"])
+        sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1)), ([F(0), F(1)], GT, F(0))])
         out = optimize(sys, {"x": F(1)}, MAX)
         assert out.verdict is Verdict.OPTIMAL
         assert out.value == 1 and not out.attained and out.point is None
 
     def test_equality_is_one_row(self):
-        sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1))], nonneg=["x", "y"])
+        sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1))])
         assert len(sys.constraints) == 1
         out = optimize(sys, {"x": F(2), "y": F(1)}, MAX)
         assert (out.value, out.point) == (2, {"x": F(1), "y": F(0)})
@@ -132,10 +129,6 @@ class TestInputChecks:
         with pytest.raises(InputError, match=r"objective names unknown variables: \['z'\]"):
             optimize(sys, {"z": F(1)}, MAX)
 
-    def test_nonneg_names_unknown_variable(self):
-        with pytest.raises(InputError, match=r"nonneg names unknown variables: \['z'\]"):
-            make_system(["x"], [], nonneg=["z"])
-
     def test_zero_entries_are_dropped(self):
         sys = make_system(["x", "y"], [({"x": 0, "y": F(-1, 2)}, GE, 0)])
         assert sys.constraints[0].coeffs == {"y": F(-1, 2)}
@@ -145,6 +138,8 @@ class TestInputChecks:
 # ---------------------------------------------------------------------------
 # Brute-force vertex oracle.  Random systems include box rows, so the
 # feasible region is bounded and any nonempty region has a vertex optimum.
+# lp's variables are >= 0, so a system drawn around the origin is given
+# translated by y = x + 4: its box becomes 0 <= y <= 8.
 
 
 def _gauss_solve(rows, rhs):
@@ -192,6 +187,7 @@ def vertex_oracle(nvars, constraints, objective, direction):
 
 
 def random_bounded_system(rng, nvars):
+    """Rows drawn over -4 <= x_i <= 4, given over y = x + 4."""
     constraints = []
     for i in range(nvars):  # box: -4 <= x_i <= 4
         lo = [F(0)] * nvars
@@ -205,6 +201,8 @@ def random_bounded_system(rng, nvars):
         constraints.append((coeffs, GE, F(rng.randint(-6, 4))))
     objective = [F(rng.randint(-3, 3)) for _ in range(nvars)]
     direction = rng.choice([Direction.MAX, Direction.MIN])
+    # c.x >= b is c.y >= b + 4 * sum(c)
+    constraints = [(co, rel, b + 4 * sum(co)) for co, rel, b in constraints]
     return constraints, objective, direction
 
 
@@ -235,7 +233,7 @@ def test_optimum_dominates_sampled_feasible_points():
         if out.verdict is not Verdict.OPTIMAL:
             continue
         for _ in range(20):
-            point = [F(rng.randint(-4, 4)) for _ in range(nvars)]
+            point = [F(rng.randint(0, 8)) for _ in range(nvars)]
             if all(
                 sum(c * x for c, x in zip(coeffs, point)) >= b
                 for coeffs, _, b in constraints
@@ -262,15 +260,14 @@ def test_zero_rhs_rows_start_on_slack(monkeypatch):
     names = ["x", "y", "z"]
     weak = [([F(1), F(-1), F(0)], GE, F(0)), ([F(0), F(1), F(-1)], GE, F(0))]
     strict = [([F(-1), F(2), F(0)], GT, F(0)), ([F(0), F(0), F(1)], GT, F(0))]
-    low = optimize(dense(names, weak, nonneg=names), {"x": F(1)}, MIN)
+    low = optimize(dense(names, weak), {"x": F(1)}, MIN)
     assert low.verdict is Verdict.OPTIMAL and low.value == 0
-    assert feasible(dense(names, weak + strict, nonneg=names)).verdict is Verdict.FEASIBLE
+    assert feasible(dense(names, weak + strict)).verdict is Verdict.FEASIBLE
     assert len(built) == 2
     assert all(not s.art_cols for s in built)
     # a row with a positive bound is the only one that needs an artificial
     built.clear()
-    out = feasible(dense(names, weak + strict + [([F(1), F(1), F(1)], GE, F(3))],
-                         nonneg=names))
+    out = feasible(dense(names, weak + strict + [([F(1), F(1), F(1)], GE, F(3))]))
     assert out.verdict is Verdict.FEASIBLE
     assert [len(s.art_cols) for s in built] == [1]
 
@@ -289,16 +286,19 @@ def test_check_point_rejects_a_point_one_unit_off():
     one_off = dict(point, x=point["x"] - F(1, D))
     # every row is checked: the row the moved point breaks comes last
     loose = [([F(1), F(0), F(0)], GE, F(0)), ([F(0), F(0), F(-1)], GE, F(-1))]
-    weak = dense(names, loose + [(coeffs, GE, at)], nonneg=["y"])
+    weak = dense(names, loose + [(coeffs, GE, at)])
     lp._check_point(weak, point)
     with pytest.raises(InternalCheckError, match=r"violating .* >= "):
         lp._check_point(weak, one_off)
-    strict = dense(names, loose + [(coeffs, GT, at - F(1, 3 * D))], nonneg=["y"])
+    strict = dense(names, loose + [(coeffs, GT, at - F(1, 3 * D))])
     lp._check_point(strict, point)
     with pytest.raises(InternalCheckError, match=r"violating .* > "):
         lp._check_point(strict, one_off)
+    # every variable is >= 0
     with pytest.raises(InternalCheckError, match="solver returned negative y"):
         lp._check_point(weak, dict(point, y=F(-1, D)))
+    with pytest.raises(InternalCheckError, match="solver returned negative z"):
+        lp._check_point(weak, dict(point, z=F(-1, D)))
 
 
 def test_oracle_agreement_mixed_sign_bounds():
@@ -339,19 +339,16 @@ def test_check_point_rejects_a_point_one_unit_off_an_equality():
 
 
 def test_oracle_agreement_with_equality_rows():
-    """One = row to lp, its two >= halves to the oracle; free and nonneg
-    variables, the nonneg ones given to the oracle as x >= 0 rows."""
+    """One = row to lp, its two >= halves to the oracle."""
     rng = random.Random(6061)
-    seen = {"feasible": 0, "infeasible": 0, "free": 0, "nonneg": 0, "two_eq": 0}
+    seen = {"feasible": 0, "infeasible": 0, "two_eq": 0}
     for _ in range(160):
         nvars = rng.randint(1, 4)
         names = [f"x{i}" for i in range(nvars)]
-        nonneg = [v for v in names if rng.random() < 0.5]
         constraints, objective, direction = random_bounded_system(rng, nvars)
         constraints = constraints[: 2 * nvars + rng.randint(0, 1)]
         # a point inside the box, so that most equalities are satisfiable
-        plant = [F(rng.randint(0 if v in nonneg else -3, 3), rng.randint(1, 3))
-                 for v in names]
+        plant = [4 + F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in names]
         equalities = []
         for _ in range(rng.randint(1, 2)):
             coeffs = [F(rng.randint(-3, 3)) for _ in range(nvars)]
@@ -359,13 +356,12 @@ def test_oracle_agreement_with_equality_rows():
             if rng.random() < 0.25:
                 bound += rng.choice([-1, 1])
             equalities.append((coeffs, bound))
-        sys = dense(names, constraints + [(co, EQ, b) for co, b in equalities], nonneg)
+        sys = dense(names, constraints + [(co, EQ, b) for co, b in equalities])
         assert sum(c.rel is EQ for c in sys.constraints) == len(equalities)
         halves = [(co, GE, b) for co, b in equalities]
         halves += [([-x for x in co], GE, -b) for co, b in equalities]
-        signs = [([F(int(v == w)) for w in names], GE, F(0)) for v in nonneg]
         out = optimize(sys, dict(zip(names, objective)), direction)
-        expected = vertex_oracle(nvars, constraints + halves + signs, objective, direction)
+        expected = vertex_oracle(nvars, constraints + halves, objective, direction)
         if expected is None:
             seen["infeasible"] += 1
             assert out.verdict is Verdict.INFEASIBLE
@@ -375,8 +371,6 @@ def test_oracle_agreement_with_equality_rows():
             assert out.value == expected
             for co, b in equalities:
                 assert sum(c * out.point[v] for c, v in zip(co, names)) == b
-        seen["free"] += len(nonneg) < nvars
-        seen["nonneg"] += bool(nonneg)
         seen["two_eq"] += len(equalities) == 2
     assert min(seen.values()) >= 10, seen
 
@@ -610,7 +604,7 @@ BOUNDS = [0, 0, 1, 4, 9, 2, -1, -6, F(7, 13), F(-7, 13)]
 
 def random_internal_system(rng):
     """Rows over 1-6 columns with all three relations, entries ints and
-    Fractions as the encoding passes them; a third of the systems also draw
+    Fractions as _phase_one passes them; a third of the systems also draw
     coefficients and bounds around 10**30/7, half of them get a box row."""
     n = rng.randint(1, 6)
     entries, bounds = SMALL, BOUNDS
@@ -627,6 +621,19 @@ def random_internal_system(rng):
     return n, rows, c
 
 
+def integer_solve(sx, c):
+    """FractionSimplex.solve on lp._Simplex: phase_one, then _run of the
+    dense objective c.  Returns (status, value, point)."""
+    if not sx.phase_one():
+        return ("infeasible", None, None)
+    c, cden = lp._integers(dict(enumerate(c)))
+    status = sx._run(c, cden, banned=sx.art_cols)
+    point = sx._point()
+    if status == "unbounded":
+        return ("unbounded", None, point)
+    return ("optimal", sum((x * point[j] for j, x in c.items()), F(0)) / cden, point)
+
+
 def test_integer_tableau_matches_fraction_tableau():
     rng = random.Random(31337)
     Ref, New = recording(FractionSimplex), recording(lp._Simplex)
@@ -634,9 +641,10 @@ def test_integer_tableau_matches_fraction_tableau():
             "huge": 0, "pivots": 0}
     for _ in range(400):
         n, rows, c = random_internal_system(rng)
-        ref, new = Ref(n, rows, c), New(n, rows, c)
+        ref = Ref(n, rows, c)
+        new = New(n, [({**dict(enumerate(a)), lp.RHS: b}, rel) for a, rel, b in rows])
         assert new.art_cols == ref.art_cols
-        got, want = new.solve(), ref.solve()
+        got, want = integer_solve(new, c), ref.solve()
         assert got == want
         assert new.pivots == ref.pivots
         if got[0] == "unbounded":
@@ -662,23 +670,13 @@ _REF_REL = {EQ: "=", GE: ">=", GT: ">="}
 
 
 def _reference_encoding(sys, delta):
-    """Columns of the internal nonnegative form: a free variable is split
-    in two, and with delta one more column comes last."""
-    cols, n = {}, 0
-    for v in sys.variables:
-        cols[v] = (n, None) if v in sys.nonneg else (n, n + 1)
-        n += 1 if v in sys.nonneg else 2
+    """Dense rows over the variables of sys and, with delta, one more
+    column last."""
+    n = len(sys.variables)
 
     def row(coeffs, delta_coeff=0):
-        out = [ZERO] * (n + delta)
-        for v, x in coeffs.items():
-            pos, neg = cols[v]
-            out[pos] = x
-            if neg is not None:
-                out[neg] = -x
-        if delta:
-            out[n] = F(delta_coeff)
-        return out
+        out = [coeffs.get(v, ZERO) for v in sys.variables]
+        return out + [F(delta_coeff)] if delta else out
 
     return n + delta, row
 
@@ -711,20 +709,19 @@ def reference_optimize(sys, objective, direction):
     if not strict:
         return Verdict.OPTIMAL, value, True
     pinned = lp.LinearSystem(
-        sys.variables, sys.constraints + (lp.Constraint(objective, EQ, value),), sys.nonneg)
+        sys.variables, sys.constraints + (lp.Constraint(objective, EQ, value),))
     return Verdict.OPTIMAL, value, _reference_strict_feasible(pinned)
 
 
 def random_strict_system(rng):
-    """A system with strict rows over 1-4 variables, some of them nonneg;
-    most have a box, two thirds bound the objective by a weak or a strict
-    row (so that the optimal face is often a facet, and the optimum often
-    not attained), some carry an = row."""
+    """A system with strict rows over 1-4 variables; most have a box, two
+    thirds bound the objective by a weak or a strict row (so that the
+    optimal face is often a facet, and the optimum often not attained),
+    some carry an = row."""
     nvars = rng.randint(1, 4)
     names = [f"x{i}" for i in range(nvars)]
-    nonneg = [v for v in names if rng.random() < 0.3]
     constraints, objective, direction = random_bounded_system(rng, nvars)
-    if rng.random() < 0.25:
+    if rng.random() < 0.4:
         constraints = constraints[2 * nvars:]  # no box: unbounded ones too
     rels = [GE, GT, GT]
     constraints = [(co, rng.choice(rels), b) for co, _, b in constraints]
@@ -737,7 +734,7 @@ def random_strict_system(rng):
                             F(rng.randint(-1, 1))))
     if not any(rel is GT for _, rel, _ in constraints):
         constraints.append(([F(1)] + [F(0)] * (nvars - 1), GT, F(-3)))
-    return dense(names, constraints, nonneg), dict(zip(names, objective)), direction
+    return dense(names, constraints), dict(zip(names, objective)), direction
 
 
 def test_face_step_matches_pinned_reference():
@@ -762,7 +759,7 @@ def test_face_step_matches_pinned_reference():
 
 def _fresh(sys):
     """An equal system with no tableau built yet."""
-    return lp.LinearSystem(sys.variables, sys.constraints, sys.nonneg)
+    return lp.LinearSystem(sys.variables, sys.constraints)
 
 
 def test_interleaved_objectives_answer_as_on_a_fresh_system(monkeypatch):
@@ -781,7 +778,7 @@ def test_interleaved_objectives_answer_as_on_a_fresh_system(monkeypatch):
         if rng.random() < 0.5:  # the weak relaxation, rows as they were
             sys = dense(sys.variables, [
                 ([c.coeffs.get(v, 0) for v in sys.variables], GE if c.rel is GT else c.rel,
-                 c.bound) for c in sys.constraints], sys.nonneg)
+                 c.bound) for c in sys.constraints])
         strict += any(c.rel is GT for c in sys.constraints)
         second = {v: F(rng.randint(-3, 3)) for v in sys.variables}
         calls = [(first, MAX), (second, MIN), (first, MIN), (second, MAX), (first, MAX)]
