@@ -21,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError, ResourceError
@@ -167,7 +167,7 @@ def search_violation(
             if hit is None:
                 continue
             n = _coverage(at_least, masks[hit]) - k
-            found = CoverInstance(sets=tuple(_unmask(ground, s) for s in sets),
+            found = CoverInstance(sets=_unmask(ground, sets),
                                   target=targets[hit], n=n, k=k)
             if not verify_cover(found, ground) or up3_check(v, found):
                 raise InternalCheckError(
@@ -288,8 +288,8 @@ def subset_masks(n: int) -> list[int]:
             for c in itertools.combinations(range(n), r)]
 
 
-def _unmask(ground: list[str], mask: int) -> frozenset:
-    return frozenset(g for i, g in enumerate(ground) if mask >> i & 1)
+def _unmask(ground: list[str], masks: Iterable[int]) -> tuple[frozenset, ...]:
+    return tuple(frozenset(g for i, g in enumerate(ground) if m >> i & 1) for m in masks)
 
 
 def check_properties(
@@ -298,67 +298,80 @@ def check_properties(
 ) -> dict[int, Optional[tuple]]:
     """Check the six inclusion-exclusion-style envelope properties.
 
-    Returns {property number: None on PASS, else a violating subset tuple}.
-    Properties (1) and (2) are checked for families of up to max_sets sets;
-    (3)-(5) over all ordered pairs; (6) over all disjoint pairs.  When
-    given a SetFunction v, the lower function is the dual
+    Returns {property number: None on PASS, else the first violating subset
+    tuple}, first in the order of the plain loops: (1) and (2) over families
+    of up to max_sets sets by size, then in combinations_with_replacement
+    order of the masks; (3)-(6) over pairs in product order.  Each runs only
+    where it can fail.  One set passes (1) and (2).  One pass over the
+    unordered pairs A <= B (about 2^(2n-1)) checks (1) and (2) on two sets
+    and the symmetric (4) and (5); (3) runs over the 4^n ordered pairs, (6)
+    over the 3^n disjoint ones.  A family of r >= 3 sets is a prefix and a
+    last set X; what X adds to the prefix's sums is one vector over all X
+    (see _prefixes).  The work is counted first; past DEFAULT_SEARCH_BUDGET
+    a ResourceError is raised.  Given a SetFunction v, lower is the dual
     1 - v(complement).
     """
     if max_sets < 2:
         raise InputError("max_sets must be >= 2")
     ground, upper, lower, _ = mask_tables(source)
-    masks = range(len(upper))
-    report: dict[int, Optional[tuple]] = {i: None for i in range(1, 7)}
-
-    def alternating(family: tuple, use_upper_on_odd: bool) -> int:
-        total = 0
-        idx = range(len(family))
-        for i in range(1, len(family) + 1):
-            odd = i % 2 == 1
-            table = upper if (odd == use_upper_on_odd) else lower
-            sub = 0
-            for I in itertools.combinations(idx, i):
-                inter = family[I[0]]
-                for j in I[1:]:
-                    inter &= family[j]
-                sub += table[inter]
-            total += sub if odd else -sub
-        return total
-
-    # (1) and (2): families of size up to max_sets
-    for n in range(1, max_sets + 1):
-        if report[1] is not None and report[2] is not None:
+    N, masks = len(upper), range(len(upper))
+    # families of 3..max_sets sets (of 0..r sets there are comb(N + r, r)),
+    # the unordered, ordered and disjoint pairs
+    work = (comb(N + max_sets, N) - comb(N + 2, 2) + comb(N + 1, 2) + N * N
+            + 3 ** len(ground))
+    if work > DEFAULT_SEARCH_BUDGET:
+        raise ResourceError(f"props needs {work} families and pairs, "
+                            f"over the budget of {DEFAULT_SEARCH_BUDGET}")
+    report: dict[int, Optional[tuple]] = dict.fromkeys(range(1, 7))
+    # on A <= B, (1) is y <= s, (2) x >= t, (4) t <= x <= s and (5) t <= y <= s
+    for A in masks:
+        for B in range(A, N):
+            s, t = upper[A] + upper[B], lower[A] + lower[B]
+            x, y = lower[A | B] + upper[A & B], lower[A & B] + upper[A | B]
+            if t <= x <= s >= y >= t:
+                continue
+            for prop, holds in ((1, y <= s), (2, x >= t), (4, t <= x <= s), (5, t <= y <= s)):
+                if not holds and report[prop] is None:
+                    report[prop] = _unmask(ground, (A, B))
+        if None not in (report[1], report[2], report[4], report[5]):
             break
-        for family in itertools.combinations_with_replacement(masks, n):
-            union = 0
-            for m in family:
-                union |= m
-            if report[1] is None and not upper[union] <= alternating(family, True):
-                report[1] = tuple(_unmask(ground, m) for m in family)
-            if report[2] is None and not lower[union] >= alternating(family, False):
-                report[2] = tuple(_unmask(ground, m) for m in family)
-            if report[1] is not None and report[2] is not None:
-                break
-
-    for A, B in itertools.product(masks, repeat=2):
-        u, i = A | B, A & B
-        if report[3] is None and not (
-            lower[u] + lower[i] <= lower[A] + upper[B] <= upper[u] + upper[i]
-        ):
-            report[3] = (_unmask(ground, A), _unmask(ground, B))
-        if report[4] is None and not (
-            lower[A] + lower[B] <= lower[u] + upper[i] <= upper[A] + upper[B]
-        ):
-            report[4] = (_unmask(ground, A), _unmask(ground, B))
-        if report[5] is None and not (
-            lower[A] + lower[B] <= lower[i] + upper[u] <= upper[A] + upper[B]
-        ):
-            report[5] = (_unmask(ground, A), _unmask(ground, B))
-        if report[6] is None and i == 0 and not (
-            upper[A] + lower[B] <= upper[u] <= upper[A] + upper[B]
-        ):
-            report[6] = (_unmask(ground, A), _unmask(ground, B))
+    report[3] = next((_unmask(ground, (A, B)) for A in masks for B in masks if not (
+        lower[A | B] + lower[A & B] <= lower[A] + upper[B] <= upper[A | B] + upper[A & B]
+    )), None)
+    # (6): B over the submasks of A's complement, the subset sums of its bits
+    bits = [1 << i for i in range(len(ground))]
+    report[6] = next((_unmask(ground, (A, B)) for A in masks
+                      for B in subset_sums([b for b in bits if not A & b]) if not (
+        upper[A] + lower[B] <= upper[A | B] <= upper[A] + upper[B]
+    )), None)
+    for r in range(3, max_sets + 1):
+        for prefix, union, c1, c2, up, lo in _prefixes(r - 1, upper, lower):
+            if None not in (report[1], report[2]):
+                return report
+            xs = range(prefix[-1], N)
+            if report[1] is None:
+                report[1] = next((_unmask(ground, prefix + (x,)) for x in xs
+                                  if upper[union | x] > c1 + up[x]), None)
+            if report[2] is None:
+                report[2] = next((_unmask(ground, prefix + (x,)) for x in xs
+                                  if lower[union | x] < c2 + lo[x]), None)
     return report
+
+
+def _prefixes(k: int, up: list[int], lo: list[int], start: int = 0,
+              family: tuple = (), union: int = 0, c1: int = 0, c2: int = 0):
+    """The families of k more masks from start on, in combinations_with_
+    replacement order, as (family, union, c1, c2, up, lo): c1 and c2 are the
+    inclusion-exclusion sums of (1) and (2), up[X] and lo[X] what a last set
+    X adds to them (upper and lower for the empty family).  Adding a turns
+    up[X] into up[X] - lo[a & X] and lo[X] into lo[X] - up[a & X]."""
+    if k == 0:
+        yield family, union, c1, c2, up, lo
+        return
+    for a in range(start, len(up)):
+        yield from _prefixes(k - 1, [u - lo[a & x] for x, u in enumerate(up)],
+                             [v - up[a & x] for x, v in enumerate(lo)],
+                             a, family + (a,), union | a, c1 + up[a], c2 + lo[a])
 
 
 # ---------------------------------------------------------------------------

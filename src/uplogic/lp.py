@@ -166,8 +166,9 @@ RHS = -1  # the column of a tableau row's right-hand side
 def _integers(row: Mapping) -> tuple[dict, int]:
     """The nonzero entries of a sparse {column: int or Fraction} row, as
     {column: int} over the lcm of their denominators."""
-    den = lcm(*[x.denominator for x in row.values() if x])
-    return {j: x.numerator * (den // x.denominator) for j, x in row.items() if x}, den
+    ratios = [x.as_integer_ratio() for x in row.values()]  # one call for both parts
+    den = lcm(*[d for n, d in ratios if n])
+    return {j: n * (den // d) for j, (n, d) in zip(row, ratios) if n}, den
 
 
 def _reduce(row: dict, den: int) -> tuple[dict, int]:

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -293,6 +294,20 @@ class TestProps:
         code, out, err = run(capsys, "props", "--model", str(path), "--max-sets", "2")
         assert (code, out) == (3, "")
         assert err == "error: 18 worlds exceed the set-function cap 16\n"
+
+    def test_work_budget_exit_3(self, capsys, tmp_path):
+        # 16 worlds are inside the world cap, but the families of three of
+        # their 2^16 subsets are far past the budget: exit 3 before any loop
+        worlds = [{"id": f"w{i}"} for i in range(16)]
+        doc = {"props": [], "worlds": worlds, "measures": [{"dist": {"w0": 1}}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "props", "--model", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == ("error: props needs 46921129154369 families and pairs, "
+                       "over the budget of 2000000\n")
 
 
 class TestMalformedDocuments:

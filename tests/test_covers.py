@@ -193,6 +193,58 @@ class TestCheckProperties:
         lower = lambda X: 1 - w(frozenset(w.ground) - X)
         assert not (w(A) + lower(B) <= w(A | B) <= w(A) + w(B))
 
+    def test_first_ordered_pair_violator_may_come_second(self):
+        # (3) at ({b}, {a}): l(ab) + l() = 1/2 <= l(b) + v(a) = 3/2, which
+        # exceeds v(ab) + v() = 1; the swapped pair ({a}, {b}) passes, and
+        # {b} comes after {a} in mask order
+        v = SetFunction(("a", "b", "c"), {
+            frozenset(): F(0), frozenset("a"): F(1), frozenset("b"): F(1),
+            frozenset("c"): F(1, 2), frozenset("ab"): F(1), frozenset("ac"): F(1, 2),
+            frozenset("bc"): F(1), frozenset("abc"): F(1),
+        })
+        report = check_properties(v, 2)
+        assert report[3] == (frozenset("b"), frozenset("a"))
+        assert report == reference_check_properties(v, 2)
+
+    def test_first_disjoint_pair_violator_may_come_second(self):
+        # (6) at ({b}, {a}): v(b) + l(a) = 1 + 1/3 exceeds v(ab) = 2/3; the
+        # swapped pair has v(a) + l(b) = 2/3 + 0 and passes
+        v = SetFunction(("a", "b", "c"), {
+            frozenset(): F(0), frozenset("a"): F(2, 3), frozenset("b"): F(1),
+            frozenset("c"): F(1, 3), frozenset("ab"): F(2, 3), frozenset("ac"): F(1),
+            frozenset("bc"): F(2, 3), frozenset("abc"): F(1),
+        })
+        report = check_properties(v, 2)
+        assert report[6] == (frozenset("b"), frozenset("a"))
+        assert report == reference_check_properties(v, 2)
+
+    def test_property_one_failing_only_on_three_sets(self, monkeypatch):
+        # No structure and, by an exact LP over all set functions on up to
+        # four elements, no set function breaks (1) on three sets while
+        # every pair passes; so the tables are given directly.  With upper
+        # and lower 1 on every nonempty set, every pair passes (1), and the
+        # first family of three sets whose pairwise intersections meet but
+        # whose triple intersection is empty, {ab, ac, bc}, gives 1 <= 0.
+        ground = ["a", "b", "c"]
+        ones = [0] + [1] * 7
+        monkeypatch.setattr(covers, "mask_tables", lambda source: (ground, ones, ones, 1))
+        assert check_properties(None, 2)[1] is None
+        family = check_properties(None, 3)[1]
+        assert family == (frozenset("ab"), frozenset("ac"), frozenset("bc"))
+        assert check_properties(None, 4)[1] == family
+
+    def test_budget_counts_families_and_pairs(self, monkeypatch):
+        # 4 elements, 16 sets: 816 families of three, 136 unordered pairs,
+        # 256 ordered and 81 disjoint, 1289 in all
+        v = SetFunction(tuple("abcd"), {frozenset(X): F(r, 4) for r in range(5)
+                                        for X in itertools.combinations("abcd", r)})
+        monkeypatch.setattr(covers, "DEFAULT_SEARCH_BUDGET", 1288)
+        with pytest.raises(ResourceError, match="^props needs 1289 families and pairs, "
+                                                "over the budget of 1288$"):
+            check_properties(v, 3)
+        monkeypatch.setattr(covers, "DEFAULT_SEARCH_BUDGET", 1289)
+        assert check_properties(v, 3) == reference_check_properties(v, 3)
+
     def test_max_sets_must_cover_pairs(self):
         with pytest.raises(InputError):
             check_properties(SetFunction(("1",), {
@@ -414,6 +466,13 @@ class TestMatchesFractionReference:
             v = random_set_function(rng, 1 + trial % 4)
             for max_sets in (2, 3):
                 assert check_properties(v, max_sets) == reference_check_properties(v, max_sets)
+        # five and six elements; and four sets, which orders families across sizes
+        for trial in range(16):
+            v = random_set_function(rng, 5 + trial % 2)
+            assert check_properties(v, 2) == reference_check_properties(v, 2)
+        for trial in range(24):
+            v = random_set_function(rng, 1 + trial % 4)
+            assert check_properties(v, 4) == reference_check_properties(v, 4)
 
     def test_properties_of_structures(self):
         rng = random.Random(37)
@@ -421,6 +480,12 @@ class TestMatchesFractionReference:
             M = random_structure(rng, max_worlds=4)
             for max_sets in (2, 3):
                 assert check_properties(M, max_sets) == reference_check_properties(M, max_sets)
+        for _ in range(16):
+            M = random_structure(rng, max_worlds=6)
+            assert check_properties(M, 2) == reference_check_properties(M, 2)
+        for _ in range(6):
+            M = random_structure(rng, max_worlds=3)
+            assert check_properties(M, 4) == reference_check_properties(M, 4)
 
     def test_properties_of_fixtures(self, veps, table, marble):
         for source in (veps, table, marble):
