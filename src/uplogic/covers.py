@@ -299,17 +299,11 @@ def check_properties(
     """Check the six inclusion-exclusion-style envelope properties.
 
     Returns {property number: None on PASS, else the first violating subset
-    tuple}, first in the order of the plain loops: (1) and (2) over families
-    of up to max_sets sets by size, then in combinations_with_replacement
-    order of the masks; (3)-(6) over pairs in product order.  Each runs only
-    where it can fail.  One set passes (1) and (2).  One pass over the
-    unordered pairs A <= B (about 2^(2n-1)) checks (1) and (2) on two sets
-    and the symmetric (4) and (5); (3) runs over the 4^n ordered pairs, (6)
-    over the 3^n disjoint ones.  A family of r >= 3 sets is a prefix and a
-    last set X; what X adds to the prefix's sums is one vector over all X
-    (see _prefixes).  The work is counted first; past DEFAULT_SEARCH_BUDGET
-    a ResourceError is raised.  Given a SetFunction v, lower is the dual
-    1 - v(complement).
+    tuple}: for (1) and (2) over families of up to max_sets sets, by size
+    and then in combinations_with_replacement order of the masks; for
+    (3)-(6) over pairs in product order (README, "Properties").  Past
+    DEFAULT_SEARCH_BUDGET families and pairs, raises ResourceError before
+    any loop.  Given a SetFunction v, lower is the dual 1 - v(complement).
     """
     if max_sets < 2:
         raise InputError("max_sets must be >= 2")
@@ -344,34 +338,33 @@ def check_properties(
                       for B in subset_sums([b for b in bits if not A & b]) if not (
         upper[A] + lower[B] <= upper[A | B] <= upper[A] + upper[B]
     )), None)
-    for r in range(3, max_sets + 1):
-        for prefix, union, c1, c2, up, lo in _prefixes(r - 1, upper, lower):
-            if None not in (report[1], report[2]):
-                return report
-            xs = range(prefix[-1], N)
-            if report[1] is None:
-                report[1] = next((_unmask(ground, prefix + (x,)) for x in xs
-                                  if upper[union | x] > c1 + up[x]), None)
-            if report[2] is None:
-                report[2] = next((_unmask(ground, prefix + (x,)) for x in xs
-                                  if lower[union | x] < c2 + lo[x]), None)
+    # families of r >= 3 sets, a frame per prefix (README); need[p]: largest size left
+    need = {p: 2 if report[p] else max_sets for p in (1, 2)}
+    family: list[int] = []
+    frames = [(iter(masks), 0, 0, 0, upper, lower)]
+    while frames:
+        it, union, c1, c2, up, lo = frames[-1]
+        a = next(it, None)
+        if a is None or max(2, len(frames)) >= max(need.values()):
+            frames.pop()
+            del family[len(frames) - 1:]
+            continue
+        union, c1, c2 = union | a, c1 + up[a], c2 + lo[a]
+        up, lo = ([u - lo[a & x] for x, u in enumerate(up)],
+                  [v - up[a & x] for x, v in enumerate(lo)])
+        size, xs = len(frames) + 1, range(a, N)
+        if need[1] >= size > 2:
+            x = next((x for x in xs if upper[union | x] > c1 + up[x]), None)
+            if x is not None:
+                report[1], need[1] = _unmask(ground, family + [a, x]), size - 1
+        if need[2] >= size > 2:
+            x = next((x for x in xs if lower[union | x] < c2 + lo[x]), None)
+            if x is not None:
+                report[2], need[2] = _unmask(ground, family + [a, x]), size - 1
+        if size < max(need.values()):
+            family.append(a)
+            frames.append((iter(xs), union, c1, c2, up, lo))
     return report
-
-
-def _prefixes(k: int, up: list[int], lo: list[int], start: int = 0,
-              family: tuple = (), union: int = 0, c1: int = 0, c2: int = 0):
-    """The families of k more masks from start on, in combinations_with_
-    replacement order, as (family, union, c1, c2, up, lo): c1 and c2 are the
-    inclusion-exclusion sums of (1) and (2), up[X] and lo[X] what a last set
-    X adds to them (upper and lower for the empty family).  Adding a turns
-    up[X] into up[X] - lo[a & X] and lo[X] into lo[X] - up[a & X]."""
-    if k == 0:
-        yield family, union, c1, c2, up, lo
-        return
-    for a in range(start, len(up)):
-        yield from _prefixes(k - 1, [u - lo[a & x] for x, u in enumerate(up)],
-                             [v - up[a & x] for x, v in enumerate(lo)],
-                             a, family + (a,), union | a, c1 + up[a], c2 + lo[a])
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ RHS = -1  # the column of a tableau row's right-hand side
 def _integers(row: Mapping) -> tuple[dict, int]:
     """The nonzero entries of a sparse {column: int or Fraction} row, as
     {column: int} over the lcm of their denominators."""
-    ratios = [x.as_integer_ratio() for x in row.values()]  # one call for both parts
+    ratios = [x.as_integer_ratio() for x in row.values()]
     den = lcm(*[d for n, d in ratios if n])
     return {j: n * (den // d) for j, (n, d) in zip(row, ratios) if n}, den
 

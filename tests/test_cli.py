@@ -309,6 +309,14 @@ class TestProps:
         assert err == ("error: props needs 46921129154369 families and pairs, "
                        "over the budget of 2000000\n")
 
+    def test_deep_families_end_in_an_exit_code(self, capsys, tmp_path):
+        # 1500 sets in a family are past Python's recursion limit, while the
+        # families of one element's two subsets stay inside the budget
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"omega": ["a"], "v": {"": 0, "a": 1}}))
+        code, out, err = run(capsys, "props", "--function", str(path), "--max-sets", "1500")
+        assert (code, out.count("PASS"), err) == (0, 6, "")
+
 
 class TestMalformedDocuments:
     """Every document shape ends in exit 2 with one line, never a traceback."""

@@ -233,6 +233,23 @@ class TestCheckProperties:
         assert family == (frozenset("ab"), frozenset("ac"), frozenset("bc"))
         assert check_properties(None, 4)[1] == family
 
+    def test_smaller_family_found_later_wins(self, monkeypatch):
+        # upper = lower = f, the sum of a mass m over the subsets of X, with
+        # m = +1 on d and abcd and -1 on abd, acd and bcd.  Then (1) fails
+        # on a family iff the subsets of its union inside none of its sets
+        # carry positive mass: no pair does, but {abd, acd, bcd} does, and
+        # so does {{}, abd, acd, bcd}, which a depth-first walk reaches
+        # first.  The family of three sets is the first violation.
+        ground, m = ["a", "b", "c", "d"], [0] * 16
+        m[8] = m[15] = 1
+        m[11] = m[13] = m[14] = -1
+        f = [sum(m[b] for b in range(16) if b & x == b) for x in range(16)]
+        monkeypatch.setattr(covers, "mask_tables", lambda source: (ground, f, f, 1))
+        family = (frozenset("abd"), frozenset("acd"), frozenset("bcd"))
+        assert check_properties(None, 2)[1] is None
+        assert check_properties(None, 3)[1] == family
+        assert check_properties(None, 4)[1] == family
+
     def test_budget_counts_families_and_pairs(self, monkeypatch):
         # 4 elements, 16 sets: 816 families of three, 136 unordered pairs,
         # 256 ordered and 81 disjoint, 1289 in all
