@@ -10,9 +10,10 @@ budget, since no a-priori bound on the multiset size is available.
 The search and the property checks work on one representation: integer
 tables indexed by ground bitmask, every value scaled by one common
 denominator L (`mask_tables`), so each comparison is an exact integer
-comparison.  For a fixed multiset with ground coverage k, the best target
-is bounded once from a subset-max table instead of testing all 2^n
-targets; see search_violation.
+comparison.  search_violation builds each multiset once from its prefix,
+keeps its coverage chain as runs of equal sets, and bounds its best target
+once from a subset-max table instead of testing all 2^n targets (README,
+"Covers").
 """
 
 from __future__ import annotations
@@ -99,30 +100,19 @@ def search_violation(
     m_max: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Optional[CoverInstance]:
-    """Smallest-m cover instance violating the UP3 inequality, if any.
+    """The first cover instance of at most m_max sets violating the UP3
+    inequality, or None if there is none.
 
-    Enumerates multisets (with repetition) of the distinct nonempty proper
-    subsets of the ground set, by nondecreasing size m <= m_max.  For a
-    fixed multiset and target the inequality's left side is maximized at
-    k = min(cover count of Omega, cover count of target) and n the
-    remaining target coverage, so only that extreme (n,k) needs testing;
-    the empty target counts as covered m times.
-    Returns None when no violating instance with m <= m_max exists.
-
-    A multiset with ground coverage k violates the inequality iff
-    k + max over targets t of (cov(t) - k)*v(t) exceeds its total.  That
-    maximum is computed once per multiset: with best[S] the largest v(T)
-    over T within S, the empty T included, and S_c the elements covered at
-    least c times, it is the largest of (c - k)*best[S_c] over the levels
-    k < c <= m (0 when k = m).  No target exceeds it: a target t with
-    cov(t) = c > k lies within S_c (the empty one within every S_c).  The
-    bound is exact because v >= 0: the T attaining best[S_c] is covered at
-    least c times (a nonempty T lies within S_c, the empty T counts m), so
-    (cov(T) - k)*v(T) >= (c - k)*best[S_c].  Only a multiset over the bound
-    has its targets scanned, in v.subsets() order, so the certificate is
-    the first violating (multiset, target) pair.  The budget still counts
-    multiset x target instances: a multiset cleared by the bound spends
-    2^n of it.
+    Multisets of the nonempty proper subsets of the ground set are visited
+    by size m, each size in combinations_with_replacement order, and a
+    multiset's targets in v.subsets() order; a multiset covering the ground
+    k times is tested at that k and at n = its target coverage minus k, the
+    empty target counting as covered m times.  The budget counts multiset x
+    target instances as a search testing every target would: past it,
+    ResourceError.  The certificate is re-checked by verify_cover and
+    up3_check; InternalCheckError if either disagrees.  How each multiset
+    is built from its prefix and bounded without visiting its targets:
+    README, "Covers".
     """
     if m_max < 1:
         raise InputError("m_max must be >= 1")
@@ -130,7 +120,6 @@ def search_violation(
     n_el = len(ground)
     full = (1 << n_el) - 1
     masks = subset_masks(n_el)
-    targets = v.subsets()  # the same order as masks
     pool = [t for t in masks if t and t != full]
     best = table[:]  # best[S] = max of table[T] over T within S
     for i in range(n_el):
@@ -138,43 +127,84 @@ def search_violation(
         for S in range(full + 1):
             if S & bit and best[S ^ bit] > best[S]:
                 best[S] = best[S ^ bit]
-    spent = 0
+    spent, cost = 0, len(masks)
+    # a multiset of m sets: (link, index of its last set in pool, total,
+    # runs), with link = (the prefix's link, last set) and runs the
+    # (mask, top level) pairs of its nonempty chain S_0 >= S_1 >= ... >= S_m,
+    # S_c the elements covered at least c times; runs[0] is (full, k)
+    level = [(None, 0, 0, [(full, 0)])]
     for m in range(1, m_max + 1):
-        levels = range(m, 0, -1)
-        for sets in itertools.combinations_with_replacement(pool, m):
-            at_least = [full] + [0] * m  # at_least[c] is S_c, a nested chain
-            for s in sets:
-                for c in levels:
-                    at_least[c] |= at_least[c - 1] & s
-            k = at_least.count(full) - 1
-            total = sum(table[s] for s in sets)
-            bound = max([(c - k) * best[at_least[c]] for c in range(k + 1, m + 1)],
-                        default=0)
-            hit = None  # index of the first violating target
-            if k * L + bound > total:
-                hit = next((j for j, t in enumerate(masks)
-                            if k * L + (_coverage(at_least, t) - k) * table[t] > total),
-                           None)
-                if hit is None:
-                    raise InternalCheckError(
-                        "search_violation's target bound exceeds every target"
+        grown = []
+        for link, first, prefix_total, runs in level:
+            for i in range(first, len(pool)):
+                s = pool[i]
+                # each run's first level a becomes S_a | S_(a-1) & s, the
+                # levels above it keep S_a, S_top & s goes on top of the
+                # last run, and equal neighbours merge
+                chain = [runs[0]]
+                below, a = full, runs[0][1] + 1
+                for M, top in runs[1:]:
+                    head = M | below & s
+                    if head == chain[-1][0]:
+                        chain[-1] = (head, a)
+                    elif head != M:
+                        chain.append((head, a))
+                    if head == M or top > a:
+                        chain.append((M, top))
+                    below, a = M, top + 1
+                head = below & s
+                if head == chain[-1][0]:
+                    chain[-1] = (head, a)
+                elif head:
+                    chain.append((head, a))
+                k = chain[0][1]
+                total = prefix_total + table[s]
+                # the largest (cov(t) - k)*v(t) over the targets t: the empty
+                # target's, covered m times, or a run's top times the best
+                # subset of its set
+                slack = total - k * L
+                bound = (m - k) * best[0]
+                for mask, top in chain[1:]:
+                    if (top - k) * best[mask] > bound:
+                        bound = (top - k) * best[mask]
+                hit = None  # index of the first violating target
+                if bound > slack:
+                    at_least: list[int] = []  # at_least[c] is S_c
+                    for mask, top in chain:
+                        at_least += [mask] * (top + 1 - len(at_least))
+                    at_least += [0] * (m + 1 - len(at_least))
+                    hit = next((j for j, t in enumerate(masks)
+                                if (_coverage(at_least, t) - k) * table[t] > slack),
+                               None)
+                    if hit is None:
+                        raise InternalCheckError(
+                            "search_violation's target bound exceeds every target"
+                        )
+                spent += cost if hit is None else hit + 1
+                if spent > budget:
+                    raise ResourceError(
+                        f"cover search budget of {budget} instances exceeded"
                     )
-            spent += len(masks) if hit is None else hit + 1
-            if spent > budget:
-                raise ResourceError(
-                    f"cover search budget of {budget} instances exceeded"
-                )
-            if hit is None:
-                continue
-            n = _coverage(at_least, masks[hit]) - k
-            found = CoverInstance(sets=_unmask(ground, sets),
-                                  target=targets[hit], n=n, k=k)
-            if not verify_cover(found, ground) or up3_check(v, found):
-                raise InternalCheckError(
-                    "search_violation built an instance that is not a "
-                    "violating cover"
-                )
-            return found
+                if hit is None:
+                    if m < m_max:  # the last size is extended no further
+                        grown.append(((link, s), i, total, chain))
+                    continue
+                sets = [s]
+                while link is not None:
+                    link, t = link
+                    sets.append(t)
+                found = CoverInstance(sets=_unmask(ground, reversed(sets)),
+                                      target=v.subsets()[hit],
+                                      n=_coverage(at_least, masks[hit]) - k, k=k)
+                if not verify_cover(found, ground) or up3_check(v, found):
+                    raise InternalCheckError(
+                        "search_violation built an instance that is not a "
+                        "violating cover"
+                    )
+                return found
+        if not grown:
+            break
+        level = grown
     return None
 
 

@@ -34,7 +34,8 @@ DEFAULT_ATOM_CAP = 16
 def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
     """Max number of distinct propositions allowed in atom enumeration.
 
-    Overridable via the UPLOGIC_ATOM_CAP environment variable.
+    Overridable via the UPLOGIC_ATOM_CAP environment variable, up to
+    DEFAULT_ATOM_CAP.
     """
     raw = os.environ.get("UPLOGIC_ATOM_CAP")
     if raw is None:
@@ -45,6 +46,8 @@ def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
         raise InputError(f"UPLOGIC_ATOM_CAP is not an integer: {raw!r}")
     if cap < 0:
         raise InputError(f"UPLOGIC_ATOM_CAP is negative: {raw!r}")
+    if cap > DEFAULT_ATOM_CAP:
+        raise InputError(f"UPLOGIC_ATOM_CAP is above the ceiling {DEFAULT_ATOM_CAP}: {raw!r}")
     return cap
 
 

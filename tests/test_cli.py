@@ -202,7 +202,7 @@ class TestAtomCap:
     """UPLOGIC_ATOM_CAP overrides the proposition cap; a bad value is an
     input error."""
 
-    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    @pytest.mark.parametrize("raw", ["abc", "-1", "17", "1" + "0" * 30])
     def test_bad_value_exit_2(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("UPLOGIC_ATOM_CAP", raw)
         code, out, err = run(capsys, "sat", "--formula", "l(true) >= 0")
@@ -263,6 +263,30 @@ class TestCovers:
             capsys, "covers", "search", "--function", TABLE_UPPER, "--m-max", "3",
         )
         assert code == 1 and out.strip() == "none up to 3"
+
+    def test_one_element_any_m_max_exit_1(self, capsys, tmp_path):
+        # one element has no nonempty proper subset: no multiset of size 1,
+        # so none of any larger size, and the search stops at once
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"omega": ["a"], "v": {"": "0", "a": "1"}}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "covers", "search", "--function", str(path),
+                             "--m-max", "1000000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "none up to 1000000000\n", "")
+
+    def test_two_element_envelope_exit_3(self, capsys, tmp_path):
+        # multisets of {a} and {b}: m + 1 of size m, each cleared at 4
+        # instances, so the budget of 2,000,000 runs out near m = 1000
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"omega": ["a", "b"],
+                                    "v": {"": "0", "a": "1/2", "b": "2/3", "a,b": "1"}}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "covers", "search", "--function", str(path),
+                             "--m-max", "1000")
+        assert time.perf_counter() - start < 15
+        assert (code, out) == (3, "")
+        assert err == "error: cover search budget of 2000000 instances exceeded\n"
 
 
 class TestProps:

@@ -385,6 +385,27 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
+def set_function(ground, value):
+    """The set function on the letters of ground with value(X) at each
+    subset X, given as the string of its letters in ground's order."""
+    return SetFunction(tuple(ground), {
+        frozenset(X): value("".join(X))
+        for r in range(len(ground) + 1) for X in itertools.combinations(ground, r)})
+
+
+def random_envelope(rng, n):
+    """The upper envelope of two or three random measures on n elements,
+    as a map from each subset to its value."""
+    ground = tuple("abcdef"[:n])
+    measures = []
+    for _ in range(rng.randint(2, 3)):
+        weights = [rng.randint(0, 5) for _ in ground]
+        weights[rng.randrange(n)] += 1
+        measures.append({g: F(w, sum(weights)) for g, w in zip(ground, weights)})
+    return {frozenset(X): max(sum((mu[g] for g in X), F(0)) for mu in measures)
+            for r in range(n + 1) for X in itertools.combinations(ground, r)}
+
+
 def random_set_function(rng, n):
     """A total set function on n elements with values in [0,1].
 
@@ -403,13 +424,7 @@ def random_set_function(rng, n):
             values[frozenset()] = F(0)
             values[frozenset(ground)] = F(1)
         return SetFunction(ground, values)
-    measures = []
-    for _ in range(rng.randint(2, 3)):
-        weights = [rng.randint(0, 5) for _ in ground]
-        weights[rng.randrange(n)] += 1
-        measures.append({g: F(w, sum(weights)) for g, w in zip(ground, weights)})
-    values = {X: max(sum((mu[g] for g in X), F(0)) for mu in measures)
-              for X in subsets}
+    values = random_envelope(rng, n)
     X = rng.choice(subsets)
     values[X] = min(F(1), max(F(0), values[X] + rng.choice([-1, 1]) * rng.choice([F(1, 13), F(7, 13)])))
     return SetFunction(ground, values)
@@ -422,9 +437,9 @@ class TestMatchesFractionReference:
         rng = random.Random(23)
         found = 0
         for trial in range(300):
-            n = 1 + trial % 5
+            n = 1 + trial % 6
             v = random_set_function(rng, n)
-            m_max = rng.randint(1, 3 if n <= 4 else 2)
+            m_max = rng.randint(1, 4 if n <= 3 else 3 if n == 4 else 2)
             for budget in self.BUDGETS:
                 want = outcome(reference_search_violation, v, m_max, budget)
                 assert outcome(search_violation, v, m_max, budget) == want
@@ -461,6 +476,13 @@ class TestMatchesFractionReference:
                 for budget in (50, 500, covers.DEFAULT_SEARCH_BUDGET):
                     assert (outcome(search_violation, v, m_max, budget)
                             == outcome(reference_search_violation, v, m_max, budget))
+        # five and six elements, where an envelope's search visits every
+        # multiset of two sets
+        for n in (5, 5, 5, 6, 6):
+            v = SetFunction(tuple("abcdef"[:n]), random_envelope(rng, n))
+            for budget in (50, 500, covers.DEFAULT_SEARCH_BUDGET):
+                assert (outcome(search_violation, v, 2, budget)
+                        == outcome(reference_search_violation, v, 2, budget))
 
     def test_empty_target_certificate(self):
         v = SetFunction(("a", "b"), {
@@ -471,6 +493,38 @@ class TestMatchesFractionReference:
         assert cert == reference_search_violation(v, 3)
         assert cert.target == frozenset() and cert.n >= 1
         assert not up3_check(v, cert)
+
+    def test_empty_target_of_three_sets(self):
+        # {a}, {b}, {c} cover the ground once and the empty target three
+        # times: 1 + 2*v() = 2 exceeds 3/2.  No run of the chain lies above
+        # k = 1, so only the empty target's term in the bound sees it.
+        v = set_function("abc", lambda X: F(1, 2) if len(X) < 2 else F(1))
+        assert search_violation(v, 2) is None
+        cert = search_violation(v, 3)
+        assert cert == ci(["a", "b", "c"], "", 2, 1) == reference_search_violation(v, 3)
+
+    def test_ground_covered_by_a_merge(self):
+        # {ab, ac, ad}: the third set makes S_2 and S_1 equal to the ground,
+        # so the ground's run grows to k = 1 by a merge, and a run of {a}
+        # covered three times gives 1 + 2*v(a) = 7/5 > 6/5.  v is 4/5 on the
+        # sets with b and 1/5 on the others, 1/5 more on three elements.
+        v = set_function("abcd", lambda X: F(0) if not X else F(1) if len(X) == 4
+                         else F(4 if "b" in X else 1, 5) + F(len(X) == 3, 5))
+        assert search_violation(v, 2) is None
+        cert = search_violation(v, 3)
+        assert cert == ci(["ab", "ac", "ad"], "a", 2, 1) == reference_search_violation(v, 3)
+
+    def test_certificate_repeating_a_set(self):
+        # {a, a, bc, bd, cd} covers every element exactly twice (k = 2) and
+        # the empty target five times: 2 + 3/5 exceeds 2*(3/5) + 3*(2/5).
+        # The second {a} leaves the chain's runs alone except the ground's,
+        # which absorbs S_2 by a merge.  No smaller cover violates.
+        v = set_function("abcd", lambda X: F(1, 5) if not X else F(1) if "a" in X and len(X) > 1
+                         else F(3, 5) if X in ("a", "bcd") else F(2, 5))
+        assert search_violation(v, 4) is None
+        cert = search_violation(v, 5)
+        assert cert == ci(["a", "a", "bc", "bd", "cd"], "", 3, 2)
+        assert cert == reference_search_violation(v, 5)
 
     def test_veps_and_fixtures(self, veps, table_upper):
         for v in (veps, table_upper):
