@@ -11,9 +11,9 @@ The search and the property checks work on one representation: integer
 tables indexed by ground bitmask, every value scaled by one common
 denominator L (`mask_tables`), so each comparison is an exact integer
 comparison.  search_violation builds each multiset once from its prefix,
-keeps its coverage chain as runs of equal sets, and bounds its best target
-once from a subset-max table instead of testing all 2^n targets (README,
-"Covers").
+keeps its coverage chain as runs of equal sets, and bounds its targets
+once, from a subset-max table and the chain's last run, instead of testing
+all 2^n targets (README, "Covers").
 """
 
 from __future__ import annotations
@@ -159,14 +159,14 @@ def search_violation(
                     chain.append((head, a))
                 k = chain[0][1]
                 total = prefix_total + table[s]
-                # the largest (cov(t) - k)*v(t) over the targets t: the empty
-                # target's, covered m times, or a run's top times the best
-                # subset of its set
+                # (cov(t) - k)*v(t) at the empty target, covered m times,
+                # and at the best subset of the last run's set, covered its
+                # top times: a first violator violates at one of these
                 slack = total - k * L
                 bound = (m - k) * best[0]
-                for mask, top in chain[1:]:
-                    if (top - k) * best[mask] > bound:
-                        bound = (top - k) * best[mask]
+                mask, top = chain[-1]
+                if (top - k) * best[mask] > bound:
+                    bound = (top - k) * best[mask]
                 hit = None  # index of the first violating target
                 if bound > slack:
                     at_least: list[int] = []  # at_least[c] is S_c

@@ -89,14 +89,13 @@ class Constraint:
 class LinearSystem:
     """Rows c.x = b, c.x >= b or c.x > b over the named variables, each of
     them >= 0.  A free quantity would be the difference of two variables.
+    With no variables, every row is a constant comparison 0 rel b.
     """
 
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self):
-        if not self.variables:
-            raise InputError("system must have at least one variable")
         if len(self._columns) != len(self.variables):
             raise InputError("duplicate variable name")
         for c in self.constraints:

@@ -18,17 +18,31 @@ disjunction, a product over conjunction.
 
 Worlds are the atoms over the formula's propositions.  Per disjunct, each
 distinct propositional argument phi_i gets its own candidate measure
-(variables x[i][world] >= 0 summing to 1); dominance rows force measure i
-to attain the maximum over all measures on phi_i's extension, so the
-value of l(phi_i) is an honest upper probability.  A designated witness
-measure per argument loses no generality: restricting a satisfying measure
-set to one maximizer per argument preserves every argument's upper
-probability.
+mu_i; dominance rows force measure i to attain the maximum over all
+measures on phi_i's extension, so the value of l(phi_i) is an honest upper
+probability.  A designated witness measure per argument loses no
+generality: restricting a satisfying measure set to one maximizer per
+argument preserves every argument's upper probability.
 
 Atoms sharing a membership signature across all arguments are
-interchangeable, so the LP merges them into one column per signature
-class; any mass found is placed on a representative atom.  Every SAT
-answer is re-checked by the model checker before being returned.
+interchangeable, so the LP merges them into one class per signature; any
+mass found is placed on a representative atom.  Every measure shares one
+pivot class c0, whose mass is 1 - sum_(c != c0) x[i][c], so the LP has a
+column x[i][c] >= 0 for every measure and every class but c0:
+  - measure rows -sum_(c != c0) x[i][c] >= -1 keep c0's mass >= 0;
+  - dominance rows stay homogeneous, because c0's mass cancels: measure
+    i's row runs over the classes on the other side of phi_i's extension
+    from c0, its sign flipped when c0 lies inside;
+  - a literal's value at c0's point mass, sum coeff_i [c0 in ext_i], moves
+    to its bound.
+The origin is every measure's point mass on c0, where every measure and
+dominance row holds, so phase 1 needs an artificial column only for the
+literals that this one-world structure violates; c0 is the class whose
+point mass violates the fewest, the lowest on a tie.  A disjunct with a
+single class has no column, and its rows are constant comparisons.  The
+substitution is one-to-one, so it changes no verdict and no bounds end,
+only the vertex reached.  Every SAT answer is re-checked by the model
+checker before being returned.
 """
 
 from __future__ import annotations
@@ -125,7 +139,12 @@ ONE = Fraction(1)
 
 
 class _DisjunctLP:
-    """Witness LP for one conjunction of normalized basic constraints."""
+    """Witness LP for one conjunction of normalized basic constraints.
+
+    Every measure puts on the pivot class c0 the mass its other columns
+    leave, 1 - sum_(c != c0) x[i][c], so c0 has no column; the module
+    docstring gives the rows and why the simplex starts at c0's point
+    mass."""
 
     def __init__(self, worlds: _Worlds, basics: Sequence[Basic], extra_args=()):
         self.worlds = worlds
@@ -149,39 +168,60 @@ class _DisjunctLP:
         sigs = list(sig_of)
         C = len(self.class_rep)
 
-        names = [[f"x_{i}_{c}" for c in range(C)] for i in range(T)]
+        lits = [self._by_measure(b.term) for b in basics]
+        inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
+        c0 = self.c0 = _pivot_class(basics, lits, inside, C)
+        in0 = self._in0 = sigs[c0]  # whether c0 lies in each measure's extension
+        # the classes on the other side of measure i's extension from c0
+        self._side = [[c for c in range(C) if sigs[c][i] != in0[i]] for i in range(T)]
+        names = [{c: f"x_{i}_{c}" for c in range(C) if c != c0} for i in range(T)]
         self._names = names
-        self.variables = [x for row in names for x in row]
-        # the classes inside measure i's own argument extension
-        self._inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
+        self.variables = [x for row in names for x in row.values()]
         rows: list[tuple[dict, lp.Relation, Fraction]] = []
-        # each measure sums to 1
+        # each measure leaves c0 a mass >= 0
         for row in names:
-            rows.append((dict.fromkeys(row, ONE), lp.Relation.EQ, ONE))
-        # dominance: measure i attains the max on its own extension
-        for i, inside in enumerate(self._inside):
+            rows.append((dict.fromkeys(row.values(), -ONE), lp.Relation.GE, -ONE))
+        # dominance: measure i attains the max on its own extension; c0's
+        # mass, shared by every measure, cancels
+        for i, side in enumerate(self._side):
+            s = -ONE if in0[i] else ONE
             for j in range(T):
                 if j != i:
-                    row = {names[i][c]: ONE for c in inside}
-                    row.update({names[j][c]: -ONE for c in inside})
+                    row = {names[i][c]: s for c in side}
+                    row.update({names[j][c]: -s for c in side})
                     rows.append((row, lp.Relation.GE, Fraction(0)))
         # the disjunct's constraints over the y_i = mu_i(extension_i)
-        for b in basics:
+        for b, by_measure in zip(basics, lits):
             rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
-            rows.append((self.term_row(b.term), rel, b.bound))
+            row, const = self._linear(by_measure)
+            rows.append((row, rel, b.bound - const))
         self.rows = rows
 
-    def term_row(self, t: Term) -> dict:
-        """The term as a row: the sum of coeff * mu_i(extension_i)."""
+    def _by_measure(self, t: Term) -> dict[int, Fraction]:
+        """The term's coefficient on each measure."""
         by_measure: dict[int, Fraction] = {}
         for coeff, phi in t.parts:
             i = self._arg_cache[phi]
             by_measure[i] = by_measure.get(i, 0) + coeff
-        return {
-            self._names[i][c]: coeff
-            for i, coeff in by_measure.items()
-            for c in self._inside[i]
-        }
+        return by_measure
+
+    def _linear(self, by_measure: dict[int, Fraction]) -> tuple[dict, Fraction]:
+        """sum_i coeff_i * mu_i(extension_i) as (row, constant): the row over
+        the columns, the constant the term's value at c0's point mass."""
+        row: dict = {}
+        const = Fraction(0)
+        for i, coeff in by_measure.items():
+            if self._in0[i]:  # mu_i(extension_i) = 1 - mu_i(the rest)
+                const += coeff
+                coeff = -coeff
+            names = self._names[i]
+            for c in self._side[i]:
+                row[names[c]] = coeff
+        return row, const
+
+    def term_row(self, t: Term) -> tuple[dict, Fraction]:
+        """The term as (row, constant): its value is row.x + constant."""
+        return self._linear(self._by_measure(t))
 
     def system(self) -> lp.LinearSystem:
         return lp.make_system(self.variables, self.rows)
@@ -189,14 +229,40 @@ class _DisjunctLP:
     def measures(self, point: dict) -> list[dict]:
         out = []
         for names in self._names:
-            mu = {}
-            for c, x in enumerate(names):
-                mass = point[x]
-                if mass != 0:
-                    wid = self.worlds.ids[self.class_rep[c]]
-                    mu[wid] = mu.get(wid, Fraction(0)) + mass
-            out.append(mu)
+            mass = {c: point[x] for c, x in names.items()}
+            mass[self.c0] = ONE - sum(mass.values())
+            out.append({
+                self.worlds.ids[w]: mass[c]
+                for c, w in enumerate(self.class_rep) if mass[c]
+            })
         return out
+
+
+def _pivot_class(basics: Sequence[Basic], lits: list[dict], inside: list, C: int) -> int:
+    """The lowest class whose point mass violates the fewest literals.
+
+    At the point mass on class c, mu_i(extension_i) is 1 if c lies inside
+    it and 0 if not; each literal is compared in integers, over the lcm of
+    its coefficients' and bound's denominators."""
+    if C == 1:
+        return 0
+    violated = [0] * C
+    for b, by_measure in zip(basics, lits):
+        ratios = [a.as_integer_ratio() for a in by_measure.values()]
+        bn, bd = b.bound.as_integer_ratio()
+        den = math.lcm(bd, *[d for _, d in ratios])
+        value = [0] * C
+        for i, (n, d) in zip(by_measure, ratios):
+            if n:
+                n *= den // d
+                for c in inside[i]:
+                    value[c] += n
+        bound = bn * (den // bd)
+        strict = b.rel is Rel.GT
+        for c, x in enumerate(value):
+            if x < bound or (strict and x == bound):
+                violated[c] += 1
+    return violated.index(min(violated))
 
 
 def _prepare(f: LikelihoodFormula, extra_props=()):
@@ -297,17 +363,18 @@ def bounds(f: LikelihoodFormula, t: Term) -> BoundsResult:
     upper: Optional[tuple[Fraction, bool]] = None
     for basics in _disjuncts(worlds, g, []):
         dlp = _DisjunctLP(worlds, basics, extra_args=t.parts)
-        system, obj = dlp.system(), dlp.term_row(t)
+        system, (obj, const) = dlp.system(), dlp.term_row(t)
         lo = lp.optimize(system, obj, lp.Direction.MIN)
         if lo.verdict is lp.Verdict.INFEASIBLE:
             continue
         hi = lp.optimize(system, obj, lp.Direction.MAX)
         if lo.verdict is not lp.Verdict.OPTIMAL or hi.verdict is not lp.Verdict.OPTIMAL:
             raise InternalCheckError("term range must be bounded over measures")
-        if lower is None or (lo.value, not lo.attained) < (lower[0], not lower[1]):
-            lower = (lo.value, lo.attained)
-        if upper is None or (hi.value, hi.attained) > (upper[0], upper[1]):
-            upper = (hi.value, hi.attained)
+        lo_value, hi_value = lo.value + const, hi.value + const
+        if lower is None or (lo_value, not lo.attained) < (lower[0], not lower[1]):
+            lower = (lo_value, lo.attained)
+        if upper is None or (hi_value, hi.attained) > upper:
+            upper = (hi_value, hi.attained)
     if lower is None:
         raise UnsatInputError("formula is unsatisfiable; no bounds exist")
     return BoundsResult(

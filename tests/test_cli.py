@@ -170,11 +170,12 @@ class TestSatValid:
         assert code == 0 and out.strip() == "VALID"
 
     def test_lp_sizes_json(self, capsys):
-        # two measures over four atom classes: one = row per measure and
-        # two dominance rows, plus the two basics
+        # two measures over four atom classes, each with a column for every
+        # class but the pivot class; one <= 1 row per measure and two
+        # dominance rows, plus the two basics
         code, out, _ = run(capsys, "--json", "sat", "--formula", "l(p) >= 1/2 & l(q) <= 1/3")
         assert code == 0
-        assert json.loads(out)["stats"]["lp_sizes"] == [{"variables": 8, "rows": 6}]
+        assert json.loads(out)["stats"]["lp_sizes"] == [{"variables": 6, "rows": 6}]
 
     def test_invalid_with_countermodel_json(self, capsys):
         code, out, _ = run(capsys, "--json", "valid", "--formula", "l(p) >= 1/2")

@@ -5,7 +5,9 @@ import pytest
 
 from uplogic import lp, solver
 from uplogic.errors import ResourceError
-from uplogic.formula import Basic, LNot, Not, Prop, Rel, Term, dnf, lconj_all, normalize
+from uplogic.formula import (
+    Basic, LNot, Not, Prop, Rel, Term, dnf, lconj_all, normalize, props_of,
+)
 from uplogic.parser import parse_likelihood, parse_term
 from uplogic.semantics import eval_term, evaluate
 from uplogic.solver import SatVerdict, UnsatInputError, bounds, sat, valid
@@ -369,3 +371,170 @@ class TestModelRecheck:
                     full = sum((mu.get(w, F(0)) for w in set(S)), F(0))
                     assert M.measure_of(i, S) == full
                     assert M.measure_of(i, frozenset(S)) == full
+
+
+class _ReferenceLP:
+    """The witness LP without a pivot class: T*C columns, one = 1 row per
+    measure, dominance rows over each measure's own extension and each
+    term over the classes inside its arguments.  The solver's LP is this
+    one after the substitution x[i][c0] = 1 - sum_(c != c0) x[i][c]."""
+
+    def __init__(self, worlds, basics, extra_args=()):
+        masks: dict = {}  # extension mask -> measure index
+        self.measure_of = {}  # argument -> measure index
+        for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
+            if phi not in self.measure_of:
+                mask = worlds.extension_mask(phi)
+                self.measure_of[phi] = masks.setdefault(mask, len(masks))
+        T = len(masks)
+        sigs = list(dict.fromkeys(
+            tuple((m >> w) & 1 for m in masks) for w in range(len(worlds.ids))))
+        C = len(sigs)
+        self.names = [[f"x_{i}_{c}" for c in range(C)] for i in range(T)]
+        self.inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
+        rows = [(dict.fromkeys(row, F(1)), lp.Relation.EQ, F(1)) for row in self.names]
+        for i, inside in enumerate(self.inside):
+            for j in range(T):
+                if j != i:
+                    row = {self.names[i][c]: F(1) for c in inside}
+                    row.update({self.names[j][c]: F(-1) for c in inside})
+                    rows.append((row, lp.Relation.GE, F(0)))
+        for b in basics:
+            rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
+            rows.append((self.term_row(b.term), rel, b.bound))
+        self.system = lp.make_system([x for row in self.names for x in row], rows)
+
+    def term_row(self, t):
+        row: dict = {}
+        for coeff, phi in t.parts:
+            i = self.measure_of[phi]
+            for c in self.inside[i]:
+                x = self.names[i][c]
+                row[x] = row.get(x, 0) + coeff
+        return row
+
+
+def reference_bounds(f, t):
+    """bounds(f, t) as (lower, lower attained, upper, upper attained) over
+    the reference LP of every disjunct of dnf(normalize(f)); None when f
+    is unsatisfiable."""
+    worlds, g = solver._prepare(f, [p for _, phi in t.parts for p in props_of(phi)])
+    lower = upper = None
+    for basics in dnf(g):
+        ref = _ReferenceLP(worlds, basics, extra_args=t.parts)
+        obj = ref.term_row(t)
+        lo = lp.optimize(ref.system, obj, lp.Direction.MIN)
+        if lo.verdict is lp.Verdict.INFEASIBLE:
+            continue
+        hi = lp.optimize(ref.system, obj, lp.Direction.MAX)
+        if lower is None or (lo.value, not lo.attained) < (lower[0], not lower[1]):
+            lower = (lo.value, lo.attained)
+        if upper is None or (hi.value, hi.attained) > upper:
+            upper = (hi.value, hi.attained)
+    return None if lower is None else (*lower, *upper)
+
+
+def _bounds_or_none(f, t):
+    try:
+        res = bounds(f, t)
+    except UnsatInputError:
+        return None
+    return (res.lower, res.lower_attained, res.upper, res.upper_attained)
+
+
+def _feasible(system):
+    return lp.feasible(system).verdict is lp.Verdict.FEASIBLE
+
+
+def _assert_distributions(measures):
+    for mu in measures:
+        assert all(x > 0 for x in mu.values())
+        assert sum(mu.values()) == 1
+
+
+class TestPivotClass:
+    """The solver's LP, with the pivot class c0 substituted out, against
+    the reference LP with a column for every (measure, class)."""
+
+    def test_same_verdict_on_every_disjunct(self):
+        feasible = 0
+        for f in _random_suite_formulas():
+            worlds, g = solver._prepare(f)
+            for basics in dnf(g):
+                dlp = solver._DisjunctLP(worlds, basics)
+                ref = _ReferenceLP(worlds, basics)
+                outcome = lp.feasible(dlp.system())
+                assert (outcome.verdict is lp.Verdict.FEASIBLE) == _feasible(ref.system)
+                if outcome.verdict is lp.Verdict.FEASIBLE:
+                    feasible += 1
+                    _assert_distributions(dlp.measures(outcome.point))
+        assert feasible > 100
+
+    def test_same_bounds_on_random_pairs(self):
+        rng = random.Random(137)
+        seen = {"open": 0, "unsat": 0}
+        for _ in range(150):
+            f, t = _random_lform(rng, 2), _random_term(rng)
+            if rng.random() < 0.5:  # a strict row on t itself, for open ends
+                rel = rng.choice([Rel.GT, Rel.LT])
+                f = lconj_all([f, Basic(t, rel, F(rng.randint(-2, 2), rng.randint(1, 3)))])
+            got = _bounds_or_none(f, t)
+            assert got == reference_bounds(f, t)
+            if got is None:
+                seen["unsat"] += 1
+            elif not (got[1] and got[3]):
+                seen["open"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    HAND_BUILT = [
+        # the pivot class inside every argument
+        ("l(p) >= 1/2 & l(p | q) >= 1/2 & l(q) >= 1/3", True),
+        # the pivot class outside every argument
+        ("l(p) <= 1/2 & l(q) < 1 & l(p & q) <= 1/4", False),
+        # mixed-sign terms
+        ("l(p) - l(q) >= 1/4 & 2 l(q) - l(p | q) > -1/2 & l(!p) > 0", None),
+        ("l(p) - 2 l(!p) >= 0 & l(q) - l(!q) <= 0 & l(p & !q) - l(q) > 0", None),
+        # a strict literal met only in the limit
+        ("l(p) > 1/2 & l(p) <= 1/2", None),
+        ("l(p) > 1/3 & l(p) < 1/2", None),
+        ("l(p) + l(!p) > 1 & l(p) <= 1/2 & l(!p) <= 1/2", None),
+        # a measure above 1 on one argument
+        ("l(p) >= 3/2", None),
+        # one class: no columns
+        ("l(true) >= 1/2", True),
+        ("l(p | !p) > 0", True),
+        ("l(true) < 1", True),
+        ("l(false) > 0", False),
+    ]
+
+    @pytest.mark.parametrize("text, c0_inside", HAND_BUILT)
+    def test_hand_built_disjuncts(self, text, c0_inside):
+        f = parse_likelihood(text)
+        worlds, g = solver._prepare(f, ["p", "q"])
+        [basics] = dnf(g)
+        dlp = solver._DisjunctLP(worlds, basics)
+        if c0_inside is not None:
+            assert all(dlp._in0) is c0_inside and any(dlp._in0) is c0_inside
+        if len(dlp.class_rep) == 1:
+            assert dlp.variables == []
+        outcome = lp.feasible(dlp.system())
+        verdict = outcome.verdict is lp.Verdict.FEASIBLE
+        assert verdict == _feasible(_ReferenceLP(worlds, basics).system)
+        assert (sat(f).verdict is SatVerdict.SAT) == verdict
+        if verdict:
+            _assert_distributions(dlp.measures(outcome.point))
+        for term in ["l(p)", "l(q)", "l(p) - l(q)", "l(true)", "2 l(!p) + l(p & q)"]:
+            t = parse_term(term)
+            assert _bounds_or_none(f, t) == reference_bounds(f, t), term
+
+    def test_many_lower_bounds_on_one_argument(self):
+        # each row holds at the pivot class's point mass, so it starts on
+        # its own slack: one LP and no artificial column
+        n = 400
+        f = parse_likelihood(" & ".join(f"l(p) >= 1/{i + 2}" for i in range(n)))
+        res = sat(f)
+        assert res.verdict is SatVerdict.SAT
+        assert res.stats["lp_sizes"] == [{"variables": 1, "rows": n + 1}]
+        worlds, g = solver._prepare(f)
+        [basics] = dnf(g)
+        assert solver._DisjunctLP(worlds, basics).system()._tableau.art_cols == set()
