@@ -19,6 +19,7 @@ from uplogic.formula import (
     atom_set,
 )
 from uplogic.parser import (
+    MAX_NESTING,
     ParseError,
     parse_likelihood,
     parse_prop,
@@ -178,3 +179,78 @@ def test_total_on_arbitrary_bytes(blob):
         parse_likelihood(blob.decode("utf-8", errors="replace"))
     except ParseError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Every error path: line, column, what was expected and what was found
+
+
+def _implications(k):
+    """l(((p) -> q) -> q ...) with k arrows: each adds two tree levels (an Or
+    over a Not) but only one group, so the tree outgrows MAX_NESTING first."""
+    arg = "p"
+    for _ in range(k):
+        arg = f"({arg}) -> q"
+    return f"l({arg}) >= 0"
+
+
+_DEEP = "(" * (MAX_NESTING + 1) + "l(p) >= 0" + ")" * (MAX_NESTING + 1)
+
+ERRORS = [
+    # (rule, text, line, column, expected, found)
+    (parse_likelihood, "@l(p) >= 0", 1, 1, "a token", "'@'"),
+    (parse_likelihood, "l(p) >= 1 @ l(q) >= 0", 1, 11, "a token", "'@'"),
+    (parse_likelihood, "l(p) >= 1 &\n  l(q) # 0", 2, 8, "a token", "'#'"),
+    (parse_likelihood, "l(p) >= @", 1, 9, "a token", "'@'"),
+    (parse_likelihood, "l(p) >= 1\x00", 1, 10, "a token", "'\\x00'"),
+    (parse_likelihood, "l(p)\u00a0>=\u2003@", 1, 9, "a token", "'@'"),
+    (parse_likelihood, "l(é) >= 0", 1, 3, "a token", "'é'"),
+    (parse_likelihood, "l(p) ٣ 1", 1, 6, "a relation (>=, <=, >, <, =)", "'٣'"),
+    (parse_likelihood, "l(p) >= \t\n ", 2, 2, "a number", "end of input"),
+    (parse_likelihood, "l(p) >= 1 &", 1, 12, "'l('", "end of input"),
+    (parse_likelihood, "", 1, 1, "'l('", "end of input"),
+    (parse_likelihood, "l(p) >= 1/0", 1, 11, "a nonzero denominator", "0"),
+    (parse_likelihood, "l(p) >= 1/00", 1, 11, "a nonzero denominator", "0"),
+    (parse_likelihood, "l(l) >= 0", 1, 3, "an identifier", "'l'"),
+    (parse_likelihood, "true(p) >= 0", 1, 1, "'l('", "'true'"),
+    (parse_likelihood, "l(p) >= true", 1, 9, "a number", "'true'"),
+    (parse_likelihood, "l(p) 1/2", 1, 6, "a relation (>=, <=, >, <, =)", "'1'"),
+    (parse_likelihood, "l(p) >= -x", 1, 10, "a number", "'x'"),
+    (parse_likelihood, "l(p) >= 1/x", 1, 11, "a positive denominator", "'x'"),
+    (parse_likelihood, "l(p) >= 1/-2", 1, 11, "a positive denominator", "'-'"),
+    (parse_likelihood, "l() >= 0", 1, 3, "a propositional formula", "')'"),
+    (parse_likelihood, "l(p >= 0", 1, 5, "')'", "'>='"),
+    (parse_likelihood, "l p >= 0", 1, 3, "'('", "'p'"),
+    (parse_likelihood, "(l(p) >= 0", 1, 11, "')'", "end of input"),
+    (parse_likelihood, "l(p) >= 0 )", 1, 11, "end of input", "')'"),
+    (parse_likelihood, "l(p) >= 0 l(q) >= 0", 1, 11, "end of input", "'l'"),
+    (parse_likelihood, _DEEP, 1, MAX_NESTING + 1,
+     f"at most {MAX_NESTING} levels of nesting", "'('"),
+    (parse_likelihood, _implications(MAX_NESTING // 2), 1, 1,
+     f"at most {MAX_NESTING} levels of nesting", f"{MAX_NESTING + 1}"),
+    (parse_prop, "p q", 1, 3, "end of input", "'q'"),
+    (parse_prop, "p ->", 1, 5, "a propositional formula", "end of input"),
+    (parse_prop, "true & l", 1, 8, "an identifier", "'l'"),
+    (parse_term, "l(p) >= 0", 1, 6, "end of input", "'>='"),
+    (parse_term, "2 l(p) + ", 1, 10, "'l('", "end of input"),
+]
+
+
+@pytest.mark.parametrize("rule, text, line, column, expected, found", ERRORS)
+def test_parse_error_table(rule, text, line, column, expected, found):
+    with pytest.raises(ParseError) as err:
+        rule(text)
+    e = err.value
+    assert (e.line, e.column, e.expected, e.found) == (line, column, expected, found)
+    assert str(e) == (f"parse error at line {line}, column {column}: "
+                      f"expected {expected}, found {found}")
+
+
+def test_edge_texts_that_parse():
+    # a non-ASCII decimal digit is a number; trailing and Unicode
+    # whitespace is skipped; one group or arrow below the limits parses
+    assert parse_likelihood("l(p) >= ٣") == Basic(Term(((F(1), p),)), Rel.GE, F(3))
+    assert parse_likelihood(" l(p) >= 1 \n\t") == Basic(Term(((F(1), p),)), Rel.GE, F(1))
+    inner = "(" * (MAX_NESTING - 1) + "l(p) >= 0" + ")" * (MAX_NESTING - 1)
+    assert parse_likelihood(inner) == Basic(Term(((F(1), p),)), Rel.GE, F(0))
+    parse_likelihood(_implications(MAX_NESTING // 2 - 1))
