@@ -87,7 +87,7 @@ def cmd_sat(args) -> int:
             fh.write(structure.save_structure(result.model))
     doc = {"verdict": result.verdict.value, "stats": _jsonable(result.stats)}
     if is_sat and args.json:
-        doc["model"] = json.loads(structure.save_structure(result.model))
+        doc["model"] = structure.structure_doc(result.model)
     _emit(args, result.verdict.value, doc)
     return EXIT_OK if is_sat else EXIT_NEGATIVE
 
@@ -100,7 +100,7 @@ def cmd_valid(args) -> int:
             fh.write(structure.save_structure(result.countermodel))
     doc = {"verdict": "VALID" if result.valid else "INVALID"}
     if not result.valid and args.json:
-        doc["countermodel"] = json.loads(structure.save_structure(result.countermodel))
+        doc["countermodel"] = structure.structure_doc(result.countermodel)
     _emit(args, doc["verdict"], doc)
     return EXIT_OK if result.valid else EXIT_NEGATIVE
 

@@ -17,7 +17,9 @@ core has no implication node.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -149,24 +151,26 @@ def props_of(phi: PropFormula) -> list[str]:
     return sorted(seen)
 
 
+def extension_mask(phi: PropFormula, columns: Mapping[str, int], full: int) -> int:
+    """The worlds where phi holds, as a bitmask within full.  columns maps a
+    proposition to the mask of the worlds where it is true; a proposition
+    missing from columns is false everywhere."""
+    if isinstance(phi, Prop):
+        return columns.get(phi.name, 0)
+    if isinstance(phi, Const):
+        return full if phi.value else 0
+    if isinstance(phi, Not):
+        return full ^ extension_mask(phi.sub, columns, full)
+    if isinstance(phi, (And, Or)):
+        masks = [extension_mask(part, columns, full) for part in phi.parts]
+        return functools.reduce(operator.and_ if isinstance(phi, And) else operator.or_, masks)
+    raise InputError(f"not a propositional formula: {phi!r}")
+
+
 def holds(phi: PropFormula, assignment: Mapping[str, bool]) -> bool:
     """Truth of phi under a world's assignment.  Propositions missing from
     the assignment are false."""
-    if isinstance(phi, Prop):
-        return assignment.get(phi.name, False)
-    if isinstance(phi, Const):
-        return phi.value
-    if isinstance(phi, Not):
-        return not holds(phi.sub, assignment)
-    if isinstance(phi, (And, Or)):
-        # an And is false at its first false part, an Or true at its first
-        # true one; a plain loop, as this runs once per world and argument
-        is_and = isinstance(phi, And)
-        for part in phi.parts:
-            if (not holds(part, assignment)) is is_and:
-                return not is_and
-        return is_and
-    raise InputError(f"not a propositional formula: {phi!r}")
+    return extension_mask(phi, {p: 1 for p, t in assignment.items() if t}, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +208,33 @@ def atoms_of(props: Sequence[str]) -> list[Atom]:
     return [Atom(ps, signs) for signs in itertools.product((False, True), repeat=len(ps))]
 
 
+def atom_columns(props: Sequence[str]) -> dict[str, int]:
+    """Each proposition's column over the atoms of atoms_of(props): bit i is
+    set where atom i makes it true.  The k-th of n propositions is bit n-1-k
+    of i, set in runs of h = 2^(n-1-k) every 2h atoms; full // (2^h + 1) has
+    ones in the low h bits of each 2h-bit block, and << h moves them up."""
+    if len(props) > atom_cap():
+        raise ResourceError(f"{len(props)} propositions exceed the atom cap {atom_cap()}")
+    n = len(props)
+    full = (1 << (1 << n)) - 1
+    return {p: full // ((1 << h) + 1) << h
+            for p, h in zip(props, (1 << (n - 1 - k) for k in range(n)))}
+
+
 def atom_set(phi: PropFormula, props: Sequence[str]) -> frozenset[Atom]:
     """The atoms over props whose assignment makes phi true."""
     missing = [p for p in props_of(phi) if p not in props]
     if missing:
         raise InputError(f"unknown proposition(s): {', '.join(missing)}")
-    return frozenset(a for a in atoms_of(props) if holds(phi, a.assignment()))
+    atoms = atoms_of(props)
+    mask = extension_mask(phi, atom_columns(props), (1 << len(atoms)) - 1)
+    return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
 
 def is_tautology(phi: PropFormula) -> bool:
     ps = props_of(phi)
-    if not ps:
-        return holds(phi, {})
-    return all(holds(phi, a.assignment()) for a in atoms_of(ps))
+    full = (1 << (1 << len(ps))) - 1
+    return extension_mask(phi, atom_columns(ps), full) == full
 
 
 # ---------------------------------------------------------------------------

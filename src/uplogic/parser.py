@@ -27,8 +27,8 @@ counts as one level, whatever its length.
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -50,12 +50,15 @@ class ParseError(UplogicError):
         )
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>->|>=|<=|[()!~&|><=+\-/]))"
-)
+# Every token is digits, an identifier or a symbol, and the three sets share
+# no text, so a token's kind can be read from its text.
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|->|>=|<=|[()!~&|><=+\-/]")
+# a character that is neither whitespace nor the start of a token
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_()!~&|><=+\-/]")
 
-_KEYWORDS = {"true", "false", "l"}
+_CONSTANTS = {"true": fm.TRUE, "false": fm.FALSE}
+_RELATIONS = {rel.value: rel for rel in fm.Rel}
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 # How deep a formula may nest.  The parser rejects input that opens more
 # than this many groups, negations, implications and l(.) arguments inside
@@ -68,32 +71,13 @@ _KEYWORDS = {"true", "false", "l"}
 MAX_NESTING = 200
 
 
-@dataclass
-class _Token:
-    kind: str  # "num" | "ident" | "sym" | "eof"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = pos + (len(text[pos:]) - len(stripped))
-            raise ParseError(text, bad_at, "a token", repr(text[bad_at]))
-        pos = m.end()
-        for kind in ("num", "ident", "sym"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append(_Token(kind, val, m.start(kind)))
-                break
-    tokens.append(_Token("eof", "", n))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of text, then "" for the end of input."""
+    bad = _BAD_RE.search(text)
+    if bad is not None:
+        raise ParseError(text, bad.start(), "a token", repr(bad.group()))
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
@@ -102,26 +86,27 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.tok = self.tokens[0]  # the current token's text
         self.depth = 0  # groups, negations, implications and l(.) open here
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    def offset(self, i: int) -> int:
+        """Where token i starts; offsets are found again only for errors."""
+        if i == len(self.tokens) - 1:
+            return len(self.text)
+        return next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None)).start()
 
     def error(self, expected: str) -> ParseError:
-        found = "end of input" if self.cur.kind == "eof" else repr(self.cur.text)
-        return ParseError(self.text, self.cur.offset, expected, found)
+        found = repr(self.tok) if self.tok else "end of input"
+        return ParseError(self.text, self.offset(self.i), expected, found)
 
-    def advance(self) -> _Token:
-        t = self.cur
+    def advance(self) -> str:
+        tok = self.tok
         self.i += 1
-        return t
-
-    def at_sym(self, *syms: str) -> bool:
-        return self.cur.kind == "sym" and self.cur.text in syms
+        self.tok = self.tokens[self.i]
+        return tok
 
     def expect_sym(self, sym: str) -> None:
-        if not self.at_sym(sym):
+        if self.tok != sym:
             raise self.error(repr(sym))
         self.advance()
 
@@ -134,22 +119,21 @@ class _Parser:
     # -- rationals ---------------------------------------------------------
 
     def rational(self) -> Fraction:
-        neg = False
-        if self.at_sym("-"):
-            neg = True
+        neg = self.tok == "-"
+        if neg:
             self.advance()
-        if self.cur.kind != "num":
+        if not self.tok.isdecimal():
             raise self.error("a number")
-        num = int(self.advance().text)
+        num = int(self.advance())
         den = 1
-        if self.at_sym("/"):
+        if self.tok == "/":
             self.advance()
-            if self.cur.kind != "num":
+            if not self.tok.isdecimal():
                 raise self.error("a positive denominator")
-            den_tok = self.advance()
-            den = int(den_tok.text)
+            den = int(self.advance())
             if den == 0:
-                raise ParseError(self.text, den_tok.offset, "a nonzero denominator", "0")
+                raise ParseError(self.text, self.offset(self.i - 1),
+                                 "a nonzero denominator", "0")
         value = Fraction(num, den)
         return -value if neg else value
 
@@ -157,7 +141,7 @@ class _Parser:
 
     def prop(self) -> fm.PropFormula:
         left = self.pdisj()
-        if self.at_sym("->"):
+        if self.tok == "->":
             self.descend()
             self.advance()
             left = fm.implies(left, self.prop())
@@ -166,68 +150,64 @@ class _Parser:
 
     def pdisj(self) -> fm.PropFormula:
         parts = [self.pconj()]
-        while self.at_sym("|"):
+        while self.tok == "|":
             self.advance()
             parts.append(self.pconj())
         return fm.disj_all(parts)
 
     def pconj(self) -> fm.PropFormula:
         parts = [self.pneg()]
-        while self.at_sym("&"):
+        while self.tok == "&":
             self.advance()
             parts.append(self.pneg())
         return fm.conj_all(parts)
 
     def pneg(self) -> fm.PropFormula:
-        if self.at_sym("!"):
+        tok = self.tok
+        if tok == "!":
             self.descend()
             self.advance()
             out = fm.Not(self.pneg())
             self.depth -= 1
             return out
-        if self.at_sym("("):
+        if tok == "(":
             self.descend()
             self.advance()
             out = self.prop()
             self.expect_sym(")")
             self.depth -= 1
             return out
-        if self.cur.kind == "ident":
-            name = self.advance().text
-            if name == "true":
-                return fm.TRUE
-            if name == "false":
-                return fm.FALSE
-            if name in _KEYWORDS:
-                raise ParseError(self.text, self.tokens[self.i - 1].offset,
-                                 "an identifier", repr(name))
-            return fm.Prop(name)
+        if tok.isidentifier():
+            if tok == "l":
+                raise self.error("an identifier")
+            self.advance()
+            return _CONSTANTS[tok] if tok in _CONSTANTS else fm.Prop(tok)
         raise self.error("a propositional formula")
 
     # -- likelihood formulas ----------------------------------------------
 
     def lform(self) -> fm.LikelihoodFormula:
         parts = [self.lconj()]
-        while self.at_sym("|"):
+        while self.tok == "|":
             self.advance()
             parts.append(self.lconj())
         return fm.ldisj_all(parts)
 
     def lconj(self) -> fm.LikelihoodFormula:
         parts = [self.lneg()]
-        while self.at_sym("&"):
+        while self.tok == "&":
             self.advance()
             parts.append(self.lneg())
         return fm.lconj_all(parts)
 
     def lneg(self) -> fm.LikelihoodFormula:
-        if self.at_sym("~"):
+        if self.tok == "~":
             self.descend()
             self.advance()
             out = fm.LNot(self.lneg())
             self.depth -= 1
             return out
-        if self.at_sym("("):
+        if self.tok == "(":
             self.descend()
             self.advance()
             out = self.lform()
@@ -238,30 +218,32 @@ class _Parser:
 
     def basic(self) -> fm.Basic:
         t = self.term()
-        if self.cur.kind != "sym" or self.cur.text not in (">=", "<=", ">", "<", "="):
+        rel = _RELATIONS.get(self.tok)
+        if rel is None:
             raise self.error("a relation (>=, <=, >, <, =)")
-        rel = fm.Rel(self.advance().text)
-        bound = self.rational()
-        return fm.Basic(t, rel, bound)
+        self.advance()
+        return fm.Basic(t, rel, self.rational())
 
     def term(self) -> fm.Term:
-        sign = Fraction(1)
-        if self.at_sym("-"):
-            sign = Fraction(-1)
+        sign = _ONE
+        if self.tok == "-":
+            sign = _MINUS_ONE
             self.advance()
-        elif self.at_sym("+"):
+        elif self.tok == "+":
             self.advance()
         parts = [self.addend(sign)]
-        while self.at_sym("+", "-"):
-            sign = Fraction(-1) if self.advance().text == "-" else Fraction(1)
+        while self.tok == "+" or self.tok == "-":
+            sign = _MINUS_ONE if self.advance() == "-" else _ONE
             parts.append(self.addend(sign))
         return fm.Term(tuple(parts))
 
     def addend(self, sign: Fraction) -> tuple[Fraction, fm.PropFormula]:
-        coeff = Fraction(1)
-        if self.cur.kind == "num":
+        coeff = sign
+        if self.tok.isdecimal():
             coeff = self.rational()
-        if not (self.cur.kind == "ident" and self.cur.text == "l"):
+            if sign is _MINUS_ONE:
+                coeff = -coeff
+        if self.tok != "l":
             raise self.error("'l('")
         self.advance()
         self.descend()
@@ -269,10 +251,10 @@ class _Parser:
         arg = self.prop()
         self.expect_sym(")")
         self.depth -= 1
-        return (sign * coeff, arg)
+        return (coeff, arg)
 
     def done(self) -> None:
-        if self.cur.kind != "eof":
+        if self.tok:
             raise self.error("end of input")
 
 
@@ -297,10 +279,14 @@ def _parse(text: str, rule):
     p = _Parser(text)
     out = rule(p)
     p.done()
-    levels = _levels(out)
-    if levels > MAX_NESTING:
-        raise ParseError(text, 0, f"at most {MAX_NESTING} levels of nesting",
-                         f"{levels}")
+    # Every level of a tree has a token of its own on the way down, except
+    # that an implication's Or and Not share its arrow; so only a text of
+    # more than MAX_NESTING // 2 tokens can be too deep.
+    if 2 * len(p.tokens) > MAX_NESTING:
+        levels = _levels(out)
+        if levels > MAX_NESTING:
+            raise ParseError(text, 0, f"at most {MAX_NESTING} levels of nesting",
+                             f"{levels}")
     return out
 
 

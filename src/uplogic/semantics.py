@@ -3,10 +3,13 @@
 Propositions absent from a structure's declared list are false in every
 world, so one structure can serve formulas over varying vocabularies.
 Evaluation is exact rational arithmetic throughout; there is no tolerance.
+Each call reads M's world i as bit i once, with a column of worlds per
+proposition and each measure's support as (bit, mass) pairs.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import InputError
@@ -19,41 +22,54 @@ from .formula import (
     PropFormula,
     Rel,
     Term,
-    holds,
+    extension_mask,
 )
-from .structure import UpperProbStructure, upper_of
+from .structure import UpperProbStructure
+
+_COMPARE = {Rel.GE: operator.ge, Rel.GT: operator.gt, Rel.LE: operator.le,
+            Rel.LT: operator.lt, Rel.EQ: operator.eq}
+
+
+class _Bits:
+    def __init__(self, M: UpperProbStructure):
+        self.full = (1 << len(M.worlds)) - 1
+        bit = {w: 1 << i for i, w in enumerate(M.worlds)}
+        names = {p for w in M.worlds for p in M.assignment[w]}
+        self.columns = {p: sum(b for w, b in bit.items() if M.assignment[w].get(p)) for p in names}
+        self.supports = [[(bit[w], m) for w, m in mu.items() if m] for mu in M.measures]
+
+    def term(self, t: Term) -> Fraction:
+        total = Fraction(0)
+        for coeff, arg in t.parts:
+            mask = extension_mask(arg, self.columns, self.full)
+            total += coeff * max(sum((m for b, m in support if b & mask), Fraction(0))
+                                 for support in self.supports)
+        return total
+
+    def holds(self, f: LikelihoodFormula) -> bool:
+        if isinstance(f, Basic):
+            return _COMPARE[f.rel](self.term(f.term), f.bound)
+        if isinstance(f, LNot):
+            return not self.holds(f.sub)
+        if isinstance(f, LAnd):
+            return all(self.holds(part) for part in f.parts)
+        if isinstance(f, LOr):
+            return any(self.holds(part) for part in f.parts)
+        raise InputError(f"not a likelihood formula: {f!r}")
 
 
 def extension(M: UpperProbStructure, phi: PropFormula) -> frozenset:
     """The set of worlds of M whose assignment satisfies phi."""
-    return frozenset(w for w in M.worlds if holds(phi, M.assignment[w]))
+    bits = _Bits(M)
+    mask = extension_mask(phi, bits.columns, bits.full)
+    return frozenset(w for i, w in enumerate(M.worlds) if mask >> i & 1)
 
 
 def eval_term(M: UpperProbStructure, t: Term) -> Fraction:
     """sum_i coeff_i * upper_of(M, extension(arg_i))."""
-    total = Fraction(0)
-    for coeff, arg in t.parts:
-        total += coeff * upper_of(M, extension(M, arg))
-    return total
-
-
-_COMPARE = {
-    Rel.GE: lambda x, b: x >= b,
-    Rel.GT: lambda x, b: x > b,
-    Rel.LE: lambda x, b: x <= b,
-    Rel.LT: lambda x, b: x < b,
-    Rel.EQ: lambda x, b: x == b,
-}
+    return _Bits(M).term(t)
 
 
 def evaluate(M: UpperProbStructure, f: LikelihoodFormula) -> bool:
     """The satisfaction relation M |= f."""
-    if isinstance(f, Basic):
-        return _COMPARE[f.rel](eval_term(M, f.term), f.bound)
-    if isinstance(f, LNot):
-        return not evaluate(M, f.sub)
-    if isinstance(f, LAnd):
-        return all(evaluate(M, part) for part in f.parts)
-    if isinstance(f, LOr):
-        return any(evaluate(M, part) for part in f.parts)
-    raise InputError(f"not a likelihood formula: {f!r}")
+    return _Bits(M).holds(f)

@@ -65,9 +65,9 @@ from .formula import (
     Rel,
     Term,
     atom_cap,
-    atoms_of,
+    atom_columns,
     dnf,
-    holds,
+    extension_mask,
     likelihood_props,
     normalize,
     props_of,
@@ -109,30 +109,19 @@ class BoundsResult:
 
 
 class _Worlds:
-    """The atom worlds of a formula's proposition set."""
+    """The atom worlds of a formula's proposition set: world i is atom i of
+    atoms_of(props), and each proposition has a column of the worlds where
+    it is true."""
 
     def __init__(self, props: Sequence[str]):
         self.props = tuple(props)
-        if props:
-            self.atoms = atoms_of(props)
-            self.ids = tuple(
-                "w" + "".join("1" if s else "0" for s in a.signs) for a in self.atoms
-            )
-            self.assignments = [a.assignment() for a in self.atoms]
-        else:
-            self.ids = ("w0",)
-            self.assignments = [{}]
-        self._masks: dict = {}  # argument -> extension mask
+        n = len(props)
+        self.ids = tuple("w" + format(i, f"0{n}b") for i in range(1 << n))
+        self.columns = atom_columns(props)
+        self.full = (1 << len(self.ids)) - 1
 
     def extension_mask(self, phi) -> int:
-        mask = self._masks.get(phi)
-        if mask is None:
-            mask = 0
-            for i, assign in enumerate(self.assignments):
-                if holds(phi, assign):
-                    mask |= 1 << i
-            self._masks[phi] = mask
-        return mask
+        return extension_mask(phi, self.columns, self.full)
 
 
 ONE = Fraction(1)
@@ -319,7 +308,8 @@ def _structure_from(worlds: _Worlds, measures: list[dict]) -> UpperProbStructure
     return UpperProbStructure(
         props=worlds.props,
         worlds=worlds.ids,
-        assignment={w: dict(a) for w, a in zip(worlds.ids, worlds.assignments)},
+        assignment={w: {p: bool(col >> i & 1) for p, col in worlds.columns.items()}
+                    for i, w in enumerate(worlds.ids)},
         measures=tuple(measures),
     )
 

@@ -263,8 +263,9 @@ def load_structure(data: Union[bytes, str]) -> UpperProbStructure:
     )
 
 
-def save_structure(M: UpperProbStructure) -> str:
-    doc = {
+def structure_doc(M: UpperProbStructure) -> dict:
+    """M as the JSON document that load_structure reads."""
+    return {
         "props": list(M.props),
         "worlds": [{"id": w, "assign": dict(M.assignment[w])} for w in M.worlds],
         "measures": [
@@ -275,7 +276,10 @@ def save_structure(M: UpperProbStructure) -> str:
             for mid, mu in zip(M.measure_ids, M.measures)
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def save_structure(M: UpperProbStructure) -> str:
+    return json.dumps(structure_doc(M), indent=2)
 
 
 def _subset_key(X: frozenset) -> str:

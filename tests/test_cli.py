@@ -5,6 +5,7 @@ import json
 import os
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -543,9 +544,15 @@ _formula_text = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(text=_formula_text)
 def test_any_formula_text_ends_in_an_exit_code(text):
-    for argv in (["sat", "--formula=" + text],
-                 ["valid", "--formula=" + text],
-                 ["bounds", "--formula=" + text, "--term=l(p)"],
-                 ["check", "--model", os.path.join(FIX, "marble.json"), "--formula=" + text],
-                 ["parse", "--", text]):
-        assert _exits_cleanly(argv)
+    """Also under bad UPLOGIC_ATOM_CAP values, which only the verbs that
+    enumerate atoms read."""
+    for cap in (None, "abc", "17"):
+        env = {} if cap is None else {"UPLOGIC_ATOM_CAP": cap}
+        with mock.patch.dict(os.environ, env):
+            for argv in (["sat", "--formula=" + text],
+                         ["valid", "--formula=" + text],
+                         ["bounds", "--formula=" + text, "--term=l(p)"],
+                         ["check", "--model", os.path.join(FIX, "marble.json"),
+                          "--formula=" + text],
+                         ["parse", "--", text]):
+                assert _exits_cleanly(argv)

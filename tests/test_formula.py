@@ -1,14 +1,18 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uplogic.errors import InputError
+from uplogic.errors import InputError, ResourceError
 from uplogic.formula import (
     FALSE,
     TRUE,
     And,
     Basic,
+    Const,
     LAnd,
     LNot,
     LOr,
@@ -17,9 +21,11 @@ from uplogic.formula import (
     Prop,
     Rel,
     Term,
+    atom_columns,
     atom_set,
     atoms_of,
     dnf,
+    extension_mask,
     holds,
     iff,
     implies,
@@ -31,6 +37,7 @@ from uplogic.formula import (
 from uplogic.semantics import evaluate
 
 from conftest import random_structure
+from test_parser import props
 
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
@@ -111,6 +118,65 @@ class TestTautology:
 
 def b(term_parts, rel, bound):
     return Basic(Term(tuple((F(c), a) for c, a in term_parts)), rel, F(bound))
+
+
+class TestExtensionMask:
+    def test_atom_columns_follow_atoms_of(self):
+        for n in range(1, 6):
+            names = [f"p{i}" for i in range(n)]
+            columns = atom_columns(names)
+            assert list(columns) == names
+            for i, atom in enumerate(atoms_of(names)):
+                assert atom.assignment() == {x: bool(columns[x] >> i & 1) for x in names}
+
+    def test_no_props_is_one_world(self):
+        assert atom_columns([]) == {}
+        assert is_tautology(TRUE) and not is_tautology(FALSE)
+
+    def test_over_the_cap(self):
+        with pytest.raises(ResourceError):
+            is_tautology(And(*[Prop(f"p{i}") for i in range(17)]))
+
+    def test_not_a_formula(self):
+        with pytest.raises(InputError):
+            extension_mask("p", {}, 1)
+
+
+def _holds_reference(phi, assignment):
+    """Truth of phi in one world, walked recursively; a name missing from
+    the assignment is false."""
+    if isinstance(phi, Prop):
+        return assignment.get(phi.name, False)
+    if isinstance(phi, Const):
+        return phi.value
+    if isinstance(phi, Not):
+        return not _holds_reference(phi.sub, assignment)
+    if isinstance(phi, And):
+        return all(_holds_reference(part, assignment) for part in phi.parts)
+    return any(_holds_reference(part, assignment) for part in phi.parts)
+
+
+def _negated(phi, k):
+    return functools.reduce(lambda f, _: Not(f), range(k), phi)
+
+
+# random formulas over p, q, r, s_1 and xy, some under up to 150 negations
+_walked = props() | st.builds(_negated, props(), st.integers(50, 150))
+
+
+@settings(max_examples=400, deadline=None)
+@given(phi=_walked, n_worlds=st.integers(1, 6), data=st.data())
+def test_extension_mask_matches_per_world_reference(phi, n_worlds, data):
+    full = (1 << n_worlds) - 1
+    # some of the formula's propositions have no column
+    columns = data.draw(st.dictionaries(st.sampled_from(["p", "q", "r", "xy"]),
+                                        st.integers(0, full)))
+    mask = extension_mask(phi, columns, full)
+    assert mask & ~full == 0
+    for w in range(n_worlds):
+        assignment = {x: bool(col >> w & 1) for x, col in columns.items()}
+        assert bool(mask >> w & 1) == _holds_reference(phi, assignment)
+        assert holds(phi, assignment) == _holds_reference(phi, assignment)
 
 
 class TestNormalize:

@@ -21,6 +21,8 @@ from uplogic.formula import (
 from uplogic.parser import (
     MAX_NESTING,
     ParseError,
+    _levels,
+    _tokenize,
     parse_likelihood,
     parse_prop,
     parse_term,
@@ -254,3 +256,26 @@ def test_edge_texts_that_parse():
     inner = "(" * (MAX_NESTING - 1) + "l(p) >= 0" + ")" * (MAX_NESTING - 1)
     assert parse_likelihood(inner) == Basic(Term(((F(1), p),)), Rel.GE, F(0))
     parse_likelihood(_implications(MAX_NESTING // 2 - 1))
+
+
+# Texts with implications, whose Or and Not share one arrow token: the
+# densest nesting per token that the parser builds.
+_prop_texts = st.recursive(
+    st.sampled_from(["p", "q", "true"]),
+    lambda inner: st.one_of(
+        inner.map(lambda x: "!" + x),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]}) -> {t[1]}"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]} -> ({t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]} & {t[1]})"),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]} | {t[1]})"),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lforms().map(print_formula), _prop_texts.map(lambda x: f"l({x}) >= 0")))
+def test_at_most_two_levels_per_token(text):
+    # the parser checks the tree's depth only on texts long enough to
+    # exceed MAX_NESTING at two levels per token
+    assert _levels(parse_likelihood(text)) <= 2 * len(_tokenize(text))

@@ -1,13 +1,25 @@
 import random
 from fractions import Fraction as F
 
-from uplogic.formula import FALSE, TRUE, Not, Prop, Term, normalize
+from uplogic.formula import (
+    FALSE,
+    TRUE,
+    Basic,
+    LAnd,
+    LNot,
+    Not,
+    Prop,
+    Rel,
+    Term,
+    basics_of,
+    normalize,
+)
 from uplogic.parser import parse_likelihood, parse_prop, parse_term
 from uplogic.semantics import eval_term, evaluate, extension
-from uplogic.structure import lower_of
+from uplogic.structure import lower_of, upper_of
 
 from conftest import random_structure
-from test_formula import _random_lform, _random_prop
+from test_formula import _holds_reference, _random_lform, _random_prop
 
 
 class TestExtension:
@@ -82,3 +94,43 @@ class TestEvaluate:
             t1 = parse_term("l(p -> q)")
             t2 = parse_term("l(!(p & !q))")
             assert eval_term(M, t1) == eval_term(M, t2)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask evaluation against frozensets of worlds and upper_of
+
+
+def _extension_reference(M, phi):
+    return frozenset(w for w in M.worlds if _holds_reference(phi, M.assignment[w]))
+
+
+def _term_reference(M, t):
+    return sum((c * upper_of(M, _extension_reference(M, arg)) for c, arg in t.parts), F(0))
+
+
+_REL = {Rel.GE: F.__ge__, Rel.GT: F.__gt__, Rel.LE: F.__le__, Rel.LT: F.__lt__, Rel.EQ: F.__eq__}
+
+
+def _evaluate_reference(M, f):
+    if isinstance(f, Basic):
+        return _REL[f.rel](_term_reference(M, f.term), f.bound)
+    if isinstance(f, LNot):
+        return not _evaluate_reference(M, f.sub)
+    results = [_evaluate_reference(M, part) for part in f.parts]
+    return all(results) if isinstance(f, LAnd) else any(results)
+
+
+def test_bits_agree_with_frozensets():
+    rng = random.Random(67)
+    for _ in range(300):
+        # r is often missing from the structure, so false in every world
+        names = rng.choice([("p", "q"), ("p", "q", "r"), ("q",)])
+        M = random_structure(rng, max_worlds=7, props=names)
+        f = _random_lform(rng, 3)
+        phi = _random_prop(rng, 3)
+        assert extension(M, phi) == _extension_reference(M, phi)
+        for b in basics_of(f):
+            assert eval_term(M, b.term) == _term_reference(M, b.term)
+        t = Term(((F(rng.randint(-3, 3)) or F(1), phi), (F(1, 2), Not(phi))))
+        assert eval_term(M, t) == _term_reference(M, t)
+        assert evaluate(M, f) == _evaluate_reference(M, f)
