@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict (UNSAT,
-INVALID, NO, false, no certificate found), 2 input error, 3 resource
-error.  `--json` switches every subcommand to a machine-readable document
-on stdout.
+INVALID, NO, false, no certificate found), 2 input error (a path that
+cannot be read or written included), 3 resource error.  `--json`
+switches every subcommand to a machine-readable document on stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import covers, envelope, lp, parser, semantics, solver, structure
 from .errors import InputError, ResourceError, ValidationError
@@ -24,10 +23,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
-
-
-def _rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _emit(args, human: str, doc: dict) -> None:
@@ -68,7 +63,7 @@ def cmd_check(args) -> int:
     terms = [
         {
             "term": parser.print_term(b.term),
-            "value": _rat(semantics.eval_term(M, b.term)),
+            "value": str(semantics.eval_term(M, b.term)),
         }
         for b in basics_of(f)
     ]
@@ -85,7 +80,7 @@ def cmd_sat(args) -> int:
     if is_sat and args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as fh:
             fh.write(structure.save_structure(result.model))
-    doc = {"verdict": result.verdict.value, "stats": _jsonable(result.stats)}
+    doc = {"verdict": result.verdict.value, "stats": result.stats}
     if is_sat and args.json:
         doc["model"] = structure.structure_doc(result.model)
     _emit(args, result.verdict.value, doc)
@@ -115,14 +110,14 @@ def cmd_bounds(args) -> int:
         return EXIT_NEGATIVE
     lo_kind = "closed" if b.lower_attained else "open"
     hi_kind = "closed" if b.upper_attained else "open"
-    human = f"{_rat(b.lower)} ({lo_kind}) .. {_rat(b.upper)} ({hi_kind})"
+    human = f"{b.lower} ({lo_kind}) .. {b.upper} ({hi_kind})"
     _emit(
         args,
         human,
         {
-            "lower": _rat(b.lower),
+            "lower": str(b.lower),
             "lower_attained": b.lower_attained,
-            "upper": _rat(b.upper),
+            "upper": str(b.upper),
             "upper_attained": b.upper_attained,
         },
     )
@@ -139,7 +134,7 @@ def cmd_envelope(args) -> int:
                 "measures": [
                     {
                         "id": f"m{i}",
-                        "dist": {g: _rat(x) for g, x in sorted(mu.items())},
+                        "dist": {g: str(x) for g, x in sorted(mu.items())},
                     }
                     for i, mu in enumerate(result.witness)
                 ]
@@ -221,16 +216,6 @@ def cmd_props(args) -> int:
     return EXIT_OK if all_pass else EXIT_NEGATIVE
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return _rat(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="uplogic",
@@ -301,7 +286,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, InputError, ValidationError, FileNotFoundError) as e:
+    except (ParseError, InputError, ValidationError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceError as e:

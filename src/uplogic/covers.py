@@ -9,11 +9,11 @@ budget, since no a-priori bound on the multiset size is available.
 
 The search and the property checks work on one representation: integer
 tables indexed by ground bitmask, every value scaled by one common
-denominator L (`mask_tables`), so each comparison is an exact integer
-comparison.  search_violation builds each multiset once from its prefix,
-keeps its coverage chain as runs of equal sets, and bounds its targets
-once, from a subset-max table and the chain's last run, instead of testing
-all 2^n targets (README, "Covers").
+denominator L (`structure.mask_tables`), so each comparison is an exact
+integer comparison.  search_violation builds each multiset once from its
+prefix, keeps its coverage chain as runs of equal sets, and bounds its
+targets once, from a subset-max table and the chain's last run, instead of
+testing all 2^n targets (README, "Covers").
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError, ResourceError
@@ -44,7 +44,10 @@ from .structure import (
     _load_json,
     _strings,
     _typed,
-    check_world_cap,
+    _unmask,
+    mask_tables,
+    subset_masks,
+    subset_sums,
 )
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -194,7 +197,7 @@ def search_violation(
                     link, t = link
                     sets.append(t)
                 found = CoverInstance(sets=_unmask(ground, reversed(sets)),
-                                      target=v.subsets()[hit],
+                                      target=_unmask(ground, (masks[hit],))[0],
                                       n=_coverage(at_least, masks[hit]) - k, k=k)
                 if not verify_cover(found, ground) or up3_check(v, found):
                     raise InternalCheckError(
@@ -261,65 +264,6 @@ def l4_instances(
 
 # ---------------------------------------------------------------------------
 # Properties (1)-(6)
-
-
-def mask_tables(
-    source: Union[UpperProbStructure, SetFunction],
-) -> tuple[list[str], list[int], list[int], int]:
-    """Ground elements, upper/lower value tables indexed by bitmask, and L.
-
-    Bit i of a mask stands for ground[i].  Every value is an int over the
-    common denominator L: upper[mask] / L is the upper value of the set.
-    A structure is held to the world cap of structure.set_function_of.
-    """
-    if isinstance(source, SetFunction):
-        ground = list(source.ground)
-        n = len(ground)
-        L = lcm(*[x.denominator for x in source.values.values()])
-        upper = [0] * (1 << n)
-        for X, val in source.values.items():
-            mask = 0
-            for i, g in enumerate(ground):
-                if g in X:
-                    mask |= 1 << i
-            upper[mask] = val.numerator * (L // val.denominator)
-        full = (1 << n) - 1
-        lower = [L - upper[full ^ m] for m in range(1 << n)]
-        return ground, upper, lower, L
-    M = source
-    check_world_cap(M)
-    ground = list(M.worlds)
-    n = len(ground)
-    L = lcm(*[x.denominator for mu in M.measures for x in mu.values()])
-    # per-measure cumulative mass by mask, then envelope
-    totals = []
-    for idx in range(len(M.measures)):
-        mass = [M.mass(idx, w) for w in ground]
-        totals.append(subset_sums([x.numerator * (L // x.denominator) for x in mass]))
-    upper = [max(t[m] for t in totals) for m in range(1 << n)]
-    lower = [min(t[m] for t in totals) for m in range(1 << n)]
-    return ground, upper, lower, L
-
-
-def subset_sums(mass: Sequence[int]) -> list[int]:
-    """The table of sums of mass over each subset, indexed by bitmask:
-    entry m is the sum of mass[i] over the bits i of m."""
-    acc = [0] * (1 << len(mass))
-    for m in range(1, len(acc)):
-        low = m & -m
-        acc[m] = acc[m ^ low] + mass[low.bit_length() - 1]
-    return acc
-
-
-def subset_masks(n: int) -> list[int]:
-    """The bitmasks of the subsets of n elements, in SetFunction.subsets()
-    order: by size, then lexicographically by element index."""
-    return [sum(1 << i for i in c) for r in range(n + 1)
-            for c in itertools.combinations(range(n), r)]
-
-
-def _unmask(ground: list[str], masks: Iterable[int]) -> tuple[frozenset, ...]:
-    return tuple(frozenset(g for i, g in enumerate(ground) if m >> i & 1) for m in masks)
 
 
 def check_properties(

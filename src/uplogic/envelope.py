@@ -6,21 +6,21 @@ for every nonempty subset A the maximum of mu(A) over the polytope of
 probability measures dominated by v (mu(X) <= v(X) for all X) reaches
 v(A).  Each such maximum is one exact LP, but an LP runs only for a subset
 that no earlier witness reaches: the subsets are visited in v.subsets()
-order, and A is skipped when a measure found so far has mass exactly v(A)
-on A.  That proves the maximum at A is v(A), because every witness is an
-LP optimum that lp re-checked against every domination row (so mu <= v on
-proper subsets) and has total mass 1 = v(ground).  Each LP that runs
-therefore returns a measure reaching a subset no earlier one reached, and
-on success these measures are the witness family: one per distinct LP
-optimum needed, realizing v exactly.  NO answers are those of one LP per
-subset: the first LP detects an empty polytope, and the first subset whose
-maximum falls short of v fails.  This finite decision replaces
-quantification over arbitrarily large set covers.
+order (structure.subset_masks), and A is skipped when a measure found so
+far has mass exactly v(A) on A.  That proves the maximum at A is v(A),
+because every witness is an LP optimum that lp re-checked against every
+domination row (so mu <= v on proper subsets) and has total mass 1 =
+v(ground).  Each LP that runs therefore returns a measure reaching a
+subset no earlier one reached, and on success these measures are the
+witness family: one per distinct LP optimum needed, realizing v exactly.
+NO answers are those of one LP per subset: the first LP detects an empty
+polytope, and the first subset whose maximum falls short of v fails.  This
+finite decision replaces quantification over arbitrarily large set covers.
 
 The attainment test is done in integers: v as a table indexed by ground
-bitmask over one denominator (covers.mask_tables), and each witness as the
-table of its subset sums over its own denominator.  The polytope depends on
-v alone, so every LP on one set function shares one system
+bitmask over one denominator (structure.mask_tables), and each witness as
+the table of its subset sums over its own denominator.  The polytope
+depends on v alone, so every LP on one set function shares one system
 (SetFunction.dominated, built once).
 """
 
@@ -31,9 +31,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from . import covers, lp
+from . import lp
 from .errors import InputError, InternalCheckError, ResourceError
-from .structure import SetFunction
+from .structure import SetFunction, _unmask, mask_tables, subset_masks, subset_sums
 
 DEFAULT_GROUND_CAP = 12
 
@@ -80,12 +80,13 @@ def is_upper_probability(v: SetFunction) -> EnvelopeResult:
     if v(full) != 1:
         return EnvelopeResult(False, failing_set=full,
                               failing_reason="v(ground) != 1")
-    ground, table, _, L = covers.mask_tables(v)
+    ground, table, _, L = mask_tables(v)
     reached = [False] * len(table)  # masks at which some witness has mass v
     witnesses: list[dict] = []
-    for mask, A in zip(covers.subset_masks(len(ground)), v.subsets()):
-        if not A or reached[mask]:
+    for mask in subset_masks(len(ground)):
+        if not mask or reached[mask]:
             continue
+        A = _unmask(ground, (mask,))[0]
         try:
             best, measure = dominated_max(v, A)
         except InputError:
@@ -103,7 +104,7 @@ def is_upper_probability(v: SetFunction) -> EnvelopeResult:
         witnesses.append(measure)
         masses = [measure.get(g, Fraction(0)) for g in ground]
         den = lcm(*[x.denominator for x in masses])
-        sums = covers.subset_sums([x.numerator * (den // x.denominator) for x in masses])
+        sums = subset_sums([x.numerator * (den // x.denominator) for x in masses])
         # mu(X) = sums[X]/den equals v(X) = table[X]/L
         reached = [r or s * L == t * den for r, s, t in zip(reached, sums, table)]
         if not reached[mask]:

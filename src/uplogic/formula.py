@@ -421,7 +421,7 @@ def _tokens(f: Union[PropFormula, LikelihoodFormula], need: int) -> Iterator[str
     elif isinstance(f, Basic):
         yield from _term_tokens(f.term)
         yield f.rel.value
-        yield _rat_token(f.bound)
+        yield str(f.bound)
     elif isinstance(f, (Not, LNot)):
         yield _SYMBOL[type(f)]
         yield from _tokens(f.sub, 3)
@@ -434,10 +434,6 @@ def _tokens(f: Union[PropFormula, LikelihoodFormula], need: int) -> Iterator[str
         yield ")"
 
 
-def _rat_token(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _term_tokens(t: Term) -> Iterator[str]:
     for i, (coeff, arg) in enumerate(t.parts):
         if i == 0:
@@ -447,7 +443,7 @@ def _term_tokens(t: Term) -> Iterator[str]:
             yield "-" if coeff < 0 else "+"
         mag = abs(coeff)
         if mag != 1:
-            yield _rat_token(mag)
+            yield str(mag)
         yield "l"
         yield "("
         yield from _tokens(arg, 0)

@@ -6,7 +6,8 @@ Structure:
     {"props": ["p", "q"],
      "worlds": [{"id": "w0", "assign": {"p": true, "q": false}}, ...],
      "measures": [{"id": "m0", "dist": {"w0": "1/4", ...}}, ...]}
-Worlds omitted from a dist get probability 0.
+Worlds omitted from a dist get probability 0.  A world may assign only
+propositions in props; one it leaves out is false there.
 
 Set function:
     {"omega": ["a", "b", "c"],
@@ -14,16 +15,23 @@ Set function:
 Subsets are keyed by comma-joined sorted element names, "" is the empty
 set.  Omitted empty set / full set default to 0 / 1; every other subset
 must be present.
+
+This module alone maps worlds and subsets to bitmasks: world or ground
+element i is bit i, and subsets are listed by size, then by element index
+(subset_masks).  Upper and lower values are read from a structure's
+cached supports (UpperProbStructure.masses) or from integer tables over
+one common denominator (mask_tables).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import lp
 from .errors import InputError, ResourceError, ValidationError
@@ -50,9 +58,41 @@ def format_rational(x: Fraction) -> Union[str, int]:
     return f"{x.numerator}/{x.denominator}"
 
 
+# ---------------------------------------------------------------------------
+# Bitmasks: world or ground element i is bit i of a mask
+
+
+def subset_sums(mass: Sequence[int]) -> list[int]:
+    """The table of sums of mass over each subset, indexed by bitmask:
+    entry m is the sum of mass[i] over the bits i of m."""
+    acc = [0] * (1 << len(mass))
+    for m in range(1, len(acc)):
+        low = m & -m
+        acc[m] = acc[m ^ low] + mass[low.bit_length() - 1]
+    return acc
+
+
+def subset_masks(n: int) -> list[int]:
+    """The bitmasks of the subsets of n elements, by size, then
+    lexicographically by element index."""
+    return [sum(1 << i for i in c) for r in range(n + 1)
+            for c in itertools.combinations(range(n), r)]
+
+
+def _mask(ground: Sequence[str], X) -> int:
+    return sum(1 << i for i, g in enumerate(ground) if g in X)
+
+
+def _unmask(ground: Sequence[str], masks: Iterable[int]) -> tuple[frozenset, ...]:
+    return tuple(frozenset(g for i, g in enumerate(ground) if m >> i & 1) for m in masks)
+
+
 @dataclass(frozen=True)
 class UpperProbStructure:
-    """Finite structure: worlds, per-world truth assignment, measure set."""
+    """Finite structure: worlds, per-world truth assignment, measure set.
+
+    World i is bit i of a mask; full, columns and supports are the
+    structure in that form, built on first use."""
 
     props: tuple[str, ...]
     worlds: tuple[str, ...]
@@ -72,9 +112,13 @@ class UpperProbStructure:
         if len(ids) != len(self.measures):
             raise ValidationError("measure_ids length mismatch")
         world_set = self.world_set
+        declared = set(self.props)
         for w in self.worlds:
             if w not in self.assignment:
                 raise ValidationError(f"world {w!r} has no truth assignment")
+            for p in self.assignment[w]:
+                if p not in declared:
+                    raise ValidationError(f"world {w!r} assigns {p!r}, which is not in props")
         for mid, mu in zip(self.measure_ids, self.measures):
             total = Fraction(0)
             for w, mass in mu.items():
@@ -90,33 +134,47 @@ class UpperProbStructure:
     def world_set(self) -> frozenset:
         return frozenset(self.worlds)
 
+    @cached_property
+    def full(self) -> int:
+        """The mask of all worlds."""
+        return (1 << len(self.worlds)) - 1
+
+    @cached_property
+    def columns(self) -> dict[str, int]:
+        """Each proposition's column: the mask of the worlds where it is true."""
+        return {p: sum(1 << i for i, w in enumerate(self.worlds) if self.assignment[w].get(p))
+                for p in self.props}
+
+    @cached_property
+    def supports(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each measure as the (world bit, mass) pairs of its nonzero masses."""
+        bit = {w: 1 << i for i, w in enumerate(self.worlds)}
+        return tuple(tuple((bit[w], m) for w, m in mu.items() if m) for mu in self.measures)
+
     def mass(self, measure_index: int, world: str) -> Fraction:
         return self.measures[measure_index].get(world, Fraction(0))
 
-    def measure_of(self, measure_index: int, S: Iterable[str]) -> Fraction:
-        """The measure's mass on the set S, summed over its own entries."""
-        S = frozenset(S)
-        mu = self.measures[measure_index]
-        return sum((m for w, m in mu.items() if w in S), Fraction(0))
+    def masses(self, mask: int) -> Iterator[Fraction]:
+        """Each measure's mass on the worlds in mask."""
+        return (sum((m for b, m in support if b & mask), Fraction(0))
+                for support in self.supports)
 
 
-def _check_subset(M: UpperProbStructure, S: Iterable[str]) -> frozenset:
+def _mask_of(M: UpperProbStructure, S: Iterable[str]) -> int:
     S = frozenset(S)
     unknown = S - M.world_set
     if unknown:
         raise InputError(f"unknown world id(s): {', '.join(sorted(unknown))}")
-    return S
+    return _mask(M.worlds, S)
 
 
 def upper_of(M: UpperProbStructure, S: Iterable[str]) -> Fraction:
     """max over measures of the total mass on S (sup attained: P finite)."""
-    S = _check_subset(M, S)
-    return max(M.measure_of(i, S) for i in range(len(M.measures)))
+    return max(M.masses(_mask_of(M, S)))
 
 
 def lower_of(M: UpperProbStructure, S: Iterable[str]) -> Fraction:
-    S = _check_subset(M, S)
-    return min(M.measure_of(i, S) for i in range(len(M.measures)))
+    return min(M.masses(_mask_of(M, S)))
 
 
 @dataclass(frozen=True)
@@ -164,30 +222,55 @@ class SetFunction:
                 constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
         return lp.make_system(ground, constraints)
 
-    def subsets(self) -> list[frozenset]:
-        out = []
-        for r in range(len(self.ground) + 1):
-            for combo in itertools.combinations(self.ground, r):
-                out.append(frozenset(combo))
-        return out
+    def subsets(self) -> tuple[frozenset, ...]:
+        """Every subset of the ground set, in subset_masks order."""
+        return _unmask(self.ground, subset_masks(len(self.ground)))
 
 
-def check_world_cap(M: UpperProbStructure) -> None:
-    """Refuse a structure too large for tables over all subsets of worlds."""
+def mask_tables(
+    source: Union[UpperProbStructure, SetFunction],
+) -> tuple[list[str], list[int], list[int], int]:
+    """Ground elements, upper/lower value tables indexed by bitmask, and L.
+
+    Bit i of a mask stands for ground[i].  Every value is an int over the
+    common denominator L: upper[mask] / L is the upper value of the set.
+    A structure of more than DEFAULT_WORLD_CAP worlds is refused.
+    """
+    if isinstance(source, SetFunction):
+        ground = list(source.ground)
+        n = len(ground)
+        L = lcm(*[x.denominator for x in source.values.values()])
+        upper = [0] * (1 << n)
+        for X, val in source.values.items():
+            upper[_mask(ground, X)] = val.numerator * (L // val.denominator)
+        full = (1 << n) - 1
+        lower = [L - upper[full ^ m] for m in range(1 << n)]
+        return ground, upper, lower, L
+    M = source
     if len(M.worlds) > DEFAULT_WORLD_CAP:
         raise ResourceError(
             f"{len(M.worlds)} worlds exceed the set-function cap {DEFAULT_WORLD_CAP}"
         )
+    ground = list(M.worlds)
+    L = lcm(*[m.denominator for support in M.supports for _, m in support])
+    # per-measure cumulative mass by mask, then envelope
+    totals = []
+    for support in M.supports:
+        mass = [0] * len(ground)
+        for b, m in support:
+            mass[b.bit_length() - 1] = m.numerator * (L // m.denominator)
+        totals.append(subset_sums(mass))
+    upper = [max(t) for t in zip(*totals)]
+    lower = [min(t) for t in zip(*totals)]
+    return ground, upper, lower, L
 
 
 def set_function_of(M: UpperProbStructure) -> SetFunction:
     """The upper envelope of M's measures, as a total set function."""
-    check_world_cap(M)
-    values = {}
-    for r in range(len(M.worlds) + 1):
-        for combo in itertools.combinations(M.worlds, r):
-            values[frozenset(combo)] = upper_of(M, combo)
-    return SetFunction(tuple(M.worlds), values)
+    ground, upper, _, L = mask_tables(M)
+    masks = subset_masks(len(ground))
+    return SetFunction(M.worlds, {X: Fraction(upper[m], L)
+                                  for X, m in zip(_unmask(ground, masks), masks)})
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,27 @@ class TestCheck:
         assert code == 2
 
 
+@pytest.mark.parametrize("case", [
+    "parse-file-directory", "check-model-directory", "sat-model-out-directory",
+    "witness-out-existing-file", "parse-file-not-utf8",
+])
+def test_unusable_path_is_an_input_error(capsys, tmp_path, case):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "latin1").write_bytes("l(p\u00e9) >= 0".encode("latin-1"))
+    argv = {
+        "parse-file-directory": ["parse", "--file", str(tmp_path)],
+        "check-model-directory": ["check", "--model", str(tmp_path), "--formula", "l(p) >= 0"],
+        "sat-model-out-directory": ["sat", "--formula", "l(p) >= 1/2",
+                                    "--model-out", str(tmp_path)],
+        "witness-out-existing-file": ["envelope", "--function", TABLE_UPPER,
+                                      "--witness-out", str(tmp_path / "file")],
+        "parse-file-not-utf8": ["parse", "--file", str(tmp_path / "latin1")],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSatValid:
     def test_sat_writes_model(self, capsys, tmp_path):
         out_path = tmp_path / "model.json"
@@ -357,7 +378,7 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("case", [
         "world-without-id", "world-not-object", "measure-not-object",
-        "dist-not-object", "props-string", "document-list",
+        "dist-not-object", "props-string", "document-list", "undeclared-prop",
     ])
     def test_bad_structure(self, capsys, tmp_path, case):
         doc = {
@@ -367,6 +388,7 @@ class TestMalformedDocuments:
             "dist-not-object": self.structure(measures=[{"dist": [1]}]),
             "props-string": self.structure(props="p"),
             "document-list": [self.structure()],
+            "undeclared-prop": self.structure(worlds=[{"id": "w0", "assign": {"q": True}}]),
         }[case]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))

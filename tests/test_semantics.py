@@ -16,7 +16,7 @@ from uplogic.formula import (
 )
 from uplogic.parser import parse_likelihood, parse_prop, parse_term
 from uplogic.semantics import eval_term, evaluate, extension
-from uplogic.structure import lower_of, upper_of
+from uplogic.structure import lower_of
 
 from conftest import random_structure
 from test_formula import _holds_reference, _random_lform, _random_prop
@@ -97,15 +97,21 @@ class TestEvaluate:
 
 
 # ---------------------------------------------------------------------------
-# The bitmask evaluation against frozensets of worlds and upper_of
+# The bitmask evaluation against frozensets of worlds and sums of masses
+# over them
 
 
 def _extension_reference(M, phi):
     return frozenset(w for w in M.worlds if _holds_reference(phi, M.assignment[w]))
 
 
+def _upper_reference(M, S):
+    return max(sum((m for w, m in mu.items() if w in S), F(0)) for mu in M.measures)
+
+
 def _term_reference(M, t):
-    return sum((c * upper_of(M, _extension_reference(M, arg)) for c, arg in t.parts), F(0))
+    return sum((c * _upper_reference(M, _extension_reference(M, arg)) for c, arg in t.parts),
+               F(0))
 
 
 _REL = {Rel.GE: F.__ge__, Rel.GT: F.__gt__, Rel.LE: F.__le__, Rel.LT: F.__lt__, Rel.EQ: F.__eq__}

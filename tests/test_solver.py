@@ -358,21 +358,6 @@ class TestBoundsMetamorphic:
         assert min(seen.values()) >= 5, seen
 
 
-class TestModelRecheck:
-    def test_measure_of_walks_the_support(self):
-        rng = random.Random(127)
-        for _ in range(200):
-            M = random_structure(rng, max_worlds=6)
-            for _ in range(5):
-                S = [w for w in M.worlds if rng.random() < 0.5]
-                if rng.random() < 0.3:
-                    S.append("elsewhere")
-                for i, mu in enumerate(M.measures):
-                    full = sum((mu.get(w, F(0)) for w in set(S)), F(0))
-                    assert M.measure_of(i, S) == full
-                    assert M.measure_of(i, frozenset(S)) == full
-
-
 class _ReferenceLP:
     """The witness LP without a pivot class: T*C columns, one = 1 row per
     measure, dominance rows over each measure's own extension and each

@@ -12,6 +12,7 @@ from uplogic.structure import (
     load_set_function,
     load_structure,
     lower_of,
+    mask_tables,
     save_set_function,
     save_structure,
     set_function_of,
@@ -49,6 +50,14 @@ class TestLoadSave:
         doc = """{"props":["p"],"worlds":[{"id":"w0","assign":{"p":true}}],
                   "measures":[{"id":"m0","dist":{"w0":0.5}}]}"""
         with pytest.raises(ValidationError):
+            load_structure(doc)
+
+    def test_undeclared_prop_rejected(self):
+        # the model checker reads only declared propositions, so an
+        # undeclared one set true in a file would be false there
+        doc = """{"props":["p"],"worlds":[{"id":"w0","assign":{"p":false,"q":true}}],
+                  "measures":[{"id":"m0","dist":{"w0":"1"}}]}"""
+        with pytest.raises(ValidationError, match="world 'w0' assigns 'q'"):
             load_structure(doc)
 
     def test_round_trip_random(self):
@@ -105,6 +114,33 @@ class TestEnvelopes:
                 assert upper_of(M, S | T) <= upper_of(M, S) + upper_of(M, T)
                 if not (S & T):
                     assert upper_of(M, S) + lower_of(M, T) <= upper_of(M, S | T)
+
+
+def _with_zeros(rng):
+    """A random structure with explicit zero masses and a world that no
+    dist lists."""
+    M = random_structure(rng, max_worlds=5)
+    measures = tuple({**mu, **{w: F(0) for w in M.worlds if w not in mu and rng.random() < 0.5}}
+                     for mu in M.measures)
+    worlds = list(M.worlds)
+    worlds.insert(rng.randint(0, len(worlds)), "unlisted")
+    return UpperProbStructure(props=M.props, worlds=tuple(worlds),
+                              assignment={**M.assignment, "unlisted": {}}, measures=measures)
+
+
+def test_values_agree_with_frozenset_sums():
+    rng = random.Random(71)
+    for _ in range(150):
+        M = _with_zeros(rng)
+        v = set_function_of(M)
+        ground, upper, lower, L = mask_tables(M)
+        assert ground == list(M.worlds) and v.ground == M.worlds
+        assert len(v.values) == len(upper) == 1 << len(M.worlds)
+        for mask in range(len(upper)):
+            S = frozenset(w for i, w in enumerate(M.worlds) if mask >> i & 1)
+            sums = [sum((m for w, m in mu.items() if w in S), F(0)) for mu in M.measures]
+            assert upper_of(M, S) == v(S) == max(sums) == F(upper[mask], L)
+            assert lower_of(M, S) == min(sums) == F(lower[mask], L)
 
 
 class TestSetFunction:
