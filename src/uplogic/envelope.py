@@ -4,24 +4,42 @@ A total set function v over a finite ground set equals the upper envelope
 of some set of probability measures iff v(empty) = 0, v(ground) = 1, and
 for every nonempty subset A the maximum of mu(A) over the polytope of
 probability measures dominated by v (mu(X) <= v(X) for all X) reaches
-v(A).  Each such maximum is one exact LP, but an LP runs only for a subset
-that no earlier witness reaches: the subsets are visited in v.subsets()
-order (structure.subset_masks), and A is skipped when a measure found so
-far has mass exactly v(A) on A.  That proves the maximum at A is v(A),
-because every witness is an LP optimum that lp re-checked against every
-domination row (so mu <= v on proper subsets) and has total mass 1 =
-v(ground).  Each LP that runs therefore returns a measure reaching a
-subset no earlier one reached, and on success these measures are the
-witness family: one per distinct LP optimum needed, realizing v exactly.
-NO answers are those of one LP per subset: the first LP detects an empty
-polytope, and the first subset whose maximum falls short of v fails.  This
-finite decision replaces quantification over arbitrarily large set covers.
+v(A) (Anger and Lembcke).  Each such maximum is one exact LP, but an LP
+runs only for a subset that no earlier witness reaches: the subsets are
+visited in v.subsets() order (structure.subset_masks), and A is skipped
+when a measure found so far has mass exactly v(A) on A.  That proves the
+maximum at A is v(A), because every witness is certified dominated by v
+(below) and has total mass 1 = v(ground).  Each LP that runs therefore
+returns a measure reaching a subset no earlier one reached, and on
+success these measures are the witness family: one per distinct LP
+optimum needed, realizing v exactly.  NO answers are those of one LP per
+subset: the first LP detects an empty polytope, and the first subset
+whose maximum falls short of v fails.  This finite decision replaces
+quantification over arbitrarily large set covers.
 
-The attainment test is done in integers: v as a table indexed by ground
-bitmask over one denominator (structure.mask_tables), and each witness as
-the table of its subset sums over its own denominator.  The polytope
-depends on v alone, so every LP on one set function shares one system
-(SetFunction.dominated, built once).
+Each maximum is solved as its dual, which has one row per ground element
+g and one column y_X per proper nonempty subset X:
+
+    minimize    lam + sum_X y_X v(X)
+    subject to  lam + sum_{X containing g} y_X - s_g = [g in A]  for each g,
+
+with lam free and y, s >= 0.  A revised simplex keeps only the n basic
+columns, as an exact integer inverse (lp.Basis), and prices every y_X in
+one pass over v's integer table (structure.mask_tables: V over the
+denominator L): with the duals P / (L D), y_X's reduced cost is
+(V[X] D - P(X)) / (L D), where P(X) is a subset sum of P
+(structure.subset_sums), and s_g's is P[g] / (L D).  lam has the column of
+the ground set, and the start basis, lam at the row of the first element
+of A and s_g at every other row, is feasible, so there is no phase 1.  An
+entering column that no row bounds makes the dual unbounded: the polytope
+is empty.
+
+The optimal duals are the witness measure mu.  Two exact checks in
+integers certify the optimum: mu is nonnegative, has total 1 and is at
+most v on every other subset; and the dual point, which must satisfy its
+n rows with y, s >= 0, has objective mu(A).  By weak duality, mu(A) is
+then the maximum.  The reuse test reads v's table and each witness's
+subset sums over its own denominator.
 """
 
 from __future__ import annotations
@@ -33,7 +51,14 @@ from typing import Optional
 
 from . import lp
 from .errors import InputError, InternalCheckError, ResourceError
-from .structure import SetFunction, _unmask, mask_tables, subset_masks, subset_sums
+from .structure import (
+    SetFunction,
+    _mask,
+    _unmask,
+    mask_tables,
+    subset_masks,
+    subset_sums,
+)
 
 DEFAULT_GROUND_CAP = 12
 
@@ -53,14 +78,97 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     A = frozenset(A)
     if not A <= frozenset(v.ground):
         raise InputError(f"subset {sorted(A)} not within the ground set")
-    outcome = lp.optimize(v.dominated, dict.fromkeys(A, 1), lp.Direction.MAX)
-    if outcome.verdict is not lp.Verdict.OPTIMAL:
-        raise InputError(
-            "the dominated-measure polytope is empty; v admits no probability "
-            "measure below it"
-        )
-    measure = {g: m for g, m in outcome.point.items() if m != 0}
-    return outcome.value, measure
+    ground, V, _, L = mask_tables(v)
+    n, full = len(ground), len(V) - 1
+    if not n:
+        raise InputError(_EMPTY)
+    a = _mask(ground, A)
+    b = _column(a, n, full)  # the right-hand side [g in A], y_A's column
+    # column j is y_X for j = X < full, lam for j = full, s_g for
+    # j = full + 1 + g; C[j] is its cost over L
+    C = V[:full] + [L] + [0] * n
+    g0 = (a & -a).bit_length() - 1 if a else 0
+    # lam at g0's row and s_g at every other: B^-1 has row e_g0 at g0's
+    # position and e_g0 - e_g at g's, over D = 1
+    M = [[(j == g0) - (j == i) for j in range(n)] for i in range(n)]
+    M[g0][g0] = 1
+    basis = lp.Basis(M, 1, [full + 1 + i for i in range(n)])
+    basis.cols[g0] = full
+    dantzig = lp.bland_after(n, len(C))
+    iters = 0
+    while True:
+        iters += 1
+        D = basis.D
+        P = basis.duals([C[j] for j in basis.cols])
+        # every reduced cost over L D: C[j] D minus P on column j, which is
+        # P(X) for y_X and lam, and -P[g] for s_g
+        rc = [c * D - p for c, p in zip(C, subset_sums(P) + [-p for p in P])]
+        if iters > dantzig:  # Bland's rule: the lowest improving column
+            e = next((j for j, r in enumerate(rc) if r < 0), -1)
+        else:  # Dantzig's: the most negative, ties to the lowest column
+            low = min(rc)
+            e = rc.index(low) if low < 0 else -1
+        if e < 0:
+            break
+        u = basis.solve(_column(e, n, full))
+        beta = basis.solve(b)
+        # ratio test on the rows of the bounded basic columns (lam is free),
+        # ties to the lowest basic column
+        r = -1
+        for i, ui in enumerate(u):
+            if ui <= 0 or basis.cols[i] == full:
+                continue
+            if r < 0:
+                r = i
+                continue
+            lhs, rhs = beta[i] * u[r], beta[r] * ui
+            if lhs < rhs or (lhs == rhs and basis.cols[i] < basis.cols[r]):
+                r = i
+        if r < 0:
+            raise InputError(_EMPTY)
+        basis.pivot(r, e, u)
+    point = list(zip(basis.cols, basis.solve(b)))
+    value = _certify(C, full, a, point, D, P)
+    return value, {g: Fraction(p, L * D) for g, p in zip(ground, P) if p}
+
+
+_EMPTY = ("the dominated-measure polytope is empty; v admits no probability "
+          "measure below it")
+
+
+def _column(j: int, n: int, full: int) -> dict[int, int]:
+    """Column j of the dual over its n rows, as {row: entry}: the subset j
+    for y_j (and lam, j = full), and -1 at row g for s_g, j = full + 1 + g."""
+    if j > full:
+        return {j - full - 1: -1}
+    return {g: 1 for g in range(n) if j >> g & 1}
+
+
+def _certify(C: list[int], full: int, a: int, point: list, D: int, P: list[int]) -> Fraction:
+    """mu(A) for the duals mu = P / (L D), L = C[full], after checking in
+    integers that mu is a probability measure at most v on every proper
+    subset, and that the dual point, (column, value over D) pairs, satisfies
+    the rows with every column but lam nonnegative, at objective mu(A).
+    Raises InternalCheckError otherwise."""
+    n, LD = len(P), C[full] * D
+    sums = subset_sums(P)
+    if min(P) < 0 or sums[full] != LD or any(
+            s > c * D for s, c in zip(sums[:full], C)):
+        raise InternalCheckError("the optimal duals are not a measure dominated by v")
+    rows = [0] * n
+    objective = 0
+    for j, x in point:
+        if x < 0 and j != full:
+            raise InternalCheckError("the optimal dual point has a negative column")
+        for g, y in _column(j, n, full).items():
+            rows[g] += y * x
+        objective += C[j] * x
+    if rows != [D * (a >> g & 1) for g in range(n)]:
+        raise InternalCheckError("the optimal dual point violates its rows")
+    if objective != sums[a]:
+        raise InternalCheckError(f"dual objective {Fraction(objective, LD)} "
+                                 f"!= mu(A) = {Fraction(sums[a], LD)}")
+    return Fraction(sums[a], LD)
 
 
 def is_upper_probability(v: SetFunction) -> EnvelopeResult:

@@ -53,6 +53,12 @@ attained iff delta > 0 somewhere on the optimal face.  At an optimal
 tableau the face is the set of feasible points with every column of
 negative reduced cost at zero, so optimize, on the same copy, maximizes
 delta with those columns banned from entering.
+
+Basis is the other simplex here, for a revised simplex whose caller
+prices its own columns (envelope.dominated_max): only the m basic columns
+are kept, as an exact integer inverse M / D, and a pivot is one Bareiss
+step on M.  Both loops leave Dantzig's rule for Bland's after the same
+number of pivots (bland_after).
 """
 
 from __future__ import annotations
@@ -202,6 +208,57 @@ def _eliminate(row: dict, den: int, e: int, nz: list, piv_den: int):
     return _reduce(_axpy(row, piv_den, row[e], nz), den * piv_den)
 
 
+def bland_after(rows: int, columns: int) -> int:
+    """The pivots after which a simplex loop leaves Dantzig's rule for
+    Bland's, which cannot cycle."""
+    return 20 * (rows + columns + 10)
+
+
+class Basis:
+    """The basis of a revised simplex over m rows, as an exact integer
+    inverse B^-1 = M / D.
+
+    cols[i] is the column basic at position i, and M[i], a list of m ints,
+    is position i's row of the inverse.  D > 0 is det B up to a sign fixed
+    at the start, so M is B's adjugate up to that sign: both stay integral
+    while B's columns are.  Columns and costs are given as ints; what the
+    columns stand for is the caller's.
+    """
+
+    def __init__(self, M: list[list[int]], D: int, cols: list[int]):
+        self.M, self.D, self.cols = M, D, cols
+
+    def solve(self, column: Mapping[int, int]) -> list[int]:
+        """u with B^-1 a = u / D, for a sparse column a (row -> entry)."""
+        items = column.items()
+        return [sum([row[g] * x for g, x in items]) for row in self.M]
+
+    def duals(self, costs: Sequence[int]) -> list[int]:
+        """P with c_B B^-1 = P / D, for the basic columns' costs c_B in
+        position order."""
+        P = [0] * len(self.M)
+        for c, row in zip(costs, self.M):
+            if c:
+                P = [p + c * x for p, x in zip(P, row)]
+        return P
+
+    def pivot(self, r: int, col: int, u: Sequence[int]) -> None:
+        """Make col basic at position r, where u = solve(col's column) and
+        u[r] > 0.
+
+        Row r of the inverse is divided by u[r] / D and every other row i
+        loses u[i] / u[r] times the result, so with the new D = u[r] each
+        new row is (M[i] u[r] - u[i] M[r]) / D, a Bareiss step: the
+        division is exact because the new M is again an adjugate."""
+        M, D, ur = self.M, self.D, u[r]
+        Mr = M[r]
+        for i, ui in enumerate(u):
+            if i != r:
+                M[i] = [(x * ur - ui * y) // D for x, y in zip(M[i], Mr)]
+        self.D = ur
+        self.cols[r] = col
+
+
 class _Simplex:
     """Tableau simplex in exact rational arithmetic: phase_one, then _run
     for each objective.
@@ -298,10 +355,10 @@ class _Simplex:
         T, basis = self.T, self.basis
         costs, den = self._reduced_costs(c, cden)
         iters = 0
-        bland_after = 20 * (self.m + self.total + 10)
+        dantzig = bland_after(self.m, self.total)
         while True:
             iters += 1
-            bland = iters > bland_after
+            bland = iters > dantzig
             e = -1
             best = 0
             for j, cj in costs.items():

@@ -14,7 +14,8 @@ Set function:
      "v": {"": "0", "a": "3/8", "a,b": "1/2", ...}}
 Subsets are keyed by comma-joined sorted element names, "" is the empty
 set.  Omitted empty set / full set default to 0 / 1; every other subset
-must be present.
+must be present, and each subset is given once, by one key that names
+each of its elements once.
 
 This module alone maps worlds and subsets to bitmasks: world or ground
 element i is bit i, and subsets are listed by size, then by element index
@@ -33,7 +34,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from . import lp
 from .errors import InputError, ResourceError, ValidationError
 
 DEFAULT_WORLD_CAP = 16
@@ -65,10 +65,9 @@ def format_rational(x: Fraction) -> Union[str, int]:
 def subset_sums(mass: Sequence[int]) -> list[int]:
     """The table of sums of mass over each subset, indexed by bitmask:
     entry m is the sum of mass[i] over the bits i of m."""
-    acc = [0] * (1 << len(mass))
-    for m in range(1, len(acc)):
-        low = m & -m
-        acc[m] = acc[m ^ low] + mass[low.bit_length() - 1]
+    acc = [0]
+    for x in mass:  # the masks with bit i set follow those without it
+        acc += [a + x for a in acc]
     return acc
 
 
@@ -210,17 +209,17 @@ class SetFunction:
         return self.values[X]
 
     @cached_property
-    def dominated(self) -> lp.LinearSystem:
-        """The probability measures dominated by v, as a linear system over
-        the ground elements: sum mu = 1, and mu(X) <= v(X) for every proper
-        nonempty X.  Built once per set function."""
+    def _tables(self) -> tuple[list[str], list[int], list[int], int]:
+        """mask_tables(self), built once per set function."""
         ground = list(self.ground)
-        full = frozenset(ground)
-        constraints = [(dict.fromkeys(ground, 1), lp.Relation.EQ, 1)]
-        for X, bound in self.values.items():
-            if X and X != full:
-                constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
-        return lp.make_system(ground, constraints)
+        n = len(ground)
+        L = lcm(*[x.denominator for x in self.values.values()])
+        upper = [0] * (1 << n)
+        for X, val in self.values.items():
+            upper[_mask(ground, X)] = val.numerator * (L // val.denominator)
+        full = (1 << n) - 1
+        lower = [L - upper[full ^ m] for m in range(1 << n)]
+        return ground, upper, lower, L
 
     def subsets(self) -> tuple[frozenset, ...]:
         """Every subset of the ground set, in subset_masks order."""
@@ -234,18 +233,12 @@ def mask_tables(
 
     Bit i of a mask stands for ground[i].  Every value is an int over the
     common denominator L: upper[mask] / L is the upper value of the set.
-    A structure of more than DEFAULT_WORLD_CAP worlds is refused.
+    A set function's tables are built once and shared by every call, so
+    callers read them and do not change them.  A structure of more than
+    DEFAULT_WORLD_CAP worlds is refused.
     """
     if isinstance(source, SetFunction):
-        ground = list(source.ground)
-        n = len(ground)
-        L = lcm(*[x.denominator for x in source.values.values()])
-        upper = [0] * (1 << n)
-        for X, val in source.values.items():
-            upper[_mask(ground, X)] = val.numerator * (L // val.denominator)
-        full = (1 << n) - 1
-        lower = [L - upper[full ^ m] for m in range(1 << n)]
-        return ground, upper, lower, L
+        return source._tables
     M = source
     if len(M.worlds) > DEFAULT_WORLD_CAP:
         raise ResourceError(
@@ -374,7 +367,13 @@ def load_set_function(data: Union[bytes, str]) -> SetFunction:
     ground = _strings(_field(doc, "omega", list, "set-function"), "'omega'")
     values = {}
     for key, val in _field(doc, "v", dict, "set-function").items():
-        elems = frozenset(e for e in key.split(",") if e)
+        names = [e for e in key.split(",") if e]
+        elems = frozenset(names)
+        if len(elems) != len(names):
+            raise ValidationError(f"subset key {key!r} names an element twice")
+        if elems in values:
+            raise ValidationError(f"subset {{{_subset_key(elems)}}} is given twice, "
+                                  f"the second time as {key!r}")
         values[elems] = parse_rational(val)
     return SetFunction(ground=ground, values=values)
 

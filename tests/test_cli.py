@@ -409,7 +409,10 @@ class TestMalformedDocuments:
         {"omega": ["a", ["b"]], "v": {}},
         {"omega": ["a"]},
         "not an object",
-    ], ids=["v-list", "omega-string", "omega-entry-list", "no-v", "string"])
+        {"omega": ["a", "b"], "v": {"": 0, "a": "1/2", "b": "1/2", "a,b": 1, "b,a": "1/2"}},
+        {"omega": ["a", "b"], "v": {"a": "1/2", "b": "1/2", "a,a": "1/2"}},
+    ], ids=["v-list", "omega-string", "omega-entry-list", "no-v", "string",
+            "subset-twice", "element-twice"])
     def test_bad_set_function(self, capsys, tmp_path, doc):
         path = tmp_path / "v.json"
         path.write_text(json.dumps(doc))

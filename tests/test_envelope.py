@@ -294,17 +294,86 @@ def test_each_lp_reaches_a_new_subset(monkeypatch):
     assert sorted(tuple(mu) for mu in res.witness) == [(g,) for g in ground]
 
 
-def test_one_polytope_per_set_function(monkeypatch):
-    """The LPs on one set function share its polytope, built once."""
-    built = []
-    make_system = lp.make_system
-    monkeypatch.setattr(lp, "make_system",
-                        lambda *args, **kw: built.append(args) or make_system(*args, **kw))
-    ground = tuple("abcde")
-    v = _vacuous_fn(ground)
-    assert is_upper_probability(v).is_upper_probability  # five LPs
+def test_no_tableau_for_a_set_function(monkeypatch):
+    """The envelope LPs run on the dual: no linear system and no tableau is
+    built for a set function, and the vacuous one on five elements still
+    runs five LPs."""
+    built, calls = [], []
+
+    def counting(cls):
+        class Counting(cls):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+        return Counting
+
+    monkeypatch.setattr(lp, "LinearSystem", counting(lp.LinearSystem))
+    monkeypatch.setattr(lp, "_Simplex", counting(lp._Simplex))
+    monkeypatch.setattr(envelope, "dominated_max",
+                        lambda v, A: calls.append(A) or dominated_max(v, A))
+    v = _vacuous_fn(tuple("abcde"))
+    assert is_upper_probability(v).is_upper_probability
     assert dominated_max(v, {"a", "b"})[0] == 1
-    assert len(built) == 1
-    w = _vacuous_fn(ground)  # equal, but another set function
-    assert dominated_max(w, {"a"})[0] == 1
+    assert (len(built), len(calls)) == (0, 5)
+    # the counts see a system and its tableau when there is one
+    assert lp.feasible(reference_system(v)).verdict is lp.Verdict.FEASIBLE
     assert len(built) == 2
+
+
+# ---------------------------------------------------------------------------
+# The primal LP as a 2^n-row tableau, the reference for the dual simplex.
+
+
+def reference_system(v: SetFunction) -> lp.LinearSystem:
+    """The probability measures dominated by v, as a linear system over the
+    ground elements: sum mu = 1, and mu(X) <= v(X) for every proper
+    nonempty X."""
+    ground = list(v.ground)
+    full = frozenset(ground)
+    constraints = [(dict.fromkeys(ground, 1), lp.Relation.EQ, 1)]
+    for X, bound in v.values.items():
+        if X and X != full:
+            constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
+    return lp.make_system(ground, constraints)
+
+
+def reference_dominated_max(system: lp.LinearSystem, A) -> F:
+    outcome = lp.optimize(system, dict.fromkeys(A, 1), lp.Direction.MAX)
+    if outcome.verdict is not lp.Verdict.OPTIMAL:
+        raise InputError("empty polytope")
+    return outcome.value
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError:
+        return InputError
+
+
+def test_dual_matches_the_tableau_at_every_subset():
+    empty = set()  # the functions whose polytope is empty
+    for i, (_, v) in enumerate(_differential_cases()):
+        system = reference_system(v)
+        for A in v.subsets():
+            want = _outcome(reference_dominated_max, system, A)
+            got = _outcome(dominated_max, v, A)
+            if want is InputError or got is InputError:
+                assert want is got
+                empty.add(i)
+                continue
+            value, measure = got
+            assert value == want == _measure(measure, A)
+            assert all(m > 0 for m in measure.values()) and sum(measure.values()) == 1
+    assert len(empty) > 100
+
+
+def test_empty_subset():
+    v = _vacuous_fn(tuple("abc"))
+    value, measure = dominated_max(v, set())
+    assert value == 0 and sum(measure.values()) == 1
+    empty = SetFunction(("a", "b"), {frozenset({"a"}): F(1, 4), frozenset({"b"}): F(1, 4)})
+    with pytest.raises(InputError):
+        dominated_max(empty, set())
+    with pytest.raises(InputError):  # no measure on an empty ground set
+        dominated_max(SetFunction((), {}), set())

@@ -8,6 +8,7 @@ from typing import Optional
 import pytest
 
 from uplogic import envelope, lp, solver
+from uplogic.envelope import dominated_max
 from uplogic.errors import InputError, InternalCheckError
 from uplogic.lp import (
     Direction,
@@ -790,7 +791,7 @@ def test_interleaved_objectives_answer_as_on_a_fresh_system(monkeypatch):
     assert 10 < strict < 50
 
 
-def test_one_tableau_per_bounds_disjunct_and_per_set_function(monkeypatch):
+def test_one_tableau_per_bounds_disjunct_and_none_per_set_function(monkeypatch):
     built, calls = [], []
 
     class Counting(lp._Simplex):
@@ -807,11 +808,118 @@ def test_one_tableau_per_bounds_disjunct_and_per_set_function(monkeypatch):
     assert (res.lower, res.lower_attained) == (F(0), True)
     assert (res.upper, res.upper_attained) == (F(3, 4), False)
     assert (len(built), len(calls)) == (2, 4)
-    # the vacuous set function on five elements: five LPs, one polytope
+    # the vacuous set function on five elements: five LPs, all on the dual
     built.clear()
     calls.clear()
+    lps = []
+    monkeypatch.setattr(envelope, "dominated_max",
+                        lambda *args: lps.append(args) or dominated_max(*args))
     ground = tuple("abcde")
     subsets = [frozenset(c) for r in range(6) for c in itertools.combinations(ground, r)]
     v = SetFunction(ground, {X: F(1) if X else F(0) for X in subsets})
     assert envelope.is_upper_probability(v).is_upper_probability
-    assert (len(built), len(calls)) == (1, 5)
+    assert (len(built), len(calls), len(lps)) == (0, 0, 5)
+
+
+# ---------------------------------------------------------------------------
+# The revised simplex's basis, and the certificate of each dual optimum.
+
+
+def _inverse(B):
+    """The inverse of a square Fraction matrix and its determinant, by
+    Gauss-Jordan elimination."""
+    m = len(B)
+    rows = [list(map(F, r)) + [F(i == j) for j in range(m)] for i, r in enumerate(B)]
+    det = F(1)
+    for c in range(m):
+        p = next(i for i in range(c, m) if rows[i][c])
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(m):
+            if i != c and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    return [r[m:] for r in rows], det
+
+
+def test_basis_inverse_after_random_pivots():
+    rng = random.Random(1990)
+    pivots = big = 0
+    for _ in range(100):
+        m, k = rng.randint(1, 5), rng.randint(1, 6)
+        # columns 0..k-1 random, then the m unit columns the basis starts on
+        columns = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        columns += [[int(i == j) for i in range(m)] for j in range(m)]
+        basis = lp.Basis([[int(i == j) for j in range(m)] for i in range(m)], 1,
+                         list(range(k, k + m)))
+        for _ in range(rng.randint(1, 16)):
+            e = rng.randrange(len(columns))
+            if e in basis.cols:
+                continue
+            u = basis.solve({g: x for g, x in enumerate(columns[e]) if x})
+            rows = [i for i, x in enumerate(u) if x > 0]
+            if not rows:
+                continue
+            basis.pivot(rng.choice(rows), e, u)
+            pivots += 1
+            big = max(big, basis.D)
+            B = [[columns[j][g] for j in basis.cols] for g in range(m)]
+            inverse, det = _inverse(B)
+            assert [[F(x, basis.D) for x in row] for row in basis.M] == inverse
+            assert basis.D == det  # the start basis has det 1, and D > 0
+            costs = [rng.randint(-4, 4) for _ in range(m)]
+            duals = [sum(c * inverse[i][g] for i, c in enumerate(costs)) for g in range(m)]
+            assert [F(p, basis.D) for p in basis.duals(costs)] == duals
+    assert pivots > 200 and big > 20  # Bareiss divisions by D > 1
+
+
+def _certify_with(monkeypatch, perturb):
+    """Run envelope._certify on arguments changed by perturb."""
+    certify = envelope._certify
+    monkeypatch.setattr(envelope, "_certify", lambda *args: certify(*perturb(*args)))
+
+
+def _moved(P, g, h):
+    """P with one unit moved from element g to element h."""
+    return [p + (i == h) - (i == g) for i, p in enumerate(P)]
+
+
+# table_upper at {a,b,c}: the optimum 3/4, with the uniform measure on a..d
+@pytest.mark.parametrize("dual, message", [
+    # one unit more on a: the total is off
+    (lambda P: [P[0] + 1] + P[1:], "not a measure dominated"),
+    # a unit from d to a: mu({a,b,c}) passes v there
+    (lambda P: _moved(P, 3, 0), "not a measure dominated"),
+    # a unit from a to d: still dominated, but mu(A) falls below the objective
+    (lambda P: _moved(P, 0, 3), r"dual objective 3/4 != mu\(A\)"),
+])
+def test_a_perturbed_dual_is_caught(monkeypatch, table_upper, dual, message):
+    _certify_with(monkeypatch, lambda C, full, a, point, D, P: (C, full, a, point, D, dual(P)))
+    with pytest.raises(InternalCheckError, match=message):
+        dominated_max(table_upper, "abc")
+
+
+def _step(full, X, t):
+    """t more on y_X and on s_g for each g in X: the rows do not change."""
+    return [(X, t)] + [(full + 1 + g, t) for g in range(full.bit_length()) if X >> g & 1]
+
+
+@pytest.mark.parametrize("point, message", [
+    # y_{a,b} and s_a, s_b one up: the rows hold, the objective rises by v({a,b})
+    (lambda full, point: point + _step(full, 0b11, 1), r"dual objective [0-9/]+ != mu\(A\) = 3/4"),
+    # lam one up: every row is off
+    (lambda full, point: [(j, x + (j == full)) for j, x in point], "violates its rows"),
+    # y_{a,b} and s_a, s_b one down
+    (lambda full, point: point + _step(full, 0b11, -1), "negative column"),
+])
+def test_a_perturbed_objective_is_caught(monkeypatch, table_upper, point, message):
+    _certify_with(monkeypatch, lambda C, full, a, pt, D, P: (C, full, a, point(full, pt), D, P))
+    with pytest.raises(InternalCheckError, match=message):
+        dominated_max(table_upper, "abc")
+
+
+def test_unperturbed_certificates_pass(monkeypatch, table_upper):
+    _certify_with(monkeypatch, lambda *args: args)
+    assert dominated_max(table_upper, "abc")[0] == F(3, 4)

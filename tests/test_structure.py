@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -188,3 +189,14 @@ class TestSetFunction:
             load_set_function(
                 '{"omega":["a"],"v":{"":"0","a":"3/2"}}'
             )
+
+    @pytest.mark.parametrize("key, message", [
+        ("b,a", r"subset \{a,b\} is given twice, the second time as 'b,a'"),
+        ("a,a", "subset key 'a,a' names an element twice"),
+    ])
+    def test_a_subset_is_given_once(self, key, message):
+        # "b,a" used to overwrite "a,b", so v(ground) read 1/2
+        doc = {"omega": ["a", "b"], "v": {"": "0", "a": "1/2", "b": "1/2", "a,b": "1"}}
+        doc["v"][key] = "1/2"
+        with pytest.raises(ValidationError, match=message):
+            load_set_function(json.dumps(doc))
