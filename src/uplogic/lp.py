@@ -1,14 +1,17 @@
 """Exact rational linear constraint solving.
 
-A system is nothing but its rows: equalities (=), weak (>=) and strict (>)
-inequalities over named variables, every one of them >= 0 (the probability
-masses and dominated measures this package solves for).  Each row is
-sparse, a map from variable name to nonzero coefficient; a variable the
-row leaves out has coefficient 0.  The objective is not part of the
-system but an argument of optimize(system, objective, direction), so one
-system serves both a minimum and a maximum.  Feasibility and optimization
-are decided exactly: a tableau simplex, Dantzig pivoting with a switch to
-Bland's rule to guarantee termination.
+A system is nothing but its rows over the columns 0..n-1, one per
+variable, every one of them >= 0 (the probability masses and dominated
+measures this package solves for): equalities (=), weak (>=) and strict
+(>) inequalities.  Each row is stated once, in integers (Constraint): a
+sparse map from column to nonzero int, an int bound and one positive
+denominator, the lcm of the row's denominators.  The objective is not
+part of the system but an argument of optimize(system, objective,
+direction), a sparse int row over its own denominator, so one system
+serves both a minimum and a maximum.  Feasibility and optimization are
+decided exactly: a tableau simplex, Dantzig pivoting with a switch to
+Bland's rule to guarantee termination.  Each point it returns is checked
+against the system's rows, in integers too.
 
 Each system has one tableau, built the first time feasible or optimize
 needs it and cached on the system: phase_one drives the artificial columns
@@ -17,24 +20,24 @@ delta (below).  feasible reads its point off that tableau.  Each optimize
 runs the same _run on a copy of it, so its answer does not depend on the
 calls made before; a minimum and a maximum, or the many objectives of one
 polytope, share one phase 1.  Tableau rows are never changed in place,
-only replaced, so a copy shares them.
+only replaced, so a copy shares them; the tableau's first rows are
+copies of the system's, which stay as they are.
 
-Column j of the tableau is variable j of the system, and delta, when there
-is one, is the column after the last variable.  The tableau is
+Column j of the tableau is column j of the system, and delta, when there
+is one, is the column after the last of them.  The tableau is
 fraction-free and sparse: each row is a map from column to nonzero Python
-int over one positive denominator, built straight from its constraint's
-map as its numerators over the lcm of its denominators; the right-hand
-side is the entry at column RHS.  A pivot divides the pivot row by the
-pivot entry, which only sets the row's denominator to the pivot
-numerator; every other row with a nonzero entry in the entering column
-becomes num*P - F*p over den*P (P the pivot row's denominator, F the row's
-entry, p the pivot row), and each changed row is divided by the gcd of its
-entries and denominator, in the style of Bareiss elimination.  The cost
-row is held the same way, so Dantzig's choice compares numerators and the
-ratio test cross-multiplies; ties go to the lowest column and, in the
-ratio test, to the lowest basic column.  Every comparison is exact, so the
-pivots, points and rays are those of a dense tableau of Fractions; points,
-rays and values leave as Fractions.
+int over one positive denominator, at first the system row's own (its
+slack entry); the right-hand side is the entry at column RHS.  A pivot
+divides the pivot row by the pivot entry, which only sets the row's
+denominator to the pivot numerator; every other row with a nonzero entry
+in the entering column becomes num*P - F*p over den*P (P the pivot row's
+denominator, F the row's entry, p the pivot row), and each changed row is
+divided by the gcd of its entries and denominator, in the style of
+Bareiss elimination.  The cost row is held the same way, so
+Dantzig's choice compares numerators and the ratio test cross-multiplies;
+ties go to the lowest column and, in the ratio test, to the lowest basic
+column.  Every comparison is exact, so the pivots and points are those of
+a dense tableau of Fractions; points and values leave as Fractions.
 
 The simplex starts from a basis of one column per row.  A row a.x <= b
 with b >= 0, and a row a.x >= b with b <= 0 (negated to -a.x <= -b),
@@ -43,7 +46,8 @@ a.x - delta >= 0 costs no phase-1 work.  Only a row a.x >= b with b > 0,
 or an equality, starts on an artificial column that phase 1 must drive
 to zero; an equality has no slack, so a = row is one tableau row where a
 pair of >= rows would be two.  Pivots touch only the nonzero columns of
-the pivot row.
+the pivot row.  Every system this package builds is bounded, so a _run
+that finds no optimum raises InternalCheckError.
 
 Strict inequalities are honored by the slack method: each row c.x > b is
 rewritten as c.x - delta >= b for a single fresh delta >= 0, delta <= 1,
@@ -69,7 +73,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
 
@@ -84,33 +88,27 @@ class Direction(Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: Mapping[str, Fraction]  # variable -> nonzero coefficient
+class Constraint(NamedTuple):
+    """The row coeffs.x / den rel bound / den: coeffs maps a column to its
+    nonzero int numerator, and den > 0 is the lcm of the row's
+    denominators."""
+
+    coeffs: Mapping[int, int]
     rel: Relation
-    bound: Fraction
+    bound: int
+    den: int
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rows c.x = b, c.x >= b or c.x > b over the named variables, each of
-    them >= 0.  A free quantity would be the difference of two variables.
-    With no variables, every row is a constant comparison 0 rel b.
+    """Rows c.x = b, c.x >= b or c.x > b over the columns 0..n-1 (variables
+    is range(n)), each of them >= 0.  A free quantity would be the
+    difference of two columns.  With no columns, every row is a constant
+    comparison 0 rel b.  make_system checks the rows.
     """
 
-    variables: tuple[str, ...]
+    variables: range
     constraints: tuple[Constraint, ...]
-
-    def __post_init__(self):
-        if len(self._columns) != len(self.variables):
-            raise InputError("duplicate variable name")
-        for c in self.constraints:
-            _check_names(self._columns, c.coeffs, "constraint")
-
-    @cached_property
-    def _columns(self) -> dict[str, int]:
-        """The tableau column of each variable: its place in `variables`."""
-        return {v: j for j, v in enumerate(self.variables)}
 
     @cached_property
     def _tableau(self) -> Optional[_Simplex]:
@@ -118,62 +116,46 @@ class LinearSystem:
         return _phase_one(self)
 
 
-def _check_names(columns: Mapping, names: Mapping, what: str) -> None:
-    if not columns.keys() >= names.keys():
-        unknown = sorted(names.keys() - columns.keys())
-        raise InputError(f"{what} names unknown variables: {unknown}")
+def _check_columns(n: int, rows: Iterable[Mapping], what: str) -> None:
+    columns = set().union(*rows)
+    if columns and (min(columns) < 0 or max(columns) >= n):
+        unknown = sorted(j for j in columns if not 0 <= j < n)
+        raise InputError(f"{what} names unknown columns: {unknown}")
 
 
 class Verdict(Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LPOutcome:
     verdict: Verdict
-    point: Optional[dict] = None
+    point: Optional[list[Fraction]] = None  # the value of each column
     value: Optional[Fraction] = None
     attained: bool = True
-    direction: Optional[dict] = None  # improving ray, when UNBOUNDED
 
 
-def make_system(
-    variables: Sequence[str],
-    constraints: Sequence[tuple[Mapping[str, Fraction], Relation, Fraction]],
-) -> LinearSystem:
-    return LinearSystem(
-        variables=tuple(variables),
-        constraints=tuple(
-            Constraint(_fractions(co), rel, Fraction(b)) for co, rel, b in constraints
-        ),
-    )
-
-
-def _fractions(coeffs: Mapping) -> dict[str, Fraction]:
-    """The nonzero entries of coeffs, as Fractions."""
-    # Fraction(x) of a Fraction builds a new one; most entries already are
-    return {v: x if type(x) is Fraction else Fraction(x)
-            for v, x in coeffs.items() if x}
+def make_system(n: int, constraints: Iterable[Constraint]) -> LinearSystem:
+    """The system of the rows over the columns 0..n-1; zero entries are
+    dropped."""
+    rows = []
+    for c in constraints:
+        if 0 in c.coeffs.values():
+            c = c._replace(coeffs={j: x for j, x in c.coeffs.items() if x})
+        if c.den <= 0:
+            raise InputError(f"row denominator {c.den} is not positive")
+        rows.append(c)
+    _check_columns(n, [c.coeffs for c in rows], "constraint")
+    return LinearSystem(range(n), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # Core simplex: maximize c.x subject to rows a.x rel b with
 # rel in {"<=", ">=", "="}, x >= 0.
 
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
-
 RHS = -1  # the column of a tableau row's right-hand side
-
-
-def _integers(row: Mapping) -> tuple[dict, int]:
-    """The nonzero entries of a sparse {column: int or Fraction} row, as
-    {column: int} over the lcm of their denominators."""
-    ratios = [x.as_integer_ratio() for x in row.values()]
-    den = lcm(*[d for n, d in ratios if n])
-    return {j: n * (den // d) for j, (n, d) in zip(row, ratios) if n}, den
 
 
 def _reduce(row: dict, den: int) -> tuple[dict, int]:
@@ -271,48 +253,46 @@ class _Simplex:
     Rows are replaced, never changed in place, so copy() shares them.
     """
 
-    def __init__(self, n: int, rows: list[tuple[Mapping, str]]):
-        # Rows are (a, rel) over columns 0..n-1, with b at column RHS.
-        # Normalize rows to rhs >= 0, assign slack/surplus/artificial columns.
-        # A ">=" row with rhs 0 is flipped too: as "<=" its slack is a
-        # feasible starting basic variable, so it needs no artificial.
-        # Entries are ints or Fractions; each row is scaled to integers by
-        # the lcm of its denominators, which is already in lowest terms.
-        self.n_struct = n
-        body: list[dict] = []
-        dens: list[int] = []
-        kinds: list[str] = []
-        for a, rel in rows:
-            nums, den = _integers(a)
-            rhs = nums.get(RHS, 0)
-            if rhs < 0 or (rhs == 0 and rel == ">="):
-                nums = {j: -x for j, x in nums.items()}
-                rel = _FLIP[rel]
-            body.append(nums)
-            dens.append(den)
-            kinds.append(rel)
-        self.m = len(body)
-        self.ncols = n + sum(1 for k in kinds if k != "=")
-        self.total = self.ncols + sum(1 for k in kinds if k != "<=")
-        basis: list[int] = []
-        art_cols: list[int] = []
-        slack_at, art_at = n, self.ncols
-        for row, den, kind in zip(body, dens, kinds):
-            if kind == "<=":
-                row[slack_at] = den
-                basis.append(slack_at)
+    def __init__(self, sys: LinearSystem):
+        # Each row of sys, copied over its own denominator: the slack and
+        # artificial entries go into the copy.  A row is negated to rhs >= 0;
+        # a >= row with rhs 0 is negated too, since as "<=" its slack is a
+        # feasible starting basic variable and it needs no artificial.  A
+        # strict row c.x > b is c.x - delta >= b, and with strict rows
+        # delta <= 1 is the last row.  Slack columns follow the structural
+        # ones, and artificial columns the slacks, each in row order.
+        n, rows = len(sys.variables), sys.constraints
+        strict = any(c.rel is Relation.GT for c in rows)
+        self.n_struct = n + strict
+        self.m = len(rows) + strict
+        self.ncols = self.n_struct + self.m - sum(c.rel is Relation.EQ for c in rows)
+        slack_at, art_at = self.n_struct, self.ncols
+        self.T, self.D, self.basis, art_cols = [], [], [], []
+        for c in rows:
+            b, den, eq = c.bound, c.den, c.rel is Relation.EQ
+            flip = b < 0 or (b == 0 and not eq)
+            row = {j: -x for j, x in c.coeffs.items()} if flip else dict(c.coeffs)
+            if c.rel is Relation.GT:
+                row[n] = den if flip else -den
+            if b:
+                row[RHS] = -b if flip else b
+            if not eq:
+                row[slack_at] = den if flip else -den
                 slack_at += 1
-                continue
-            if kind == ">=":
-                row[slack_at] = -den
-                slack_at += 1
-            row[art_at] = den
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        self.T = body
-        self.D = dens
-        self.basis = basis
+            if flip and not eq:  # a "<=" row starts on its slack
+                self.basis.append(slack_at - 1)
+            else:
+                row[art_at] = den
+                self.basis.append(art_at)
+                art_cols.append(art_at)
+                art_at += 1
+            self.T.append(row)
+            self.D.append(den)
+        if strict:
+            self.T.append({n: 1, RHS: 1, slack_at: 1})
+            self.D.append(1)
+            self.basis.append(slack_at)
+        self.total = art_at
         self.art_cols = set(art_cols)
 
     def copy(self) -> _Simplex:
@@ -348,10 +328,11 @@ class _Simplex:
         self.basis[r] = e
         return nz, piv
 
-    def _run(self, c: dict, cden: int, banned: set) -> str:
+    def _run(self, c: dict, cden: int, banned: set) -> None:
         """Maximize c / cden over the current tableau, never entering a
-        banned column.  Returns 'optimal' (the final cost row is left in
-        self.costs) or 'unbounded'."""
+        banned column, and leave the final cost row in self.costs.  Raises
+        InternalCheckError if c is unbounded: no system this package
+        builds has an unbounded objective."""
         T, basis = self.T, self.basis
         costs, den = self._reduced_costs(c, cden)
         iters = 0
@@ -371,7 +352,7 @@ class _Simplex:
                         e = j
             if e < 0:
                 self.costs = costs
-                return "optimal"
+                return
             # ratio test: rhs_i / a_i, the row denominators cancel
             r = -1
             for i in range(self.m):
@@ -385,17 +366,14 @@ class _Simplex:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
                         r, rb, ra = i, b, a
             if r < 0:
-                self._unbounded_col = e
-                return "unbounded"
+                raise InternalCheckError(f"column {e} enters with no leaving row: unbounded")
             costs, den = _eliminate(costs, den, e, *self._pivot(r, e))
 
     def phase_one(self) -> bool:
         """Drive the artificial columns out of the basis; False when the
         rows have no solution."""
         if self.art_cols:
-            status = self._run(dict.fromkeys(self.art_cols, -1), 1, banned=set())
-            if status != "optimal":
-                raise InternalCheckError("phase 1 cannot be unbounded")
+            self._run(dict.fromkeys(self.art_cols, -1), 1, banned=set())
             # every rhs is >= 0, so the residual is 0 iff each term is
             if any(self.T[i].get(RHS) for i in range(self.m)
                    if self.basis[i] in self.art_cols):
@@ -425,66 +403,37 @@ class _Simplex:
             x[b] = Fraction(self.T[i].get(RHS, 0), self.D[i])
         return x[: self.n_struct]
 
-    def ray(self) -> list[Fraction]:
-        """Improving direction over structural columns after 'unbounded'."""
-        e = self._unbounded_col
-        d = [Fraction(0)] * self.total
-        d[e] = Fraction(1)
-        for i, b in enumerate(self.basis):
-            d[b] = Fraction(-self.T[i].get(e, 0), self.D[i])
-        return d[: self.n_struct]
-
 
 _HOLDS = {Relation.EQ: operator.eq, Relation.GE: operator.ge, Relation.GT: operator.gt}
 
 
-def _check_point(sys: LinearSystem, point: dict) -> None:
-    """Raise InternalCheckError unless point is >= 0 and satisfies every row
-    of sys.  Exact in integers: the point is put over its common
-    denominator once, each row over the lcm of its coefficients' and
-    bound's denominators."""
-    den = lcm(*[x.denominator for x in point.values()])
-    nums = {v: x.numerator * (den // x.denominator) for v, x in point.items()}
-    for v, x in nums.items():
+def _check_point(sys: LinearSystem, point: Sequence[Fraction]) -> None:
+    """Raise InternalCheckError unless point (the value of each column) is
+    >= 0 and satisfies every row of sys.  Exact in integers: the point is
+    put over its common denominator den once, and a row coeffs.x rel bound,
+    over its own denominator, holds iff coeffs.nums rel bound * den."""
+    den = lcm(*[x.denominator for x in point])
+    nums = [x.numerator * (den // x.denominator) for x in point]
+    for j, x in enumerate(nums):
         if x < 0:
-            raise InternalCheckError(f"solver returned negative {v}")
+            raise InternalCheckError(f"solver returned negative column {j}")
     for c in sys.constraints:
-        b = c.bound
-        row_den = lcm(b.denominator, *[a.denominator for a in c.coeffs.values()])
-        lhs = sum(a.numerator * (row_den // a.denominator) * nums[v]
-                  for v, a in c.coeffs.items())
-        rhs = b.numerator * (row_den // b.denominator) * den
-        if not _HOLDS[c.rel](lhs, rhs):
+        lhs = sum([a * nums[j] for j, a in c.coeffs.items()])
+        if not _HOLDS[c.rel](lhs, c.bound * den):
             raise InternalCheckError(
                 f"solver returned a point violating {c.coeffs} {c.rel.value} {c.bound}"
-            )
-
-
-# the simplex's relation for each row of the weak relaxation
-_WEAK = {Relation.EQ: "=", Relation.GE: ">=", Relation.GT: ">="}
+                f" over {c.den}")
 
 
 def _phase_one(sys: LinearSystem) -> Optional[_Simplex]:
     """sys's tableau after phase 1 and, with strict rows, the delta
     maximization; None when sys, strictness honored, is infeasible."""
-    delta = len(sys.variables)  # delta's column, when sys has strict rows
-    cols = sys._columns
-    rows = []
-    for c in sys.constraints:
-        row = {cols[v]: x for v, x in c.coeffs.items()}
-        if c.rel is Relation.GT:
-            row[delta] = -1
-        row[RHS] = c.bound
-        rows.append((row, _WEAK[c.rel]))
-    strict = any(c.rel is Relation.GT for c in sys.constraints)
-    if strict:  # 0 <= delta <= 1
-        rows.append(({delta: -1, RHS: -1}, ">="))
-    sx = _Simplex(delta + strict, rows)
+    sx = _Simplex(sys)
     if not sx.phase_one():
         return None
-    if strict:
-        if sx._run({delta: 1}, 1, banned=sx.art_cols) == "unbounded":
-            raise InternalCheckError("delta objective is bounded by construction")
+    delta = len(sys.variables)
+    if sx.n_struct > delta:  # sys has strict rows, and delta a column
+        sx._run({delta: 1}, 1, banned=sx.art_cols)
         if sx._point()[delta] == 0:
             return None
     return sx
@@ -495,45 +444,44 @@ def feasible(sys: LinearSystem) -> LPOutcome:
     sx = sys._tableau
     if sx is None:
         return LPOutcome(Verdict.INFEASIBLE)
-    point = dict(zip(sys.variables, sx._point()))
+    point = sx._point()[: len(sys.variables)]
     _check_point(sys, point)
     return LPOutcome(Verdict.FEASIBLE, point=point)
 
 
 def optimize(
     sys: LinearSystem,
-    objective: Mapping[str, Fraction],
+    objective: tuple[Mapping[int, int], int],
     direction: Direction,
 ) -> LPOutcome:
-    """Exact optimum of the objective (a sparse row, like a constraint's
-    coefficients) over the closure of the feasible set of sys.
+    """Exact optimum of the objective (coeffs, den), the sparse int row
+    coeffs over den > 0, over the closure of the feasible set of sys.
 
     attained=False marks an optimum approached only in the limit of the
     strict constraints (the point is then omitted).  INFEASIBLE when the
     system, with strictness honored, has no solution.
     """
-    objective = _fractions(objective)
-    cols = sys._columns
-    _check_names(cols, objective, "objective")
+    coeffs, den = objective
+    n = len(sys.variables)
+    _check_columns(n, [coeffs], "objective")
+    if den <= 0:
+        raise InputError(f"objective denominator {den} is not positive")
     built = sys._tableau
     if built is None:
         return LPOutcome(Verdict.INFEASIBLE)
     sign = 1 if direction is Direction.MAX else -1
-    c, cden = _integers({cols[v]: sign * x for v, x in objective.items()})
     sx = built.copy()
-    if sx._run(c, cden, banned=sx.art_cols) == "unbounded":
-        return LPOutcome(Verdict.UNBOUNDED, direction=dict(zip(sys.variables, sx.ray())))
+    sx._run({j: sign * x for j, x in coeffs.items() if x}, den, banned=sx.art_cols)
     internal = sx._point()
-    value = sign * sum((x * internal[j] for j, x in c.items()), Fraction(0)) / cden
-    delta = len(sys.variables)
-    if sx.n_struct > delta:  # sys has strict rows, and delta a column
+    value = sum((x * internal[j] for j, x in coeffs.items()), Fraction(0)) / den
+    if sx.n_struct > n:  # sys has strict rows, and delta a column
         # attained iff delta > 0 on the optimal face: the columns of
         # negative reduced cost stay at zero
         face = sx.art_cols | {j for j, d in sx.costs.items() if d < 0}
-        sx._run({delta: 1}, 1, banned=face)
+        sx._run({n: 1}, 1, banned=face)
         internal = sx._point()
-        if internal[delta] == 0:
+        if internal[n] == 0:
             return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
-    point = dict(zip(sys.variables, internal))
+    point = internal[:n]
     _check_point(sys, point)
     return LPOutcome(Verdict.OPTIMAL, point=point, value=value, attained=True)

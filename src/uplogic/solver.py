@@ -41,8 +41,13 @@ literals that this one-world structure violates; c0 is the class whose
 point mass violates the fewest, the lowest on a tie.  A disjunct with a
 single class has no column, and its rows are constant comparisons.  The
 substitution is one-to-one, so it changes no verdict and no bounds end,
-only the vertex reached.  Every SAT answer is re-checked by the model
-checker before being returned.
+only the vertex reached.  Each row is stated once, in ints over the
+columns as lp takes it: entries +-1 over 1 for measure and dominance
+rows, and for a literal its numerators over the lcm of its denominators
+(the integers that chose c0), since a row's slack enters the tableau
+with its denominator and a rescaled row would steer Dantzig's rule
+elsewhere.  Every SAT answer is re-checked by the model checker before
+being returned.
 """
 
 from __future__ import annotations
@@ -131,18 +136,28 @@ class _DisjunctLP:
     """Witness LP for one conjunction of normalized basic constraints.
 
     Every measure puts on the pivot class c0 the mass its other columns
-    leave, 1 - sum_(c != c0) x[i][c], so c0 has no column; the module
+    leave, 1 - sum_(c != c0) x[i][c], so c0 has no column; x[i][c] is
+    column i*(C-1) + k, for c the k-th class other than c0.  The module
     docstring gives the rows and why the simplex starts at c0's point
-    mass."""
+    mass.  Each row is stated once, as lp states it: ints over the
+    column indices, over the lcm of the row's denominators."""
 
     def __init__(self, worlds: _Worlds, basics: Sequence[Basic], extra_args=()):
         self.worlds = worlds
         mask_of: dict[int, int] = {}  # extension mask -> measure index
-        self._arg_cache: dict = {}  # argument -> measure index
-        for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
-            if phi not in self._arg_cache:
-                mask = worlds.extension_mask(phi)
-                self._arg_cache[phi] = mask_of.setdefault(mask, len(mask_of))
+        cache = self._arg_cache = {}  # argument -> measure index
+
+        def measure(phi) -> int:
+            i = cache.get(phi)
+            if i is None:
+                i = cache[phi] = mask_of.setdefault(worlds.extension_mask(phi), len(mask_of))
+            return i
+
+        # each literal's coefficient on each measure, and its bound, in ints
+        lits = [_integer_literal([(measure(phi), a) for a, phi in b.term.parts], b.bound)
+                for b in basics]
+        for _, phi in extra_args:
+            measure(phi)
 
         masks = list(mask_of)  # in order of measure index
         T = len(masks)
@@ -150,103 +165,106 @@ class _DisjunctLP:
         sig_of: dict[tuple, int] = {}
         self.class_rep: list[int] = []
         for w in range(len(worlds.ids)):
-            sig = tuple((m >> w) & 1 for m in masks)
+            sig = tuple([(m >> w) & 1 for m in masks])
             if sig not in sig_of:
                 sig_of[sig] = len(self.class_rep)
                 self.class_rep.append(w)
         sigs = list(sig_of)
         C = len(self.class_rep)
 
-        lits = [self._by_measure(b.term) for b in basics]
         inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
         c0 = self.c0 = _pivot_class(basics, lits, inside, C)
         in0 = self._in0 = sigs[c0]  # whether c0 lies in each measure's extension
-        # the classes on the other side of measure i's extension from c0
-        self._side = [[c for c in range(C) if sigs[c][i] != in0[i]] for i in range(T)]
-        names = [{c: f"x_{i}_{c}" for c in range(C) if c != c0} for i in range(T)]
-        self._names = names
-        self.variables = [x for row in names for x in row.values()]
-        rows: list[tuple[dict, lp.Relation, Fraction]] = []
+        width = self._width = C - 1  # each measure's number of columns
+        # the classes on the other side of measure i's extension from c0, as
+        # their places in measure i's columns
+        self._side = [[c - (c > c0) for c in range(C) if sigs[c][i] != in0[i]]
+                      for i in range(T)]
+        GE = lp.Relation.GE
         # each measure leaves c0 a mass >= 0
-        for row in names:
-            rows.append((dict.fromkeys(row.values(), -ONE), lp.Relation.GE, -ONE))
+        rows = [lp.Constraint(dict.fromkeys(range(i * width, (i + 1) * width), -1), GE, -1, 1)
+                for i in range(T)]
         # dominance: measure i attains the max on its own extension; c0's
         # mass, shared by every measure, cancels
         for i, side in enumerate(self._side):
-            s = -ONE if in0[i] else ONE
+            s = -1 if in0[i] else 1
+            own = {i * width + k: s for k in side}
             for j in range(T):
                 if j != i:
-                    row = {names[i][c]: s for c in side}
-                    row.update({names[j][c]: -s for c in side})
-                    rows.append((row, lp.Relation.GE, Fraction(0)))
+                    row = own.copy()
+                    row.update({j * width + k: -s for k in side})
+                    rows.append(lp.Constraint(row, GE, 0, 1))
         # the disjunct's constraints over the y_i = mu_i(extension_i)
-        for b, by_measure in zip(basics, lits):
-            rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
-            row, const = self._linear(by_measure)
-            rows.append((row, rel, b.bound - const))
-        self.rows = rows
+        for b, (nums, bound, den) in zip(basics, lits):
+            row, bound, den = self._row(nums, bound, den)
+            rows.append(lp.Constraint(row, lp.Relation.GT if b.rel is Rel.GT else GE, bound, den))
+        self.system = lp.make_system(T * width, rows)
 
-    def _by_measure(self, t: Term) -> dict[int, Fraction]:
-        """The term's coefficient on each measure."""
-        by_measure: dict[int, Fraction] = {}
-        for coeff, phi in t.parts:
-            i = self._arg_cache[phi]
-            by_measure[i] = by_measure.get(i, 0) + coeff
-        return by_measure
-
-    def _linear(self, by_measure: dict[int, Fraction]) -> tuple[dict, Fraction]:
-        """sum_i coeff_i * mu_i(extension_i) as (row, constant): the row over
-        the columns, the constant the term's value at c0's point mass."""
-        row: dict = {}
-        const = Fraction(0)
-        for i, coeff in by_measure.items():
+    def _row(self, nums: dict[int, int], bound: int, den: int) -> tuple[dict, int, int]:
+        """The literal sum_i nums_i * mu_i(extension_i) against bound, each
+        side over den, as (row, bound, den) over the columns in lowest
+        terms, as lp states a row: the term's value at c0's point mass
+        moves to the bound."""
+        row: dict[int, int] = {}
+        width = self._width
+        for i, a in nums.items():
             if self._in0[i]:  # mu_i(extension_i) = 1 - mu_i(the rest)
-                const += coeff
-                coeff = -coeff
-            names = self._names[i]
-            for c in self._side[i]:
-                row[names[c]] = coeff
-        return row, const
+                bound -= a
+                a = -a
+            if a:
+                for k in self._side[i]:
+                    row[i * width + k] = a
+        g = math.gcd(den, bound, *row.values())
+        if g > 1:
+            row, bound, den = {j: x // g for j, x in row.items()}, bound // g, den // g
+        return row, bound, den
 
-    def term_row(self, t: Term) -> tuple[dict, Fraction]:
-        """The term as (row, constant): its value is row.x + constant."""
-        return self._linear(self._by_measure(t))
+    def term_row(self, t: Term) -> tuple[tuple[dict[int, int], int], Fraction]:
+        """The term as ((row, den), constant): its value is row.x / den +
+        constant, and den is the lcm of the denominators of the row's
+        entries and the constant."""
+        parts = [(self._arg_cache[phi], a) for a, phi in t.parts]
+        row, bound, den = self._row(*_integer_literal(parts, Fraction(0)))
+        return (row, den), Fraction(-bound, den)
 
-    def system(self) -> lp.LinearSystem:
-        return lp.make_system(self.variables, self.rows)
-
-    def measures(self, point: dict) -> list[dict]:
+    def measures(self, point: Sequence[Fraction]) -> list[dict]:
+        ids, reps, width, c0 = self.worlds.ids, self.class_rep, self._width, self.c0
         out = []
-        for names in self._names:
-            mass = {c: point[x] for c, x in names.items()}
-            mass[self.c0] = ONE - sum(mass.values())
-            out.append({
-                self.worlds.ids[w]: mass[c]
-                for c, w in enumerate(self.class_rep) if mass[c]
-            })
+        for i in range(len(self._in0)):
+            block = point[i * width:(i + 1) * width]
+            mass = block[:c0] + [ONE - sum(block)] + block[c0:]
+            out.append({ids[reps[c]]: x for c, x in enumerate(mass) if x})
         return out
 
 
-def _pivot_class(basics: Sequence[Basic], lits: list[dict], inside: list, C: int) -> int:
+def _integer_literal(parts: list[tuple[int, Fraction]], bound: Fraction):
+    """(nums, B, L) for a term's addends (measure, coefficient) and a bound:
+    each measure's coefficient and the bound as ints over L, a common
+    denominator."""
+    ratios = [(i, *a.as_integer_ratio()) for i, a in parts]
+    bn, bd = bound.as_integer_ratio()
+    den = math.lcm(bd, *[d for _, _, d in ratios])
+    nums: dict[int, int] = {}
+    for i, n, d in ratios:
+        nums[i] = nums.get(i, 0) + n * (den // d)
+    return nums, bn * (den // bd), den
+
+
+def _pivot_class(basics: Sequence[Basic], lits: list[tuple], inside: list, C: int) -> int:
     """The lowest class whose point mass violates the fewest literals.
 
     At the point mass on class c, mu_i(extension_i) is 1 if c lies inside
-    it and 0 if not; each literal is compared in integers, over the lcm of
-    its coefficients' and bound's denominators."""
+    it and 0 if not; each literal is compared in integers, as given by
+    _integer_literal."""
     if C == 1:
         return 0
     violated = [0] * C
-    for b, by_measure in zip(basics, lits):
-        ratios = [a.as_integer_ratio() for a in by_measure.values()]
-        bn, bd = b.bound.as_integer_ratio()
-        den = math.lcm(bd, *[d for _, d in ratios])
+    for b, (nums, bound, _) in zip(basics, lits):
         value = [0] * C
-        for i, (n, d) in zip(by_measure, ratios):
+        for i, n in nums.items():
             if n:
-                n *= den // d
                 for c in inside[i]:
                     value[c] += n
-        bound = bn * (den // bd)
         strict = b.rel is Rel.GT
         for c, x in enumerate(value):
             if x < bound or (strict and x == bound):
@@ -281,8 +299,9 @@ def _count(g: LikelihoodFormula) -> int:
 def _solve(worlds: _Worlds, basics: Sequence[Basic], lp_sizes: list):
     """The witness LP of a conjunction of basics and its feasibility."""
     dlp = _DisjunctLP(worlds, basics)
-    lp_sizes.append({"variables": len(dlp.variables), "rows": len(dlp.rows)})
-    return dlp, lp.feasible(dlp.system())
+    system = dlp.system
+    lp_sizes.append({"variables": len(system.variables), "rows": len(system.constraints)})
+    return dlp, lp.feasible(system)
 
 
 def _disjuncts(
@@ -353,13 +372,11 @@ def bounds(f: LikelihoodFormula, t: Term) -> BoundsResult:
     upper: Optional[tuple[Fraction, bool]] = None
     for basics in _disjuncts(worlds, g, []):
         dlp = _DisjunctLP(worlds, basics, extra_args=t.parts)
-        system, (obj, const) = dlp.system(), dlp.term_row(t)
-        lo = lp.optimize(system, obj, lp.Direction.MIN)
+        obj, const = dlp.term_row(t)
+        lo = lp.optimize(dlp.system, obj, lp.Direction.MIN)
         if lo.verdict is lp.Verdict.INFEASIBLE:
             continue
-        hi = lp.optimize(system, obj, lp.Direction.MAX)
-        if lo.verdict is not lp.Verdict.OPTIMAL or hi.verdict is not lp.Verdict.OPTIMAL:
-            raise InternalCheckError("term range must be bounded over measures")
+        hi = lp.optimize(dlp.system, obj, lp.Direction.MAX)
         lo_value, hi_value = lo.value + const, hi.value + const
         if lower is None or (lo_value, not lo.attained) < (lower[0], not lower[1]):
             lower = (lo_value, lo.attained)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -274,14 +275,24 @@ _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an inte
 
 
 def _load_json(data: Union[bytes, str], what: str) -> dict:
-    """The document in data, which must be a JSON object."""
+    """The document in data, which must be a JSON object, with no key given
+    twice in one object."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_once_each)
     except (ValueError, RecursionError) as e:  # JSON and UTF-8 errors included
         raise ValidationError(f"malformed {what} document: {e}")
     return _typed(doc, dict, f"a {what} document")
+
+
+def _once_each(pairs: list) -> dict:
+    """A JSON object's members, each key once (json.loads keeps the last)."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValidationError(f"key {key!r} is given twice in one object")
+    return doc
 
 
 def _typed(x, kind: type, what: str):

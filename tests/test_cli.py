@@ -398,6 +398,21 @@ class TestMalformedDocuments:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    # json.loads keeps the last of a repeated key: the second "w0" would
+    # make the measure's mass 1/2 and the document a different structure
+    REPEATED_WORLD = (
+        '{"props": ["p"], "worlds": [{"id": "w0", "assign": {"p": true}}],'
+        ' "measures": [{"id": "m0", "dist": {"w0": "1", "w0": "1/2"}}]}')
+
+    def test_a_world_repeated_in_a_dist(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(self.REPEATED_WORLD)
+        for argv in (["props", "--model", str(path)],
+                     ["check", "--model", str(path), "--formula", "l(p) >= 1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: key 'w0' is given twice in one object\n"
+
     def test_the_good_structure_loads(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(self.structure()))
@@ -422,6 +437,20 @@ class TestMalformedDocuments:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_key_repeated_in_v(self, capsys, tmp_path):
+        # the first "a" makes v an envelope; the second used to win, and
+        # envelope answered NO with exit 1
+        path = tmp_path / "v.json"
+        path.write_text('{"omega": ["a", "b"],'
+                        ' "v": {"": "0", "a": "1/2", "b": "1/2", "a,b": "1", "a": "1/4"}}')
+        for argv in (["props", "--function", str(path)],
+                     ["envelope", "--function", str(path)],
+                     ["covers", "search", "--function", str(path), "--m-max", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: key 'a' is given twice in one object\n"
+
 
 
     @pytest.mark.parametrize("doc", [

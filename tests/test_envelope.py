@@ -10,6 +10,7 @@ from uplogic.errors import InputError, ResourceError
 from uplogic.structure import SetFunction, UpperProbStructure, set_function_of
 
 from conftest import random_structure
+from test_lp import fraction_system, objective
 
 
 def _subsets(ground):
@@ -334,11 +335,11 @@ def reference_system(v: SetFunction) -> lp.LinearSystem:
     for X, bound in v.values.items():
         if X and X != full:
             constraints.append((dict.fromkeys(X, -1), lp.Relation.GE, -bound))
-    return lp.make_system(ground, constraints)
+    return fraction_system(ground, constraints)
 
 
-def reference_dominated_max(system: lp.LinearSystem, A) -> F:
-    outcome = lp.optimize(system, dict.fromkeys(A, 1), lp.Direction.MAX)
+def reference_dominated_max(v: SetFunction, system: lp.LinearSystem, A) -> F:
+    outcome = lp.optimize(system, objective(v.ground, dict.fromkeys(A, 1)), lp.Direction.MAX)
     if outcome.verdict is not lp.Verdict.OPTIMAL:
         raise InputError("empty polytope")
     return outcome.value
@@ -356,7 +357,7 @@ def test_dual_matches_the_tableau_at_every_subset():
     for i, (_, v) in enumerate(_differential_cases()):
         system = reference_system(v)
         for A in v.subsets():
-            want = _outcome(reference_dominated_max, system, A)
+            want = _outcome(reference_dominated_max, v, system, A)
             got = _outcome(dominated_max, v, A)
             if want is InputError or got is InputError:
                 assert want is got

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 from typing import Optional
 
@@ -11,8 +12,8 @@ from uplogic import envelope, lp, solver
 from uplogic.envelope import dominated_max
 from uplogic.errors import InputError, InternalCheckError
 from uplogic.lp import (
+    Constraint,
     Direction,
-    LPOutcome,
     Relation,
     Verdict,
     feasible,
@@ -26,24 +27,59 @@ EQ, GE, GT = Relation.EQ, Relation.GE, Relation.GT
 MAX, MIN = Direction.MAX, Direction.MIN
 
 
+def integer_row(names, coeffs, bound=0):
+    """(row, bound, den): a row given as Fractions over variable names, and
+    its bound, as lp states them: the nonzero entries as ints over the
+    columns of names in order, over den, the lcm of the denominators of
+    those entries and the bound."""
+    column = {v: j for j, v in enumerate(names)}
+    entries = {column[v]: F(x) for v, x in coeffs.items() if x}
+    bound = F(bound)
+    den = math.lcm(bound.denominator, *[x.denominator for x in entries.values()])
+    row = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+    return row, bound.numerator * (den // bound.denominator), den
+
+
+def fraction_system(names, rows):
+    """The system of rows (coeffs, rel, bound) given as Fractions, coeffs a
+    map from variable name to coefficient."""
+    constraints = []
+    for coeffs, rel, b in rows:
+        row, bound, den = integer_row(names, coeffs, b)
+        constraints.append(Constraint(row, rel, bound, den))
+    return make_system(len(names), constraints)
+
+
+def objective(names, coeffs):
+    """An objective given as Fractions over variable names, as optimize
+    takes it: (row, den)."""
+    row, _, den = integer_row(names, coeffs)
+    return row, den
+
+
+def fraction_rows(sys):
+    """The rows of sys read back as ({column: Fraction}, rel, Fraction)."""
+    return [({j: F(a, c.den) for j, a in c.coeffs.items()}, c.rel, F(c.bound, c.den))
+            for c in sys.constraints]
+
+
 def dense(names, constraints):
-    """A system from rows written as dense vectors over names; lp takes
-    each row as a map from variable name to coefficient."""
-    return make_system(names, [(dict(zip(names, co)), rel, b) for co, rel, b in constraints])
+    """A system from rows written as dense vectors over names."""
+    return fraction_system(names, [(dict(zip(names, co)), rel, b) for co, rel, b in constraints])
 
 
 def sys1(constraints):
     return dense(["x0"], constraints)
 
 
-X = {"x0": F(1)}  # the objective x0 of a one-variable system
+X = ({0: 1}, 1)  # the objective x0 of a one-variable system
 
 
 class TestFeasible:
     def test_unit_interval(self):
         out = feasible(sys1([([F(1)], GE, F(0)), ([F(-1)], GE, F(-1))]))
         assert out.verdict is Verdict.FEASIBLE
-        assert 0 <= out.point["x0"] <= 1
+        assert 0 <= out.point[0] <= 1
 
     def test_contradiction(self):
         out = feasible(sys1([([F(1)], GE, F(1)), ([F(-1)], GE, F(0))]))
@@ -52,7 +88,7 @@ class TestFeasible:
     def test_open_interval_witness_interior(self):
         out = feasible(sys1([([F(1)], GT, F(0)), ([F(-1)], GT, F(-1))]))
         assert out.verdict is Verdict.FEASIBLE
-        assert 0 < out.point["x0"] < 1
+        assert 0 < out.point[0] < 1
 
     def test_strict_point_infeasible(self):
         # x > 0 and x <= 0
@@ -65,7 +101,7 @@ class TestOptimize:
         out = optimize(sys1([([F(1)], GE, F(0)), ([F(-1)], GE, F(-1))]), X, MAX)
         assert out.verdict is Verdict.OPTIMAL
         assert out.value == 1 and out.attained
-        assert out.point["x0"] == 1
+        assert out.point[0] == 1
 
     def test_open_max_not_attained(self):
         out = optimize(sys1([([F(1)], GT, F(0)), ([F(-1)], GT, F(-1))]), X, MAX)
@@ -73,18 +109,19 @@ class TestOptimize:
         assert out.value == 1 and not out.attained
 
     def test_unbounded(self):
-        out = optimize(
-            dense(["x", "y"], [([F(1), F(0)], GE, F(0)), ([F(0), F(1)], GE, F(0))]),
-            {"x": F(1), "y": F(1)},
-            MAX,
-        )
-        assert out.verdict is Verdict.UNBOUNDED
-        d = out.direction
-        assert d["x"] + d["y"] > 0 and d["x"] >= 0 and d["y"] >= 0
+        # every system the package builds is bounded: an unbounded objective
+        # is a failed self-check
+        sys = dense(["x", "y"], [([F(1), F(0)], GE, F(0)), ([F(0), F(1)], GE, F(0))])
+        with pytest.raises(InternalCheckError, match="unbounded"):
+            optimize(sys, objective(["x", "y"], {"x": F(1), "y": F(1)}), MAX)
+        # the bounded direction still answers on the same tableau
+        out = optimize(sys, objective(["x", "y"], {"x": F(1), "y": F(1)}), MIN)
+        assert (out.verdict, out.value, out.point) == (Verdict.OPTIMAL, 0, [0, 0])
 
     def test_minimize(self):
         out = optimize(
-            dense(["x", "y"], [([F(1), F(1)], GE, F(2))]), {"x": F(1), "y": F(1)}, MIN
+            dense(["x", "y"], [([F(1), F(1)], GE, F(2))]),
+            objective(["x", "y"], {"x": F(1), "y": F(1)}), MIN
         )
         assert out.value == 2 and out.attained
 
@@ -98,42 +135,48 @@ class TestEquality:
 
     def test_strict_row_beside_equality(self):
         out = feasible(sys1([([F(1)], EQ, F(1, 2)), ([F(1)], GT, F(0))]))
-        assert out.verdict is Verdict.FEASIBLE and out.point == {"x0": F(1, 2)}
+        assert out.verdict is Verdict.FEASIBLE and out.point == [F(1, 2)]
         out = feasible(sys1([([F(1)], EQ, F(0)), ([F(1)], GT, F(0))]))
         assert out.verdict is Verdict.INFEASIBLE
 
     def test_open_max_on_an_equality(self):
         # y >= 0, x + y = 1, y > 0: x approaches 1 and never reaches it
         sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1)), ([F(0), F(1)], GT, F(0))])
-        out = optimize(sys, {"x": F(1)}, MAX)
+        out = optimize(sys, ({0: 1}, 1), MAX)
         assert out.verdict is Verdict.OPTIMAL
         assert out.value == 1 and not out.attained and out.point is None
 
     def test_equality_is_one_row(self):
         sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1))])
         assert len(sys.constraints) == 1
-        out = optimize(sys, {"x": F(2), "y": F(1)}, MAX)
-        assert (out.value, out.point) == (2, {"x": F(1), "y": F(0)})
+        out = optimize(sys, ({0: 2, 1: 1}, 1), MAX)
+        assert (out.value, out.point) == (2, [F(1), F(0)])
 
 
 class TestInputChecks:
-    def test_duplicate_variable(self):
-        with pytest.raises(InputError, match="duplicate variable name"):
-            make_system(["x", "x"], [])
+    """Variables are the columns 0..n-1; every row and objective is over
+    them, each over a positive denominator."""
 
     def test_row_names_unknown_variable(self):
-        with pytest.raises(InputError, match=r"constraint names unknown variables: \['z'\]"):
-            make_system(["x"], [({"x": F(1), "z": F(2)}, GE, F(0))])
+        with pytest.raises(InputError, match=r"constraint names unknown columns: \[-1, 2\]"):
+            make_system(2, [Constraint({0: 1, 2: 2}, GE, 0, 1),
+                            Constraint({-1: 1}, GE, 0, 1)])
 
     def test_objective_names_unknown_variable(self):
-        sys = make_system(["x"], [({"x": F(1)}, GE, F(0))])
-        with pytest.raises(InputError, match=r"objective names unknown variables: \['z'\]"):
-            optimize(sys, {"z": F(1)}, MAX)
+        sys = make_system(1, [Constraint({0: 1}, GE, 0, 1)])
+        with pytest.raises(InputError, match=r"objective names unknown columns: \[1\]"):
+            optimize(sys, ({1: 1}, 1), MAX)
+        with pytest.raises(InputError, match="objective denominator 0 is not positive"):
+            optimize(sys, ({0: 1}, 0), MAX)
+
+    def test_row_denominator_must_be_positive(self):
+        with pytest.raises(InputError, match="row denominator -2 is not positive"):
+            make_system(1, [Constraint({0: 1}, GE, 1, -2)])
 
     def test_zero_entries_are_dropped(self):
-        sys = make_system(["x", "y"], [({"x": 0, "y": F(-1, 2)}, GE, 0)])
-        assert sys.constraints[0].coeffs == {"y": F(-1, 2)}
-        assert type(sys.constraints[0].coeffs["y"]) is F
+        sys = make_system(2, [Constraint({0: 0, 1: -1}, GE, 0, 2)])
+        assert sys.constraints[0] == Constraint({1: -1}, GE, 0, 2)
+        assert type(sys.constraints[0].coeffs[1]) is int
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +255,11 @@ def test_oracle_agreement_200_random_systems():
     checked = 0
     while checked < 200:
         nvars = rng.randint(1, 4)
-        constraints, objective, direction = random_bounded_system(rng, nvars)
+        constraints, obj, direction = random_bounded_system(rng, nvars)
         names = [f"x{i}" for i in range(nvars)]
-        out = optimize(dense(names, constraints), dict(zip(names, objective)), direction)
-        expected = vertex_oracle(nvars, constraints, objective, direction)
+        out = optimize(dense(names, constraints), objective(names, dict(zip(names, obj))),
+                       direction)
+        expected = vertex_oracle(nvars, constraints, obj, direction)
         if expected is None:
             assert out.verdict is Verdict.INFEASIBLE
         else:
@@ -228,9 +272,9 @@ def test_optimum_dominates_sampled_feasible_points():
     rng = random.Random(77)
     for _ in range(40):
         nvars = rng.randint(1, 3)
-        constraints, objective, _ = random_bounded_system(rng, nvars)
+        constraints, obj, _ = random_bounded_system(rng, nvars)
         names = [f"x{i}" for i in range(nvars)]
-        out = optimize(dense(names, constraints), dict(zip(names, objective)), MAX)
+        out = optimize(dense(names, constraints), objective(names, dict(zip(names, obj))), MAX)
         if out.verdict is not Verdict.OPTIMAL:
             continue
         for _ in range(20):
@@ -239,7 +283,7 @@ def test_optimum_dominates_sampled_feasible_points():
                 sum(c * x for c, x in zip(coeffs, point)) >= b
                 for coeffs, _, b in constraints
             ):
-                assert sum(c * x for c, x in zip(objective, point)) <= out.value
+                assert sum(c * x for c, x in zip(obj, point)) <= out.value
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +305,7 @@ def test_zero_rhs_rows_start_on_slack(monkeypatch):
     names = ["x", "y", "z"]
     weak = [([F(1), F(-1), F(0)], GE, F(0)), ([F(0), F(1), F(-1)], GE, F(0))]
     strict = [([F(-1), F(2), F(0)], GT, F(0)), ([F(0), F(0), F(1)], GT, F(0))]
-    low = optimize(dense(names, weak), {"x": F(1)}, MIN)
+    low = optimize(dense(names, weak), ({0: 1}, 1), MIN)
     assert low.verdict is Verdict.OPTIMAL and low.value == 0
     assert feasible(dense(names, weak + strict)).verdict is Verdict.FEASIBLE
     assert len(built) == 2
@@ -278,28 +322,35 @@ def test_zero_rhs_rows_start_on_slack(monkeypatch):
 # row, or below zero, is rejected however large that denominator is.
 
 
+def _violating(names, coeffs, rel, bound):
+    """The message naming the row coeffs.x rel bound, as lp states it."""
+    row, b, den = integer_row(names, dict(zip(names, coeffs)), bound)
+    return re.escape(f"solver returned a point violating {row} {rel.value} {b} over {den}")
+
+
 def test_check_point_rejects_a_point_one_unit_off():
     D = 10**30 + 57
     names = ["x", "y", "z"]
-    point = {"x": F(5 * 10**29, D), "y": F(0), "z": F(1, 3)}
+    point = [F(5 * 10**29, D), F(0), F(1, 3)]
     coeffs = [F(1, 3), F(-2, 7), F(5, 11)]
-    at = sum(c * point[v] for c, v in zip(coeffs, names))
-    one_off = dict(point, x=point["x"] - F(1, D))
+    at = sum(c * x for c, x in zip(coeffs, point))
+    one_off = [point[0] - F(1, D)] + point[1:]
     # every row is checked: the row the moved point breaks comes last
     loose = [([F(1), F(0), F(0)], GE, F(0)), ([F(0), F(0), F(-1)], GE, F(-1))]
     weak = dense(names, loose + [(coeffs, GE, at)])
     lp._check_point(weak, point)
-    with pytest.raises(InternalCheckError, match=r"violating .* >= "):
+    with pytest.raises(InternalCheckError, match=_violating(names, coeffs, GE, at)):
         lp._check_point(weak, one_off)
-    strict = dense(names, loose + [(coeffs, GT, at - F(1, 3 * D))])
+    below = at - F(1, 3 * D)
+    strict = dense(names, loose + [(coeffs, GT, below)])
     lp._check_point(strict, point)
-    with pytest.raises(InternalCheckError, match=r"violating .* > "):
+    with pytest.raises(InternalCheckError, match=_violating(names, coeffs, GT, below)):
         lp._check_point(strict, one_off)
     # every variable is >= 0
-    with pytest.raises(InternalCheckError, match="solver returned negative y"):
-        lp._check_point(weak, dict(point, y=F(-1, D)))
-    with pytest.raises(InternalCheckError, match="solver returned negative z"):
-        lp._check_point(weak, dict(point, z=F(-1, D)))
+    with pytest.raises(InternalCheckError, match="solver returned negative column 1"):
+        lp._check_point(weak, [point[0], F(-1, D), point[2]])
+    with pytest.raises(InternalCheckError, match="solver returned negative column 2"):
+        lp._check_point(weak, point[:2] + [F(-1, D)])
 
 
 def test_oracle_agreement_mixed_sign_bounds():
@@ -307,7 +358,7 @@ def test_oracle_agreement_mixed_sign_bounds():
     seen = {"zero": 0, "positive": 0, "infeasible": 0}
     for _ in range(150):
         nvars = rng.randint(1, 4)
-        constraints, objective, direction = random_bounded_system(rng, nvars)
+        constraints, obj, direction = random_bounded_system(rng, nvars)
         for _ in range(rng.randint(1, 3)):
             coeffs = [F(rng.randint(-3, 3)) for _ in range(nvars)]
             bound = F(rng.choice([0, 0, rng.randint(1, 4), rng.randint(-4, -1)]))
@@ -315,8 +366,9 @@ def test_oracle_agreement_mixed_sign_bounds():
         seen["zero"] += any(b == 0 and any(co) for co, _, b in constraints)
         seen["positive"] += any(b > 0 for _, _, b in constraints)
         names = [f"x{i}" for i in range(nvars)]
-        out = optimize(dense(names, constraints), dict(zip(names, objective)), direction)
-        expected = vertex_oracle(nvars, constraints, objective, direction)
+        out = optimize(dense(names, constraints), objective(names, dict(zip(names, obj))),
+                       direction)
+        expected = vertex_oracle(nvars, constraints, obj, direction)
         if expected is None:
             seen["infeasible"] += 1
             assert out.verdict is Verdict.INFEASIBLE
@@ -329,14 +381,14 @@ def test_oracle_agreement_mixed_sign_bounds():
 def test_check_point_rejects_a_point_one_unit_off_an_equality():
     D = 10**30 + 57
     names = ["x", "y"]
-    point = {"x": F(5 * 10**29, D), "y": F(1, 3)}
+    point = [F(5 * 10**29, D), F(1, 3)]
     coeffs = [F(1, 3), F(-2, 7)]
-    at = sum(c * point[v] for c, v in zip(coeffs, names))
+    at = sum(c * x for c, x in zip(coeffs, point))
     sys = dense(names, [([F(0), F(1)], GE, F(0)), (coeffs, EQ, at)])
     lp._check_point(sys, point)
     for off in (F(1, D), F(-1, D)):  # either side of the row
-        with pytest.raises(InternalCheckError, match=r"violating .* = "):
-            lp._check_point(sys, dict(point, x=point["x"] + off))
+        with pytest.raises(InternalCheckError, match=_violating(names, coeffs, EQ, at)):
+            lp._check_point(sys, [point[0] + off, point[1]])
 
 
 def test_oracle_agreement_with_equality_rows():
@@ -346,7 +398,7 @@ def test_oracle_agreement_with_equality_rows():
     for _ in range(160):
         nvars = rng.randint(1, 4)
         names = [f"x{i}" for i in range(nvars)]
-        constraints, objective, direction = random_bounded_system(rng, nvars)
+        constraints, obj, direction = random_bounded_system(rng, nvars)
         constraints = constraints[: 2 * nvars + rng.randint(0, 1)]
         # a point inside the box, so that most equalities are satisfiable
         plant = [4 + F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in names]
@@ -361,8 +413,8 @@ def test_oracle_agreement_with_equality_rows():
         assert sum(c.rel is EQ for c in sys.constraints) == len(equalities)
         halves = [(co, GE, b) for co, b in equalities]
         halves += [([-x for x in co], GE, -b) for co, b in equalities]
-        out = optimize(sys, dict(zip(names, objective)), direction)
-        expected = vertex_oracle(nvars, constraints + halves, objective, direction)
+        out = optimize(sys, objective(names, dict(zip(names, obj))), direction)
+        expected = vertex_oracle(nvars, constraints + halves, obj, direction)
         if expected is None:
             seen["infeasible"] += 1
             assert out.verdict is Verdict.INFEASIBLE
@@ -371,7 +423,7 @@ def test_oracle_agreement_with_equality_rows():
             assert out.verdict is Verdict.OPTIMAL
             assert out.value == expected
             for co, b in equalities:
-                assert sum(c * out.point[v] for c, v in zip(co, names)) == b
+                assert sum(c * x for c, x in zip(co, out.point)) == b
         seen["two_eq"] += len(equalities) == 2
     assert min(seen.values()) >= 10, seen
 
@@ -379,7 +431,8 @@ def test_oracle_agreement_with_equality_rows():
 # ---------------------------------------------------------------------------
 # Differential test of the integer tableau.  FractionSimplex is the simplex
 # as it was over a tableau of Fractions; the integer tableau must make the
-# same pivots and return the same status, point, value and ray.
+# same pivots and return the same status, point and value, and raise
+# InternalCheckError where the reference finds the objective unbounded.
 
 ZERO, ONE = F(0), F(1)
 
@@ -517,7 +570,6 @@ class FractionSimplex:
                         best_ratio = ratio
                         r = i
             if r < 0:
-                self._unbounded_col = e
                 return "unbounded"
             # incremental cost-row update, over the pivot row's nonzeros
             ce = costs[e]
@@ -575,15 +627,6 @@ class FractionSimplex:
             x[b] = self.T[i][-1]
         return x[: self.n_struct]
 
-    def ray(self) -> list:
-        """Improving direction over structural columns after 'unbounded'."""
-        e = self._unbounded_col
-        d = [ZERO] * self.total
-        d[e] = ONE
-        for i, b in enumerate(self.basis):
-            d[b] = -self.T[i][e]
-        return d[: self.n_struct]
-
 
 def recording(cls):
     class Recording(cls):
@@ -604,9 +647,9 @@ BOUNDS = [0, 0, 1, 4, 9, 2, -1, -6, F(7, 13), F(-7, 13)]
 
 
 def random_internal_system(rng):
-    """Rows over 1-6 columns with all three relations, entries ints and
-    Fractions as _phase_one passes them; a third of the systems also draw
-    coefficients and bounds around 10**30/7, half of them get a box row."""
+    """Rows over 1-6 columns with the relations <=, >= and =, entries ints
+    and Fractions; a third of the systems also draw coefficients and bounds
+    around 10**30/7, half of them get a box row."""
     n = rng.randint(1, 6)
     entries, bounds = SMALL, BOUNDS
     if rng.random() < 1 / 3:
@@ -622,16 +665,23 @@ def random_internal_system(rng):
     return n, rows, c
 
 
+def internal_system(n, rows):
+    """The rows (a, rel, b) over n columns as a system: a.x <= b is
+    -a.x >= -b."""
+    names = range(n)
+    return fraction_system(names, [
+        (dict(enumerate(a)), EQ if rel == "=" else GE, b) if rel != "<="
+        else ({j: -x for j, x in enumerate(a)}, GE, -b) for a, rel, b in rows])
+
+
 def integer_solve(sx, c):
     """FractionSimplex.solve on lp._Simplex: phase_one, then _run of the
     dense objective c.  Returns (status, value, point)."""
     if not sx.phase_one():
         return ("infeasible", None, None)
-    c, cden = lp._integers(dict(enumerate(c)))
-    status = sx._run(c, cden, banned=sx.art_cols)
+    c, cden = objective(range(len(c)), dict(enumerate(c)))
+    sx._run(c, cden, banned=sx.art_cols)
     point = sx._point()
-    if status == "unbounded":
-        return ("unbounded", None, point)
     return ("optimal", sum((x * point[j] for j, x in c.items()), F(0)) / cden, point)
 
 
@@ -643,16 +693,18 @@ def test_integer_tableau_matches_fraction_tableau():
     for _ in range(400):
         n, rows, c = random_internal_system(rng)
         ref = Ref(n, rows, c)
-        new = New(n, [({**dict(enumerate(a)), lp.RHS: b}, rel) for a, rel, b in rows])
+        new = New(internal_system(n, rows))
         assert new.art_cols == ref.art_cols
-        got, want = integer_solve(new, c), ref.solve()
-        assert got == want
+        want = ref.solve()
+        if want[0] == "unbounded":
+            with pytest.raises(InternalCheckError, match="unbounded"):
+                integer_solve(new, c)
+        else:
+            assert integer_solve(new, c) == want
         assert new.pivots == ref.pivots
-        if got[0] == "unbounded":
-            assert new.ray() == ref.ray()
         for row, den in zip(new.T, new.D):
             assert den > 0 and math.gcd(den, *row.values()) == 1 and all(row.values())
-        seen[got[0]] += 1
+        seen[want[0]] += 1
         seen["eq_negative_rhs"] += any(rel == "=" and b < 0 for _, rel, b in rows)
         seen["huge"] += any(abs(x) > 10**20 for a, _, _ in rows for x in a)
         seen["pivots"] += len(new.pivots)
@@ -668,50 +720,41 @@ def test_integer_tableau_matches_fraction_tableau():
 # attainment must be the reference's.
 
 _REF_REL = {EQ: "=", GE: ">=", GT: ">="}
+UNBOUNDED = "unbounded"  # the reference's verdict where optimize raises
 
 
-def _reference_encoding(sys, delta):
-    """Dense rows over the variables of sys and, with delta, one more
-    column last."""
-    n = len(sys.variables)
-
-    def row(coeffs, delta_coeff=0):
-        out = [coeffs.get(v, ZERO) for v in sys.variables]
-        return out + [F(delta_coeff)] if delta else out
-
-    return n + delta, row
-
-
-def _reference_strict_feasible(sys):
-    n, row = _reference_encoding(sys, delta=True)
-    rows = [(row(c.coeffs, -1 if c.rel is GT else 0), _REF_REL[c.rel], c.bound)
-            for c in sys.constraints]
-    rows.append((row({}, -1), ">=", F(-1)))
-    status, value, _ = FractionSimplex(n, rows, row({}, 1)).solve()
-    strict = any(c.rel is GT for c in sys.constraints)
+def _reference_strict_feasible(n, rows):
+    """Whether the Fraction rows ({column: x}, rel, b) over n columns hold
+    with every strict row strict: delta, column n, maximized."""
+    dense = [([co.get(j, ZERO) for j in range(n)] + [F(-1 if rel is GT else 0)],
+              _REF_REL[rel], b) for co, rel, b in rows]
+    dense.append(([ZERO] * n + [F(-1)], ">=", F(-1)))
+    status, value, _ = FractionSimplex(n + 1, dense, [ZERO] * n + [ONE]).solve()
+    strict = any(rel is GT for _, rel, _ in rows)
     return status == "optimal" and (value > 0 or not strict)
 
 
 def reference_optimize(sys, objective, direction):
-    """(verdict, value, attained) of optimize as it was."""
-    strict = any(c.rel is GT for c in sys.constraints)
-    if strict and not _reference_strict_feasible(sys):
+    """(verdict, value, attained) of optimize as it was, on the rows of sys
+    read back as Fractions."""
+    n, rows = len(sys.variables), fraction_rows(sys)
+    strict = any(rel is GT for _, rel, _ in rows)
+    if strict and not _reference_strict_feasible(n, rows):
         return Verdict.INFEASIBLE, None, True
     sign = 1 if direction is MAX else -1
-    n, row = _reference_encoding(sys, delta=False)
-    rows = [(row(c.coeffs), _REF_REL[c.rel], c.bound) for c in sys.constraints]
+    coeffs, den = objective
+    obj = {j: F(x, den) for j, x in coeffs.items()}
     status, value, _ = FractionSimplex(
-        n, rows, row({v: sign * x for v, x in objective.items()})).solve()
+        n, [([co.get(j, ZERO) for j in range(n)], _REF_REL[rel], b) for co, rel, b in rows],
+        [sign * obj.get(j, ZERO) for j in range(n)]).solve()
     if status == "infeasible":
         return Verdict.INFEASIBLE, None, True
     if status == "unbounded":
-        return Verdict.UNBOUNDED, None, True
+        return UNBOUNDED, None, True
     value = sign * value
     if not strict:
         return Verdict.OPTIMAL, value, True
-    pinned = lp.LinearSystem(
-        sys.variables, sys.constraints + (lp.Constraint(objective, EQ, value),))
-    return Verdict.OPTIMAL, value, _reference_strict_feasible(pinned)
+    return Verdict.OPTIMAL, value, _reference_strict_feasible(n, rows + [(obj, EQ, value)])
 
 
 def random_strict_system(rng):
@@ -721,21 +764,31 @@ def random_strict_system(rng):
     some carry an = row."""
     nvars = rng.randint(1, 4)
     names = [f"x{i}" for i in range(nvars)]
-    constraints, objective, direction = random_bounded_system(rng, nvars)
+    constraints, obj, direction = random_bounded_system(rng, nvars)
     if rng.random() < 0.4:
         constraints = constraints[2 * nvars:]  # no box: unbounded ones too
     rels = [GE, GT, GT]
     constraints = [(co, rng.choice(rels), b) for co, _, b in constraints]
     if rng.random() < 2 / 3:  # the optimal face is often a whole facet
         sign = 1 if direction is MAX else -1
-        constraints.append(([-sign * x for x in objective], rng.choice([GE, GT]),
+        constraints.append(([-sign * x for x in obj], rng.choice([GE, GT]),
                             F(rng.randint(-3, 2))))
     if rng.random() < 0.2:
         constraints.append(([F(rng.randint(-2, 2)) for _ in names], EQ,
                             F(rng.randint(-1, 1))))
     if not any(rel is GT for _, rel, _ in constraints):
         constraints.append(([F(1)] + [F(0)] * (nvars - 1), GT, F(-3)))
-    return dense(names, constraints), dict(zip(names, objective)), direction
+    return dense(names, constraints), objective(names, dict(zip(names, obj))), direction
+
+
+def _answer(sys, objective, direction):
+    """optimize's outcome, or UNBOUNDED where it raises InternalCheckError
+    for an unbounded objective."""
+    try:
+        return optimize(sys, objective, direction)
+    except InternalCheckError as e:
+        assert "unbounded" in str(e)
+        return UNBOUNDED
 
 
 def test_face_step_matches_pinned_reference():
@@ -743,18 +796,22 @@ def test_face_step_matches_pinned_reference():
     seen = collections.Counter()
     for _ in range(400):
         sys, objective, direction = random_strict_system(rng)
-        out = optimize(sys, objective, direction)
+        out = _answer(sys, objective, direction)
         verdict, value, attained = reference_optimize(sys, objective, direction)
-        assert (out.verdict, out.value) == (verdict, value)
+        if verdict == UNBOUNDED:
+            assert out == UNBOUNDED
+        else:
+            assert (out.verdict, out.value) == (verdict, value)
         if verdict is Verdict.OPTIMAL:
             assert out.attained == attained
             if attained:  # a strictly feasible point at the optimum
-                assert sum(x * out.point[v] for v, x in objective.items()) == value
+                coeffs, den = objective
+                assert sum(F(x, den) * out.point[j] for j, x in coeffs.items()) == value
             else:
                 assert out.point is None
         seen[verdict, attained] += 1
     assert set(seen) == {(Verdict.OPTIMAL, True), (Verdict.OPTIMAL, False),
-                         (Verdict.INFEASIBLE, True), (Verdict.UNBOUNDED, True)}, seen
+                         (Verdict.INFEASIBLE, True), (UNBOUNDED, True)}, seen
     assert min(seen.values()) >= 10, seen
 
 
@@ -777,18 +834,50 @@ def test_interleaved_objectives_answer_as_on_a_fresh_system(monkeypatch):
     for _ in range(60):
         sys, first, _ = random_strict_system(rng)
         if rng.random() < 0.5:  # the weak relaxation, rows as they were
-            sys = dense(sys.variables, [
-                ([c.coeffs.get(v, 0) for v in sys.variables], GE if c.rel is GT else c.rel,
-                 c.bound) for c in sys.constraints])
+            sys = make_system(len(sys.variables), [
+                c._replace(rel=GE) if c.rel is GT else c for c in sys.constraints])
         strict += any(c.rel is GT for c in sys.constraints)
-        second = {v: F(rng.randint(-3, 3)) for v in sys.variables}
+        second = objective(sys.variables, {j: F(rng.randint(-3, 3)) for j in sys.variables})
         calls = [(first, MAX), (second, MIN), (first, MIN), (second, MAX), (first, MAX)]
         built.clear()
-        got = [optimize(sys, o, d) for o, d in calls] + [feasible(sys)]
+        got = [_answer(sys, o, d) for o, d in calls] + [feasible(sys)]
         assert len(built) == 1  # one tableau, built once
-        want = [optimize(_fresh(sys), o, d) for o, d in calls] + [feasible(_fresh(sys))]
+        want = [_answer(_fresh(sys), o, d) for o, d in calls] + [feasible(_fresh(sys))]
         assert got == want
     assert 10 < strict < 50
+
+
+def _rows(sys):
+    """The rows of sys, copied."""
+    return [(dict(c.coeffs), c.rel, c.bound, c.den) for c in sys.constraints]
+
+
+def test_stored_rows_survive_feasible_and_two_optimizes():
+    # the tableau writes slack, artificial and delta entries into its rows,
+    # so it must write them into copies of the system's rows: a second
+    # optimize, or the point check, reads the stored ones
+    rng = random.Random(1414)
+    seen = collections.Counter()
+    for _ in range(80):
+        sys, first, direction = random_strict_system(rng)
+        before = _rows(sys)
+        out = feasible(sys)
+        answers = [_answer(sys, first, d) for d in (MIN, MAX)]
+        assert _rows(sys) == before
+        assert answers == [_answer(_fresh(sys), first, d) for d in (MIN, MAX)]
+        seen[out.verdict] += 1
+    # and the solver's witness LP of a bounds query
+    f = parse_likelihood("l(p) > 1/3 & l(q) - l(p | q) >= -1/2 & l(!q) < 3/4")
+    t = parse_term("l(p & q) - 2 l(q)")
+    worlds, g = solver._prepare(f, ["p", "q"])
+    dlp = solver._DisjunctLP(worlds, solver.dnf(g)[0], extra_args=t.parts)
+    before = _rows(dlp.system)
+    assert feasible(dlp.system).verdict is Verdict.FEASIBLE
+    obj, _ = dlp.term_row(t)
+    ends = [optimize(dlp.system, obj, d) for d in (MIN, MAX)]
+    assert _rows(dlp.system) == before
+    assert ends == [optimize(_fresh(dlp.system), obj, d) for d in (MIN, MAX)]
+    assert seen[Verdict.FEASIBLE] >= 20 and seen[Verdict.INFEASIBLE] >= 10, seen
 
 
 def test_one_tableau_per_bounds_disjunct_and_none_per_set_function(monkeypatch):

@@ -1,3 +1,5 @@
+import collections
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,6 +16,7 @@ from uplogic.solver import SatVerdict, UnsatInputError, bounds, sat, valid
 
 from conftest import random_structure
 from test_formula import _random_lform, _random_term
+from test_lp import fraction_rows, fraction_system, objective
 
 p, q = Prop("p"), Prop("q")
 
@@ -198,7 +201,7 @@ def reference_sat(f):
     disjuncts = dnf(normalize(f))
     for basics in disjuncts:
         dlp = solver._DisjunctLP(worlds, basics)
-        outcome = lp.feasible(dlp.system())
+        outcome = lp.feasible(dlp.system)
         if outcome.verdict is lp.Verdict.FEASIBLE:
             model = solver._structure_from(worlds, dlp.measures(outcome.point))
             return SatVerdict.SAT, model, len(disjuncts)
@@ -234,7 +237,7 @@ class TestLazyWalk:
                 else:
                     skipped += 1
                     dlp = solver._DisjunctLP(worlds, basics)
-                    assert lp.feasible(dlp.system()).verdict is lp.Verdict.INFEASIBLE
+                    assert lp.feasible(dlp.system).verdict is lp.Verdict.INFEASIBLE
             assert pending is None
         assert skipped
 
@@ -387,7 +390,8 @@ class _ReferenceLP:
         for b in basics:
             rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
             rows.append((self.term_row(b.term), rel, b.bound))
-        self.system = lp.make_system([x for row in self.names for x in row], rows)
+        self.variables = [x for row in self.names for x in row]
+        self.system = fraction_system(self.variables, rows)
 
     def term_row(self, t):
         row: dict = {}
@@ -407,7 +411,7 @@ def reference_bounds(f, t):
     lower = upper = None
     for basics in dnf(g):
         ref = _ReferenceLP(worlds, basics, extra_args=t.parts)
-        obj = ref.term_row(t)
+        obj = objective(ref.variables, ref.term_row(t))
         lo = lp.optimize(ref.system, obj, lp.Direction.MIN)
         if lo.verdict is lp.Verdict.INFEASIBLE:
             continue
@@ -448,7 +452,7 @@ class TestPivotClass:
             for basics in dnf(g):
                 dlp = solver._DisjunctLP(worlds, basics)
                 ref = _ReferenceLP(worlds, basics)
-                outcome = lp.feasible(dlp.system())
+                outcome = lp.feasible(dlp.system)
                 assert (outcome.verdict is lp.Verdict.FEASIBLE) == _feasible(ref.system)
                 if outcome.verdict is lp.Verdict.FEASIBLE:
                     feasible += 1
@@ -500,9 +504,10 @@ class TestPivotClass:
         dlp = solver._DisjunctLP(worlds, basics)
         if c0_inside is not None:
             assert all(dlp._in0) is c0_inside and any(dlp._in0) is c0_inside
-        if len(dlp.class_rep) == 1:
-            assert dlp.variables == []
-        outcome = lp.feasible(dlp.system())
+        if len(dlp.class_rep) == 1:  # no columns: every row a constant comparison
+            assert dlp.system.variables == range(0)
+            assert all(not c.coeffs for c in dlp.system.constraints)
+        outcome = lp.feasible(dlp.system)
         verdict = outcome.verdict is lp.Verdict.FEASIBLE
         assert verdict == _feasible(_ReferenceLP(worlds, basics).system)
         assert (sat(f).verdict is SatVerdict.SAT) == verdict
@@ -522,4 +527,132 @@ class TestPivotClass:
         assert res.stats["lp_sizes"] == [{"variables": 1, "rows": n + 1}]
         worlds, g = solver._prepare(f)
         [basics] = dnf(g)
-        assert solver._DisjunctLP(worlds, basics).system()._tableau.art_cols == set()
+        assert solver._DisjunctLP(worlds, basics).system._tableau.art_cols == set()
+
+
+class _FractionDisjunctRows:
+    """The solver's witness LP built as it was: Fraction rows over the
+    names x_i_c, with the same pivot class found in Fractions.  The solver
+    states each row once in integers; read back as Fractions, its rows must
+    be these, and each over the lcm of these rows' denominators, since a
+    row's denominator is its slack's entry in the tableau."""
+
+    def __init__(self, worlds, basics, extra_args=()):
+        masks: dict = {}  # extension mask -> measure index
+        self.measure_of = {}  # argument -> measure index
+        for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
+            if phi not in self.measure_of:
+                mask = worlds.extension_mask(phi)
+                self.measure_of[phi] = masks.setdefault(mask, len(masks))
+        T = len(masks)
+        sigs = list(dict.fromkeys(
+            tuple((m >> w) & 1 for m in masks) for w in range(len(worlds.ids))))
+        C = len(sigs)
+
+        def value_at(t, c):  # the term at the point mass on class c
+            return sum((coeff for coeff, phi in t.parts if sigs[c][self.measure_of[phi]]),
+                       F(0))
+
+        def violated(c):
+            return sum(1 for b in basics
+                       if value_at(b.term, c) < b.bound
+                       or (b.rel is Rel.GT and value_at(b.term, c) == b.bound))
+
+        self.c0 = c0 = min(range(C), key=lambda c: (violated(c), c))
+        self.in0 = sigs[c0]
+        self.side = [[c for c in range(C) if sigs[c][i] != self.in0[i]] for i in range(T)]
+        self.names = [{c: f"x_{i}_{c}" for c in range(C) if c != c0} for i in range(T)]
+        self.variables = [x for row in self.names for x in row.values()]
+        ONE = F(1)
+        self.rows = [(dict.fromkeys(row.values(), -ONE), lp.Relation.GE, -ONE)
+                     for row in self.names]
+        for i, side in enumerate(self.side):
+            s = -ONE if self.in0[i] else ONE
+            for j in range(T):
+                if j != i:
+                    row = {self.names[i][c]: s for c in side}
+                    row.update({self.names[j][c]: -s for c in side})
+                    self.rows.append((row, lp.Relation.GE, F(0)))
+        for b in basics:
+            rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
+            row, const = self.term_row(b.term)
+            self.rows.append((row, rel, b.bound - const))
+
+    def term_row(self, t):
+        by_measure: dict = {}
+        for coeff, phi in t.parts:
+            i = self.measure_of[phi]
+            by_measure[i] = by_measure.get(i, 0) + coeff
+        row, const = {}, F(0)
+        for i, coeff in by_measure.items():
+            if self.in0[i]:
+                const += coeff
+                coeff = -coeff
+            for c in self.side[i]:
+                row[self.names[i][c]] = coeff
+        return {x: a for x, a in row.items() if a}, const
+
+
+def _lcm_of_denominators(row, bound):
+    return math.lcm(*[x.denominator for x in row.values()],
+                    bound.denominator if bound else 1)
+
+
+class TestIntegerRows:
+    """The solver states each row of its witness LP once, as ints over the
+    columns: read back as Fractions, they are the rows of the Fraction
+    reference, each over the lcm of its denominators."""
+
+    # literals whose row has a smaller denominator than the literal: an
+    # addend on l(true) or l(false) has no column, and the bound can cancel
+    # against the pivot class's value
+    REDUCED = [
+        "l(p) + 1/2 l(true) >= 1/2 & l(q) <= 1/2",
+        "1/3 l(p | !p) + l(q) > 1/3 & 1/6 l(false) - l(p) >= -5/6",
+        "2/3 l(true) + l(q) >= 2/3 & l(p) >= 1/4",
+        "1/2 l(p) + 1/2 l(p) >= 1/2 & 3/2 l(q) - 1/2 l(q) < 1",
+    ]
+
+    def _compare(self, worlds, basics, t, seen):
+        dlp = solver._DisjunctLP(worlds, basics, extra_args=t.parts)
+        ref = _FractionDisjunctRows(worlds, basics, extra_args=t.parts)
+        assert dlp.c0 == ref.c0
+        system = dlp.system
+        assert system.variables == range(len(ref.variables))
+        named = [({ref.variables[j]: x for j, x in co.items()}, rel, b)
+                 for co, rel, b in fraction_rows(system)]
+        want = [({x: a for x, a in co.items() if a}, rel, b) for co, rel, b in ref.rows]
+        assert named == want
+        assert [c.den for c in system.constraints] == [
+            _lcm_of_denominators(co, b) for co, _, b in want]
+        (obj, den), const = dlp.term_row(t)
+        ref_obj, ref_const = ref.term_row(t)
+        assert {ref.variables[j]: F(x, den) for j, x in obj.items()} == ref_obj
+        # the objective's scale does not steer the simplex: only its row's
+        # ratios enter Dantzig's rule, and the constant shares its den
+        assert den == _lcm_of_denominators(ref_obj, ref_const) and const == ref_const
+        seen["disjuncts"] += 1
+        seen["den > 1"] += sum(c.den > 1 for c in system.constraints)
+        seen["c0 > 0"] += dlp.c0 > 0
+        literals = system.constraints[len(system.constraints) - len(basics):]
+        seen["reduced"] += sum(
+            c.den < math.lcm(b.bound.denominator, *[a.denominator for a, _ in b.term.parts])
+            for c, b in zip(literals, basics))
+
+    def test_rows_match_the_fraction_reference(self):
+        rng = random.Random(2024)
+        seen = collections.Counter()
+        for f in _random_suite_formulas():
+            t = _random_term(rng)
+            worlds, g = solver._prepare(f, [p for _, phi in t.parts for p in props_of(phi)])
+            for basics in dnf(g)[:4]:
+                self._compare(worlds, basics, t, seen)
+        assert min(seen["disjuncts"], seen["den > 1"], seen["c0 > 0"]) >= 100, seen
+
+    @pytest.mark.parametrize("text", REDUCED)
+    def test_a_reduced_literal_row(self, text):
+        seen = collections.Counter()
+        worlds, g = solver._prepare(parse_likelihood(text), ["p", "q"])
+        [basics] = dnf(g)
+        self._compare(worlds, basics, parse_term("1/2 l(p) + 1/3 l(true)"), seen)
+        assert seen["reduced"] >= 1, seen
