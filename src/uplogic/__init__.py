@@ -28,7 +28,6 @@ from .formula import (
     FALSE,
     TRUE,
     And,
-    Atom,
     Basic,
     Const,
     LAnd,
@@ -41,8 +40,6 @@ from .formula import (
     PropFormula,
     Rel,
     Term,
-    atom_set,
-    atoms_of,
     dnf,
     is_tautology,
     normalize,

@@ -186,8 +186,7 @@ def cmd_covers_search(args) -> int:
             {"certificate": None, "m_max": args.m_max},
         )
         return EXIT_NEGATIVE
-    human = covers.save_certificate(cert)
-    _emit(args, human, {"certificate": json.loads(human)})
+    _emit(args, covers.save_certificate(cert), {"certificate": covers.certificate_doc(cert)})
     return EXIT_OK
 
 
@@ -291,6 +290,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ResourceError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except ValueError as e:
+        # an answer's number past the digits int() converts to text; the
+        # readers reject such numbers in their input as input errors
+        if "integer string conversion" not in str(e):
+            raise
+        print(f"error: the answer has a number of more than "
+              f"{sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return EXIT_RESOURCE
 
 

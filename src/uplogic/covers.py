@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from . import errors
 from .errors import InputError, InternalCheckError, ResourceError
 from .formula import (
     Basic,
@@ -49,8 +50,6 @@ from .structure import (
     subset_masks,
     subset_sums,
 )
-
-DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def _coverage(at_least: list[int], t: int) -> int:
 def search_violation(
     v: SetFunction,
     m_max: int,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    budget: int = errors.SEARCH_BUDGET,
 ) -> Optional[CoverInstance]:
     """The first cover instance of at most m_max sets violating the UP3
     inequality, or None if there is none.
@@ -276,7 +275,7 @@ def check_properties(
     tuple}: for (1) and (2) over families of up to max_sets sets, by size
     and then in combinations_with_replacement order of the masks; for
     (3)-(6) over pairs in product order (README, "Properties").  Past
-    DEFAULT_SEARCH_BUDGET families and pairs, raises ResourceError before
+    errors.SEARCH_BUDGET families and pairs, raises ResourceError before
     any loop.  Given a SetFunction v, lower is the dual 1 - v(complement).
     """
     if max_sets < 2:
@@ -287,9 +286,9 @@ def check_properties(
     # the unordered, ordered and disjoint pairs
     work = (comb(N + max_sets, N) - comb(N + 2, 2) + comb(N + 1, 2) + N * N
             + 3 ** len(ground))
-    if work > DEFAULT_SEARCH_BUDGET:
+    if work > errors.SEARCH_BUDGET:
         raise ResourceError(f"props needs {work} families and pairs, "
-                            f"over the budget of {DEFAULT_SEARCH_BUDGET}")
+                            f"over the budget of {errors.SEARCH_BUDGET}")
     report: dict[int, Optional[tuple]] = dict.fromkeys(range(1, 7))
     # on A <= B, (1) is y <= s, (2) x >= t, (4) t <= x <= s and (5) t <= y <= s
     for A in masks:
@@ -345,15 +344,13 @@ def check_properties(
 # Certificate serialization
 
 
+def certificate_doc(c: CoverInstance) -> dict:
+    """c as the JSON document that load_certificate reads."""
+    return {"sets": [sorted(s) for s in c.sets], "target": sorted(c.target), "n": c.n, "k": c.k}
+
+
 def save_certificate(c: CoverInstance) -> str:
-    return json.dumps(
-        {
-            "sets": [sorted(s) for s in c.sets],
-            "target": sorted(c.target),
-            "n": c.n,
-            "k": c.k,
-        }
-    )
+    return json.dumps(certificate_doc(c))
 
 
 def load_certificate(data: Union[bytes, str]) -> CoverInstance:

@@ -49,8 +49,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from . import lp
-from .errors import InputError, InternalCheckError, ResourceError
+from . import errors, lp
+from .errors import InputError, InternalCheckError
 from .structure import (
     SetFunction,
     _mask,
@@ -59,8 +59,6 @@ from .structure import (
     subset_masks,
     subset_sums,
 )
-
-DEFAULT_GROUND_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -177,10 +175,7 @@ def is_upper_probability(v: SetFunction) -> EnvelopeResult:
     YES comes with witness measures realizing v exactly; NO names a
     specific failing subset (or the normalization failure).
     """
-    if len(v.ground) > DEFAULT_GROUND_CAP:
-        raise ResourceError(
-            f"{len(v.ground)} ground elements exceed the cap {DEFAULT_GROUND_CAP}"
-        )
+    errors.check_cap(len(v.ground), "ground elements", errors.cap())
     empty, full = frozenset(), frozenset(v.ground)
     if v(empty) != 0:
         return EnvelopeResult(False, failing_set=empty,

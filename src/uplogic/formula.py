@@ -20,37 +20,15 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
-from .errors import InputError, ResourceError
+from . import errors
+from .errors import InputError
 
 Rational = Union[Fraction, int]
-
-DEFAULT_ATOM_CAP = 16
-
-
-def atom_cap(default: int = DEFAULT_ATOM_CAP) -> int:
-    """Max number of distinct propositions allowed in atom enumeration.
-
-    Overridable via the UPLOGIC_ATOM_CAP environment variable, up to
-    DEFAULT_ATOM_CAP.
-    """
-    raw = os.environ.get("UPLOGIC_ATOM_CAP")
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"UPLOGIC_ATOM_CAP is not an integer: {raw!r}")
-    if cap < 0:
-        raise InputError(f"UPLOGIC_ATOM_CAP is negative: {raw!r}")
-    if cap > DEFAULT_ATOM_CAP:
-        raise InputError(f"UPLOGIC_ATOM_CAP is above the ceiling {DEFAULT_ATOM_CAP}: {raw!r}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +96,6 @@ def implies(a: PropFormula, b: PropFormula) -> PropFormula:
     return Or(Not(a), b)
 
 
-def iff(a: PropFormula, b: PropFormula) -> PropFormula:
-    return And(implies(a, b), implies(b, a))
-
-
 def conj_all(parts: Sequence[PropFormula]) -> PropFormula:
     if len(parts) < 2:
         return parts[0] if parts else TRUE
@@ -167,68 +141,22 @@ def extension_mask(phi: PropFormula, columns: Mapping[str, int], full: int) -> i
     raise InputError(f"not a propositional formula: {phi!r}")
 
 
-def holds(phi: PropFormula, assignment: Mapping[str, bool]) -> bool:
-    """Truth of phi under a world's assignment.  Propositions missing from
-    the assignment are false."""
-    return extension_mask(phi, {p: 1 for p, t in assignment.items() if t}, 1) == 1
-
-
 # ---------------------------------------------------------------------------
 # Atoms
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """One complete conjunction q1 & ... & qN with qi in {pi, !pi}."""
-
-    props: tuple[str, ...]
-    signs: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.props) != len(self.signs):
-            raise InputError("props and signs length mismatch")
-
-    def assignment(self) -> dict[str, bool]:
-        return dict(zip(self.props, self.signs))
-
-    def as_formula(self) -> PropFormula:
-        lits = [Prop(p) if s else Not(Prop(p)) for p, s in zip(self.props, self.signs)]
-        return conj_all(lits)
-
-
-def atoms_of(props: Sequence[str]) -> list[Atom]:
-    """All 2^N atoms over props, in lexicographic sign order (False first)."""
-    if not props:
-        raise InputError("props must be non-empty")
-    if len(set(props)) != len(props):
-        raise InputError("duplicate proposition name")
-    if len(props) > atom_cap():
-        raise ResourceError(f"{len(props)} propositions exceed the atom cap {atom_cap()}")
-    ps = tuple(props)
-    return [Atom(ps, signs) for signs in itertools.product((False, True), repeat=len(ps))]
-
-
 def atom_columns(props: Sequence[str]) -> dict[str, int]:
-    """Each proposition's column over the atoms of atoms_of(props): bit i is
-    set where atom i makes it true.  The k-th of n propositions is bit n-1-k
-    of i, set in runs of h = 2^(n-1-k) every 2h atoms; full // (2^h + 1) has
-    ones in the low h bits of each 2h-bit block, and << h moves them up."""
-    if len(props) > atom_cap():
-        raise ResourceError(f"{len(props)} propositions exceed the atom cap {atom_cap()}")
+    """Each proposition's column over the 2^n atoms of n distinct props:
+    bit i is set where atom i makes it true.  Atom i assigns the k-th
+    proposition bit n-1-k of i, so the atoms are the assignments in
+    itertools.product((False, True), repeat=n) order.  That bit is set in
+    runs of h = 2^(n-1-k) every 2h atoms; full // (2^h + 1) has ones in the
+    low h bits of each 2h-bit block, and << h moves them up."""
+    errors.check_cap(len(props), "propositions", errors.CEILING, "the atom cap")
     n = len(props)
     full = (1 << (1 << n)) - 1
     return {p: full // ((1 << h) + 1) << h
             for p, h in zip(props, (1 << (n - 1 - k) for k in range(n)))}
-
-
-def atom_set(phi: PropFormula, props: Sequence[str]) -> frozenset[Atom]:
-    """The atoms over props whose assignment makes phi true."""
-    missing = [p for p in props_of(phi) if p not in props]
-    if missing:
-        raise InputError(f"unknown proposition(s): {', '.join(missing)}")
-    atoms = atoms_of(props)
-    mask = extension_mask(phi, atom_columns(props), (1 << len(atoms)) - 1)
-    return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
 
 def is_tautology(phi: PropFormula) -> bool:

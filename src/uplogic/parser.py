@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -118,19 +119,28 @@ class _Parser:
 
     # -- rationals ---------------------------------------------------------
 
+    def integer(self, expected: str) -> int:
+        """The current token, which must be digits, as an int."""
+        if not self.tok.isdecimal():
+            raise self.error(expected)
+        try:
+            value = int(self.tok)
+        except ValueError:  # more digits than int() reads
+            raise ParseError(self.text, self.offset(self.i),
+                             f"a number of at most {sys.get_int_max_str_digits()} digits",
+                             f"{len(self.tok)} digits")
+        self.advance()
+        return value
+
     def rational(self) -> Fraction:
         neg = self.tok == "-"
         if neg:
             self.advance()
-        if not self.tok.isdecimal():
-            raise self.error("a number")
-        num = int(self.advance())
+        num = self.integer("a number")
         den = 1
         if self.tok == "/":
             self.advance()
-            if not self.tok.isdecimal():
-                raise self.error("a positive denominator")
-            den = int(self.advance())
+            den = self.integer("a positive denominator")
             if den == 0:
                 raise ParseError(self.text, self.offset(self.i - 1),
                                  "a nonzero denominator", "0")

@@ -59,8 +59,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from . import lp
-from .errors import InternalCheckError, ResourceError, UplogicError
+from . import errors, lp
+from .errors import InternalCheckError, UplogicError
 from .formula import (
     Basic,
     LAnd,
@@ -69,7 +69,6 @@ from .formula import (
     LikelihoodFormula,
     Rel,
     Term,
-    atom_cap,
     atom_columns,
     dnf,
     extension_mask,
@@ -79,8 +78,6 @@ from .formula import (
 )
 from .semantics import evaluate
 from .structure import UpperProbStructure
-
-DEFAULT_PROP_CAP = 12
 
 
 class UnsatInputError(UplogicError):
@@ -115,8 +112,8 @@ class BoundsResult:
 
 class _Worlds:
     """The atom worlds of a formula's proposition set: world i is atom i of
-    atoms_of(props), and each proposition has a column of the worlds where
-    it is true."""
+    atom_columns(props), and each proposition has a column of the worlds
+    where it is true."""
 
     def __init__(self, props: Sequence[str]):
         self.props = tuple(props)
@@ -273,12 +270,8 @@ def _pivot_class(basics: Sequence[Basic], lits: list[tuple], inside: list, C: in
 
 
 def _prepare(f: LikelihoodFormula, extra_props=()):
-    cap = atom_cap(DEFAULT_PROP_CAP)
     props = sorted(set(likelihood_props(f)).union(extra_props))
-    if len(props) > cap:
-        raise ResourceError(
-            f"{len(props)} distinct propositions exceed the cap {cap}"
-        )
+    errors.check_cap(len(props), "distinct propositions", errors.cap())
     return _Worlds(props), normalize(f)
 
 

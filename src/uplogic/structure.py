@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,21 +36,27 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import InputError, ResourceError, ValidationError
+from . import errors
+from .errors import InputError, ValidationError
 
-DEFAULT_WORLD_CAP = 16
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(raw: Union[str, int]) -> Fraction:
+    """A JSON integer, or a string -?digits(/digits)? with a nonzero
+    denominator, as a Fraction."""
     if isinstance(raw, bool):
         raise ValidationError(f"not a rational: {raw!r}")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        num, _, den = raw.partition("/")
         try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"not a rational: {raw!r}")
+            if _RATIONAL.fullmatch(raw):
+                return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or n/0
+            pass
+        raise ValidationError(f"not a rational: {raw!r}")
     raise ValidationError(f"not a rational: {raw!r} (floats are not accepted)")
 
 
@@ -236,15 +243,12 @@ def mask_tables(
     common denominator L: upper[mask] / L is the upper value of the set.
     A set function's tables are built once and shared by every call, so
     callers read them and do not change them.  A structure of more than
-    DEFAULT_WORLD_CAP worlds is refused.
+    errors.CEILING worlds is refused.
     """
     if isinstance(source, SetFunction):
         return source._tables
     M = source
-    if len(M.worlds) > DEFAULT_WORLD_CAP:
-        raise ResourceError(
-            f"{len(M.worlds)} worlds exceed the set-function cap {DEFAULT_WORLD_CAP}"
-        )
+    errors.check_cap(len(M.worlds), "worlds", errors.CEILING, "the set-function cap")
     ground = list(M.worlds)
     L = lcm(*[m.denominator for support in M.supports for _, m in support])
     # per-measure cumulative mass by mask, then envelope

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import sys
 import time
 from fractions import Fraction as F
 from unittest import mock
@@ -222,8 +223,8 @@ class TestBounds:
 
 
 class TestAtomCap:
-    """UPLOGIC_ATOM_CAP overrides the proposition cap; a bad value is an
-    input error."""
+    """UPLOGIC_ATOM_CAP overrides the cap on propositions and on ground
+    elements; a bad value is an input error."""
 
     @pytest.mark.parametrize("raw", ["abc", "-1", "17", "1" + "0" * 30])
     def test_bad_value_exit_2(self, capsys, monkeypatch, raw):
@@ -244,6 +245,39 @@ class TestAtomCap:
         assert code == 0
         code, _, err = run(capsys, "bounds", "--formula", "l(p) >= 1/2", "--term", "l(q)")
         assert code == 3 and "2 distinct propositions" in err
+
+    def test_envelope_exit_3(self, capsys, monkeypatch, tmp_path):
+        omega = "abcd"
+        v = {",".join(X): f"{len(X)}/4" for r in range(5) for X in itertools.combinations(omega, r)}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"omega": list(omega), "v": v}))
+        assert run(capsys, "envelope", "--function", str(path))[0] == 0
+        monkeypatch.setenv("UPLOGIC_ATOM_CAP", "3")
+        code, out, err = run(capsys, "envelope", "--function", str(path))
+        assert (code, out, err) == (3, "", "error: 4 ground elements exceed the cap 3\n")
+
+
+class TestHugeNumbers:
+    """A number of more digits than int() converts to or from text ends in
+    an exit code and one line, not a traceback."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    def test_a_literal_past_the_limit_exit_2(self, capsys):
+        digits = self.LIMIT + 700
+        code, out, err = run(capsys, "sat", "--formula", "l(p) >= 1/" + "7" * digits)
+        assert (code, out) == (2, "")
+        assert err == (f"error: parse error at line 1, column 11: expected a number "
+                       f"of at most {self.LIMIT} digits, found {digits} digits\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_an_answer_past_the_limit_exit_3(self, capsys, json_flag):
+        # each number is within the limit, their product is not
+        d, e, f = ("1" + c * (self.LIMIT * 2 // 3) for c in "234")
+        code, out, err = run(capsys, *json_flag, "bounds", "--formula", f"l(p) = {d}/{e}",
+                             "--term", f"{f} l(p)")
+        assert (code, out) == (3, "")
+        assert err == f"error: the answer has a number of more than {self.LIMIT} digits\n"
 
 
 class TestEnvelope:
@@ -273,6 +307,10 @@ class TestCovers:
         cert.write_text(out)
         doc = json.loads(out)
         assert doc["n"] == 2 and doc["k"] == 0
+        code, out, _ = run(
+            capsys, "--json", "covers", "search", "--function", VEPS, "--m-max", "3",
+        )
+        assert code == 0 and json.loads(out) == {"certificate": doc}
         code, out, _ = run(
             capsys, "covers", "verify", "--certificate", str(cert),
             "--omega", "a,b,c,d", "--function", VEPS,
@@ -450,6 +488,22 @@ class TestMalformedDocuments:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
             assert err == "error: key 'a' is given twice in one object\n"
+
+    # forms Fraction() reads that the syntax does not: decimals, exponents
+    # ("1e-100000" has a denominator of 100,001 digits), "_", "+", spaces
+    @pytest.mark.parametrize("raw", ["1e-100000", "0.5", "1_0", "+1", " 1", "1/-2", "1/0",
+                                     "\u0663", "1/" + "7" * 5000])
+    def test_a_rational_outside_the_syntax(self, capsys, tmp_path, raw):
+        omega = "abc"
+        v = {",".join(X): "1/2" for r in range(4) for X in itertools.combinations(omega, r)}
+        v.update({"": 0, "a,b,c": 1, "a": raw})
+        function, model = tmp_path / "v.json", tmp_path / "model.json"
+        function.write_text(json.dumps({"omega": list(omega), "v": v}))
+        model.write_text(json.dumps(self.structure(measures=[{"dist": {"w0": raw}}])))
+        for argv in (["envelope", "--function", str(function)],
+                     ["check", "--model", str(model), "--formula", "l(p) >= 1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: not a rational: {raw!r}\n")
 
 
 

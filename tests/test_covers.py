@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from uplogic import covers
+from uplogic import covers, errors
 from uplogic.covers import (
     CoverInstance,
     check_properties,
@@ -255,11 +255,11 @@ class TestCheckProperties:
         # 256 ordered and 81 disjoint, 1289 in all
         v = SetFunction(tuple("abcd"), {frozenset(X): F(r, 4) for r in range(5)
                                         for X in itertools.combinations("abcd", r)})
-        monkeypatch.setattr(covers, "DEFAULT_SEARCH_BUDGET", 1288)
+        monkeypatch.setattr(errors, "SEARCH_BUDGET", 1288)
         with pytest.raises(ResourceError, match="^props needs 1289 families and pairs, "
                                                 "over the budget of 1288$"):
             check_properties(v, 3)
-        monkeypatch.setattr(covers, "DEFAULT_SEARCH_BUDGET", 1289)
+        monkeypatch.setattr(errors, "SEARCH_BUDGET", 1289)
         assert check_properties(v, 3) == reference_check_properties(v, 3)
 
     def test_max_sets_must_cover_pairs(self):
@@ -276,7 +276,7 @@ class TestCheckProperties:
 # The library must return the same certificate, report or exception.
 
 
-def reference_search_violation(v, m_max, budget=covers.DEFAULT_SEARCH_BUDGET):
+def reference_search_violation(v, m_max, budget=errors.SEARCH_BUDGET):
     if m_max < 1:
         raise InputError("m_max must be >= 1")
     ground = list(v.ground)
@@ -431,7 +431,7 @@ def random_set_function(rng, n):
 
 
 class TestMatchesFractionReference:
-    BUDGETS = (1, 5, 50, 500, covers.DEFAULT_SEARCH_BUDGET)
+    BUDGETS = (1, 5, 50, 500, errors.SEARCH_BUDGET)
 
     def test_search_random_functions(self):
         rng = random.Random(23)
@@ -473,14 +473,14 @@ class TestMatchesFractionReference:
         for _ in range(20):
             v = set_function_of(random_structure(rng, max_worlds=4))
             for m_max in (1, 2, 3):
-                for budget in (50, 500, covers.DEFAULT_SEARCH_BUDGET):
+                for budget in (50, 500, errors.SEARCH_BUDGET):
                     assert (outcome(search_violation, v, m_max, budget)
                             == outcome(reference_search_violation, v, m_max, budget))
         # five and six elements, where an envelope's search visits every
         # multiset of two sets
         for n in (5, 5, 5, 6, 6):
             v = SetFunction(tuple("abcdef"[:n]), random_envelope(rng, n))
-            for budget in (50, 500, covers.DEFAULT_SEARCH_BUDGET):
+            for budget in (50, 500, errors.SEARCH_BUDGET):
                 assert (outcome(search_violation, v, 2, budget)
                         == outcome(reference_search_violation, v, 2, budget))
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from uplogic import envelope, lp
+from uplogic import envelope, errors, lp
 from uplogic.envelope import EnvelopeResult, dominated_max, is_upper_probability
 from uplogic.errors import InputError, ResourceError
 from uplogic.structure import SetFunction, UpperProbStructure, set_function_of
@@ -96,7 +96,7 @@ class TestIsUpperProbability:
         assert not res.is_upper_probability and res.failing_set == frozenset()
 
     def test_ground_cap(self, monkeypatch):
-        monkeypatch.setattr(envelope, "DEFAULT_GROUND_CAP", 3)
+        monkeypatch.setattr(errors, "DEFAULT_CAP", 3)
         v = _vacuous_fn(tuple(str(i) for i in range(4)))
         with pytest.raises(ResourceError):
             is_upper_probability(v)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -22,12 +23,8 @@ from uplogic.formula import (
     Rel,
     Term,
     atom_columns,
-    atom_set,
-    atoms_of,
     dnf,
     extension_mask,
-    holds,
-    iff,
     implies,
     is_tautology,
     ldisj_all,
@@ -42,59 +39,69 @@ from test_parser import props
 p, q, r = Prop("p"), Prop("q"), Prop("r")
 
 
+def _mask(phi, props):
+    """The atoms over props where phi holds, as a bitmask."""
+    return extension_mask(phi, atom_columns(props), (1 << (1 << len(props))) - 1)
+
+
+def _atom(props, i):
+    """The conjunction of literals that holds at atom i over props alone."""
+    n = len(props)
+    return And(*[Prop(x) if i >> (n - 1 - k) & 1 else Not(Prop(x))
+                 for k, x in enumerate(props)])
+
+
 class TestAtoms:
     def test_single_prop(self):
-        atoms = atoms_of(["p"])
-        assert len(atoms) == 2
-        assert atoms[0].signs == (False,)
-        assert atoms[1].signs == (True,)
+        assert atom_columns(["p"]) == {"p": 0b10}
 
     def test_two_props(self):
-        assert len(atoms_of(["p", "q"])) == 4
+        assert atom_columns(["p", "q"]) == {"p": 0b1100, "q": 0b1010}
 
     def test_three_props_exhaustive(self):
-        atoms = atoms_of(["p", "q", "r"])
-        assert len(atoms) == 8
-        assert len({a.signs for a in atoms}) == 8
-        # each atom satisfies exactly its own assignment
-        for a in atoms:
-            sats = [b for b in atoms if holds(a.as_formula(), b.assignment())]
-            assert sats == [a]
-
-    def test_duplicate_prop_rejected(self):
-        with pytest.raises(InputError):
-            atoms_of(["p", "p"])
+        props = ["p", "q", "r"]
+        columns = atom_columns(props)
+        assert len({tuple(columns[x] >> i & 1 for x in props) for i in range(8)}) == 8
+        # each atom's conjunction of literals holds at exactly that atom
+        for i in range(8):
+            assert _mask(_atom(props, i), props) == 1 << i
 
     def test_deterministic_order(self):
-        assert atoms_of(["p", "q"]) == atoms_of(["p", "q"])
+        assert list(atom_columns(["q", "p"])) == ["q", "p"]
+        assert atom_columns(["p", "q"]) == atom_columns(["p", "q"])
 
 
 class TestAtomSet:
     def test_true_is_everything(self):
-        assert len(atom_set(TRUE, ["p", "q"])) == 4
+        assert _mask(TRUE, ["p", "q"]) == 0b1111
 
     def test_false_is_empty(self):
-        assert atom_set(FALSE, ["p", "q"]) == frozenset()
+        assert _mask(FALSE, ["p", "q"]) == 0
 
     def test_disjunction(self):
-        assert len(atom_set(Or(p, q), ["p", "q"])) == 3
+        assert _mask(Or(p, q), ["p", "q"]).bit_count() == 3
 
     def test_unknown_prop(self):
-        with pytest.raises(InputError):
-            atom_set(r, ["p", "q"])
+        # a proposition without a column is false at every atom
+        assert _mask(r, ["p", "q"]) == 0
+        assert _mask(Not(r), ["p", "q"]) == 0b1111
 
     def test_complement_partition(self):
         rng = random.Random(7)
+        props = ["p", "q", "r"]
         for _ in range(50):
             phi = _random_prop(rng, 3)
-            props = ["p", "q", "r"]
-            n = len(atom_set(phi, props)) + len(atom_set(Not(phi), props))
-            assert n == 8
+            assert _mask(phi, props) ^ _mask(Not(phi), props) == 0xFF
+            assert _mask(phi, props) & _mask(Not(phi), props) == 0
 
     def test_intersection_law(self):
+        rng = random.Random(11)
         props = ["p", "q", "r"]
-        phi, psi = Or(p, q), And(q, Not(r))
-        assert atom_set(And(phi, psi), props) == atom_set(phi, props) & atom_set(psi, props)
+        for _ in range(50):
+            phi, psi = _random_prop(rng, 3), _random_prop(rng, 3)
+            assert _mask(And(phi, psi), props) == _mask(phi, props) & _mask(psi, props)
+            assert _mask(Or(phi, psi), props) == _mask(phi, props) | _mask(psi, props)
+            assert _mask(implies(phi, psi), props) == (0xFF ^ _mask(phi, props)) | _mask(psi, props)
 
 
 class TestTautology:
@@ -112,8 +119,8 @@ class TestTautology:
         props = ["p", "q", "r"]
         for _ in range(40):
             phi, psi = _random_prop(rng, 2), _random_prop(rng, 2)
-            same = atom_set(phi, props) == atom_set(psi, props)
-            assert is_tautology(iff(phi, psi)) == same
+            same = _mask(phi, props) == _mask(psi, props)
+            assert is_tautology(And(implies(phi, psi), implies(psi, phi))) == same
 
 
 def b(term_parts, rel, bound):
@@ -121,13 +128,14 @@ def b(term_parts, rel, bound):
 
 
 class TestExtensionMask:
-    def test_atom_columns_follow_atoms_of(self):
+    def test_atom_columns_follow_product_order(self):
+        # atom i is the i-th assignment in itertools.product order
         for n in range(1, 6):
             names = [f"p{i}" for i in range(n)]
             columns = atom_columns(names)
             assert list(columns) == names
-            for i, atom in enumerate(atoms_of(names)):
-                assert atom.assignment() == {x: bool(columns[x] >> i & 1) for x in names}
+            for i, signs in enumerate(itertools.product((False, True), repeat=n)):
+                assert signs == tuple(bool(columns[x] >> i & 1) for x in names)
 
     def test_no_props_is_one_world(self):
         assert atom_columns([]) == {}
@@ -176,7 +184,6 @@ def test_extension_mask_matches_per_world_reference(phi, n_worlds, data):
     for w in range(n_worlds):
         assignment = {x: bool(col >> w & 1) for x, col in columns.items()}
         assert bool(mask >> w & 1) == _holds_reference(phi, assignment)
-        assert holds(phi, assignment) == _holds_reference(phi, assignment)
 
 
 class TestNormalize:

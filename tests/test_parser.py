@@ -16,7 +16,8 @@ from uplogic.formula import (
     Prop,
     Rel,
     Term,
-    atom_set,
+    atom_columns,
+    extension_mask,
 )
 from uplogic.parser import (
     MAX_NESTING,
@@ -42,8 +43,9 @@ class TestParseProp:
         assert parse_prop("!p & q | r") == Or(And(Not(p), q), r)
 
     def test_implication_desugars(self):
-        props = ["p", "q"]
-        assert atom_set(parse_prop("p -> q"), props) == atom_set(parse_prop("!p | q"), props)
+        columns = atom_columns(["p", "q"])
+        assert parse_prop("p -> q") == parse_prop("!p | q")
+        assert extension_mask(parse_prop("p -> q"), columns, 0b1111) == 0b1011
 
     def test_keyword_not_identifier(self):
         with pytest.raises(ParseError):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from uplogic import structure
+from uplogic import errors
 from uplogic.errors import InputError, ResourceError, ValidationError
 from uplogic.structure import (
     SetFunction,
@@ -171,7 +171,7 @@ class TestSetFunction:
 
     def test_world_cap(self, monkeypatch):
         M = random_structure(random.Random(1), max_worlds=5)
-        monkeypatch.setattr(structure, "DEFAULT_WORLD_CAP", len(M.worlds) - 1)
+        monkeypatch.setattr(errors, "CEILING", len(M.worlds) - 1)
         with pytest.raises(ResourceError):
             set_function_of(M)
 
