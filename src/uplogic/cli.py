@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from . import covers, envelope, lp, parser, semantics, solver, structure
 from .errors import InputError, ResourceError, ValidationError
@@ -162,6 +163,9 @@ def cmd_covers_verify(args) -> int:
     with open(args.certificate, "rb") as fh:
         cert = covers.load_certificate(fh.read())
     ground = [x for x in args.omega.split(",") if x]
+    twice = [x for x, n in Counter(ground).items() if n > 1]
+    if twice:
+        raise InputError(f"--omega names {twice[0]!r} twice")
     ok = covers.verify_cover(cert, ground)
     doc = {"cover_valid": ok}
     lines = [f"cover valid: {str(ok).lower()}"]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -38,6 +37,7 @@ from .formula import (
     implies,
     is_tautology,
 )
+from .record import Record
 from .structure import (
     SetFunction,
     UpperProbStructure,
@@ -52,20 +52,17 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class CoverInstance:
-    """A multiset of subsets with (n,k) thresholds and a target set."""
+class CoverInstance(Record):
+    """A multiset of subsets (duplicates meaningful), (n,k) thresholds and a target set."""
 
-    sets: tuple[frozenset, ...]  # duplicates meaningful
-    target: frozenset
-    n: int
-    k: int
+    __slots__ = ("sets", "target", "n", "k")
 
-    def __post_init__(self):
-        if not self.sets:
+    def __init__(self, sets: tuple[frozenset, ...], target: frozenset, n: int, k: int):
+        if not sets:
             raise InputError("cover must contain at least one set")
-        if self.n < 0 or self.k < 0 or self.n + self.k < 1:
+        if n < 0 or k < 0 or n + k < 1:
             raise InputError("need n, k >= 0 and n + k >= 1")
+        super().__init__(sets, target, n, k)
 
 
 def verify_cover(c: CoverInstance, ground: Iterable[str]) -> bool:

@@ -44,13 +44,13 @@ subset sums over its own denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from . import errors, lp
 from .errors import InputError, InternalCheckError
+from .record import Record
 from .structure import (
     SetFunction,
     _mask,
@@ -61,13 +61,17 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
-    is_upper_probability: bool
-    witness: Optional[tuple[dict, ...]] = None  # measures, element -> mass
-    failing_set: Optional[frozenset] = None
-    failing_reason: Optional[str] = None
-    shortfall_value: Optional[Fraction] = None  # dominated max at failing set
+class EnvelopeResult(Record):
+    """witness: measures, element -> mass; shortfall_value: the dominated max at failing_set."""
+
+    __slots__ = ("is_upper_probability", "witness", "failing_set", "failing_reason",
+                 "shortfall_value")
+
+    def __init__(self, is_upper_probability: bool, witness: Optional[tuple[dict, ...]] = None,
+                 failing_set: Optional[frozenset] = None, failing_reason: Optional[str] = None,
+                 shortfall_value: Optional[Fraction] = None):
+        super().__init__(is_upper_probability, witness, failing_set, failing_reason,
+                         shortfall_value)
 
 
 def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:

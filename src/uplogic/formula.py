@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
 from . import errors
 from .errors import InputError
+from .record import Record, set_hash
 
 Rational = Union[Fraction, int]
 
@@ -35,29 +35,36 @@ Rational = Union[Fraction, int]
 # Propositional formulas
 
 
-class PropFormula:
-    """Base class; subclasses are frozen dataclasses and hashable."""
+class PropFormula(Record):
+    """Base class; subclasses are immutable, hashable records."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Prop(PropFormula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str):
+        if not name:
             raise InputError("proposition name must be non-empty")
+        object.__setattr__(self, "name", name)
+        set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(PropFormula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        object.__setattr__(self, "value", value)
+        set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True)
 class Not(PropFormula):
-    sub: PropFormula
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: PropFormula):
+        object.__setattr__(self, "sub", sub)
+        set_hash(self, None)
 
 
 class _NAry:
@@ -76,16 +83,15 @@ class _NAry:
             else:
                 flat.append(part)
         object.__setattr__(self, "parts", tuple(flat))
+        set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class And(_NAry, PropFormula):
-    parts: tuple[PropFormula, ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class Or(_NAry, PropFormula):
-    parts: tuple[PropFormula, ...]
+    __slots__ = ("parts",)
 
 
 TRUE = Const(True)
@@ -177,18 +183,16 @@ class Rel(Enum):
     EQ = "="
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(Record):
     """Linear combination sum_i coeff_i * l(arg_i), length >= 1."""
 
-    parts: tuple[tuple[Fraction, PropFormula], ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts: tuple[tuple[Fraction, PropFormula], ...]):
+        if not parts:
             raise InputError("term must have at least one addend")
-        object.__setattr__(
-            self, "parts", tuple((Fraction(c), a) for c, a in self.parts)
-        )
+        object.__setattr__(self, "parts", tuple((Fraction(c), a) for c, a in parts))
+        set_hash(self, None)
 
     def negated(self) -> "Term":
         return Term(tuple((-c, a) for c, a in self.parts))
@@ -201,33 +205,34 @@ def term(*parts: tuple[Rational, PropFormula]) -> Term:
     return Term(tuple((Fraction(c), a) for c, a in parts))
 
 
-class LikelihoodFormula:
+class LikelihoodFormula(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Basic(LikelihoodFormula):
-    term: Term
-    rel: Rel
-    bound: Fraction
+    __slots__ = ("term", "rel", "bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound", Fraction(self.bound))
+    def __init__(self, term: Term, rel: Rel, bound: Rational):
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "bound", Fraction(bound))
+        set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True)
 class LNot(LikelihoodFormula):
-    sub: LikelihoodFormula
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: LikelihoodFormula):
+        object.__setattr__(self, "sub", sub)
+        set_hash(self, None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class LAnd(_NAry, LikelihoodFormula):
-    parts: tuple[LikelihoodFormula, ...]
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class LOr(_NAry, LikelihoodFormula):
-    parts: tuple[LikelihoodFormula, ...]
+    __slots__ = ("parts",)
 
 
 def lconj_all(parts: Sequence[LikelihoodFormula]) -> LikelihoodFormula:

@@ -68,7 +68,6 @@ number of pivots (bland_after).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -76,6 +75,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
+from .record import Record
 
 class Relation(Enum):
     EQ = "="
@@ -99,16 +99,17 @@ class Constraint(NamedTuple):
     den: int
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Rows c.x = b, c.x >= b or c.x > b over the columns 0..n-1 (variables
     is range(n)), each of them >= 0.  A free quantity would be the
     difference of two columns.  With no columns, every row is a constant
     comparison 0 rel b.  make_system checks the rows.
     """
 
-    variables: range
-    constraints: tuple[Constraint, ...]
+    __slots__ = ("variables", "constraints", "__dict__")
+
+    def __init__(self, variables: range, constraints: tuple[Constraint, ...]):
+        super().__init__(variables, constraints)
 
     @cached_property
     def _tableau(self) -> Optional[_Simplex]:
@@ -129,12 +130,14 @@ class Verdict(Enum):
     OPTIMAL = "optimal"
 
 
-@dataclass(frozen=True)
-class LPOutcome:
-    verdict: Verdict
-    point: Optional[list[Fraction]] = None  # the value of each column
-    value: Optional[Fraction] = None
-    attained: bool = True
+class LPOutcome(Record):
+    """point: the value of each column."""
+
+    __slots__ = ("verdict", "point", "value", "attained")
+
+    def __init__(self, verdict: Verdict, point: Optional[list[Fraction]] = None,
+                 value: Optional[Fraction] = None, attained: bool = True):
+        super().__init__(verdict, point, value, attained)
 
 
 def make_system(n: int, constraints: Iterable[Constraint]) -> LinearSystem:

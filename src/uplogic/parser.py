@@ -18,11 +18,11 @@ Grammar (whitespace-insensitive):
     rational := ["-"] integer ["/" positive-integer]
 
 "~" negates likelihood formulas, "!" negates propositions.  "->" is
-desugared to "!a | b".  Identifiers match [A-Za-z_][A-Za-z0-9_]* and may
-not be the keywords true, false or l.  Each chain of "&" or "|" becomes one
-n-ary node, so "a & (b & c)" parses to the same node as "a & b & c" and
-prints as the latter.  Nesting is bounded by MAX_NESTING; a flat chain
-counts as one level, whatever its length.
+desugared to "!a | b".  Integers are ASCII digits [0-9]+, and identifiers
+match [A-Za-z_][A-Za-z0-9_]* other than true, false and l.  Each chain of
+"&" or "|" becomes one n-ary node, so "a & (b & c)" parses to the same
+node as "a & b & c" and prints as the latter.  Nesting is bounded by
+MAX_NESTING; a flat chain counts as one level, whatever its length.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ class ParseError(UplogicError):
 
 # Every token is digits, an identifier or a symbol, and the three sets share
 # no text, so a token's kind can be read from its text.
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|->|>=|<=|[()!~&|><=+\-/]")
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|->|>=|<=|[()!~&|><=+\-/]")
 # a character that is neither whitespace nor the start of a token
-_BAD_RE = re.compile(r"[^\s\dA-Za-z_()!~&|><=+\-/]")
+_BAD_RE = re.compile(r"[^\s0-9A-Za-z_()!~&|><=+\-/]")
 
 _CONSTANTS = {"true": fm.TRUE, "false": fm.FALSE}
 _RELATIONS = {rel.value: rel for rel in fm.Rel}
@@ -120,8 +120,8 @@ class _Parser:
     # -- rationals ---------------------------------------------------------
 
     def integer(self, expected: str) -> int:
-        """The current token, which must be digits, as an int."""
-        if not self.tok.isdecimal():
+        """The current token, which must be ASCII digits, as an int."""
+        if not (self.tok.isascii() and self.tok.isdecimal()):
             raise self.error(expected)
         try:
             value = int(self.tok)
@@ -249,7 +249,7 @@ class _Parser:
 
     def addend(self, sign: Fraction) -> tuple[Fraction, fm.PropFormula]:
         coeff = sign
-        if self.tok.isdecimal():
+        if self.tok.isascii() and self.tok.isdecimal():
             coeff = self.rational()
             if sign is _MINUS_ONE:
                 coeff = -coeff

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -76,6 +75,7 @@ from .formula import (
     normalize,
     props_of,
 )
+from .record import Record
 from .semantics import evaluate
 from .structure import UpperProbStructure
 
@@ -89,25 +89,27 @@ class SatVerdict(Enum):
     UNSAT = "UNSAT"
 
 
-@dataclass(frozen=True)
-class SatResult:
-    verdict: SatVerdict
-    model: Optional[UpperProbStructure] = None
-    stats: Optional[dict] = None
+class SatResult(Record):
+    __slots__ = ("verdict", "model", "stats")
+
+    def __init__(self, verdict: SatVerdict, model: Optional[UpperProbStructure] = None,
+                 stats: Optional[dict] = None):
+        super().__init__(verdict, model, stats)
 
 
-@dataclass(frozen=True)
-class ValidityResult:
-    valid: bool
-    countermodel: Optional[UpperProbStructure] = None
+class ValidityResult(Record):
+    __slots__ = ("valid", "countermodel")
+
+    def __init__(self, valid: bool, countermodel: Optional[UpperProbStructure] = None):
+        super().__init__(valid, countermodel)
 
 
-@dataclass(frozen=True)
-class BoundsResult:
-    lower: Fraction
-    lower_attained: bool
-    upper: Fraction
-    upper_attained: bool
+class BoundsResult(Record):
+    __slots__ = ("lower", "lower_attained", "upper", "upper_attained")
+
+    def __init__(self, lower: Fraction, lower_attained: bool, upper: Fraction,
+                 upper_attained: bool):
+        super().__init__(lower, lower_attained, upper, upper_attained)
 
 
 class _Worlds:

@@ -30,7 +30,6 @@ import itertools
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
@@ -38,6 +37,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import errors
 from .errors import InputError, ValidationError
+from .record import Record
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -94,28 +94,24 @@ def _unmask(ground: Sequence[str], masks: Iterable[int]) -> tuple[frozenset, ...
     return tuple(frozenset(g for i, g in enumerate(ground) if m >> i & 1) for m in masks)
 
 
-@dataclass(frozen=True)
-class UpperProbStructure:
-    """Finite structure: worlds, per-world truth assignment, measure set.
+class UpperProbStructure(Record):
+    """Finite structure: worlds, truth assignment[w][p], measures, each world w -> mass.
 
     World i is bit i of a mask; full, columns and supports are the
     structure in that form, built on first use."""
 
-    props: tuple[str, ...]
-    worlds: tuple[str, ...]
-    assignment: Mapping[str, Mapping[str, bool]]  # world id -> prop -> truth
-    measures: tuple[Mapping[str, Fraction], ...]  # each world id -> mass
-    measure_ids: tuple[str, ...] = ()
+    __slots__ = ("props", "worlds", "assignment", "measures", "measure_ids", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, props: tuple[str, ...], worlds: tuple[str, ...], assignment: Mapping,
+                 measures: tuple[Mapping[str, Fraction], ...], measure_ids: tuple[str, ...] = ()):
+        ids = measure_ids or tuple(f"m{i}" for i in range(len(measures)))
+        super().__init__(props, worlds, assignment, measures, ids)
         if not self.worlds:
             raise ValidationError("structure must have at least one world")
         if not self.measures:
             raise ValidationError("structure must have at least one measure")
         if len(set(self.worlds)) != len(self.worlds):
             raise ValidationError("duplicate world id")
-        ids = self.measure_ids or tuple(f"m{i}" for i in range(len(self.measures)))
-        object.__setattr__(self, "measure_ids", ids)
         if len(ids) != len(self.measures):
             raise ValidationError("measure_ids length mismatch")
         world_set = self.world_set
@@ -184,31 +180,29 @@ def lower_of(M: UpperProbStructure, S: Iterable[str]) -> Fraction:
     return min(M.masses(_mask_of(M, S)))
 
 
-@dataclass(frozen=True)
-class SetFunction:
+class SetFunction(Record):
     """Total map from subsets of a finite ground set to rationals in [0,1]."""
 
-    ground: tuple[str, ...]
-    values: Mapping[frozenset, Fraction]
+    __slots__ = ("ground", "values", "__dict__")
 
-    def __post_init__(self):
-        if len(set(self.ground)) != len(self.ground):
+    def __init__(self, ground: tuple[str, ...], values: Mapping[frozenset, Fraction]):
+        if len(set(ground)) != len(ground):
             raise ValidationError("duplicate ground element")
-        ground = frozenset(self.ground)
-        vals = dict(self.values)
+        whole = frozenset(ground)
+        vals = dict(values)
         vals.setdefault(frozenset(), Fraction(0))
-        vals.setdefault(ground, Fraction(1))
-        expected = 1 << len(self.ground)
+        vals.setdefault(whole, Fraction(1))
+        expected = 1 << len(ground)
         if len(vals) != expected:
             raise ValidationError(
                 f"set function must be total: expected {expected} subsets, got {len(vals)}"
             )
         for X, v in vals.items():
-            if not X <= ground:
+            if not X <= whole:
                 raise ValidationError(f"subset {sorted(X)} not within the ground set")
             if not (0 <= v <= 1):
                 raise ValidationError(f"value {v} at {sorted(X)} outside [0,1]")
-        object.__setattr__(self, "values", vals)
+        super().__init__(ground, vals)
 
     def __call__(self, X: Iterable[str]) -> Fraction:
         X = frozenset(X)
@@ -380,6 +374,9 @@ def _subset_key(X: frozenset) -> str:
 def load_set_function(data: Union[bytes, str]) -> SetFunction:
     doc = _load_json(data, "set-function")
     ground = _strings(_field(doc, "omega", list, "set-function"), "'omega'")
+    for g in ground:  # a subset key is its elements joined by commas
+        if not g or "," in g:
+            raise ValidationError(f"omega entry {g!r} cannot appear in a subset key")
     values = {}
     for key, val in _field(doc, "v", dict, "set-function").items():
         names = [e for e in key.split(",") if e]

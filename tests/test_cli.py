@@ -489,6 +489,29 @@ class TestMalformedDocuments:
             assert (code, out) == (2, "")
             assert err == "error: key 'a' is given twice in one object\n"
 
+    # a subset key joins its elements with commas, so no key can name these
+    # entries; the reader used to blame the keys ("set function must be
+    # total", or a subset not within the ground set)
+    @pytest.mark.parametrize("entry", ["", "a,b", ","])
+    def test_an_omega_entry_no_key_can_name(self, capsys, tmp_path, entry):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"omega": ["a", entry], "v": {"": 0, "a": "1/2", "a,b": 1}}))
+        for argv in (["props", "--function", str(path)],
+                     ["envelope", "--function", str(path)],
+                     ["covers", "search", "--function", str(path), "--m-max", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: omega entry {entry!r} cannot appear in a subset key\n"
+
+    # the reader refuses a repeated omega entry; --omega used to accept one
+    @pytest.mark.parametrize("omega, twice", [("a,a,b", "a"), ("a,b,b", "b"), ("a,b,b,a", "a")])
+    def test_an_element_twice_in_omega_option(self, capsys, tmp_path, omega, twice):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"sets": [["a"], ["b"]], "target": ["a"], "n": 1, "k": 0}))
+        code, out, err = run(capsys, "covers", "verify", "--certificate", str(path),
+                             "--omega", omega)
+        assert (code, out, err) == (2, "", f"error: --omega names {twice!r} twice\n")
+
     # forms Fraction() reads that the syntax does not: decimals, exponents
     # ("1e-100000" has a denominator of 100,001 digits), "_", "+", spaces
     @pytest.mark.parametrize("raw", ["1e-100000", "0.5", "1_0", "+1", " 1", "1/-2", "1/0",

@@ -209,7 +209,8 @@ ERRORS = [
     (parse_likelihood, "l(p) >= 1\x00", 1, 10, "a token", "'\\x00'"),
     (parse_likelihood, "l(p)\u00a0>=\u2003@", 1, 9, "a token", "'@'"),
     (parse_likelihood, "l(é) >= 0", 1, 3, "a token", "'é'"),
-    (parse_likelihood, "l(p) ٣ 1", 1, 6, "a relation (>=, <=, >, <, =)", "'٣'"),
+    (parse_likelihood, "l(p) ٣ 1", 1, 6, "a token", "'٣'"),
+    (parse_likelihood, "l(p) >= ٣", 1, 9, "a token", "'٣'"),
     (parse_likelihood, "l(p) >= \t\n ", 2, 2, "a number", "end of input"),
     (parse_likelihood, "l(p) >= 1 &", 1, 12, "'l('", "end of input"),
     (parse_likelihood, "", 1, 1, "'l('", "end of input"),
@@ -251,9 +252,8 @@ def test_parse_error_table(rule, text, line, column, expected, found):
 
 
 def test_edge_texts_that_parse():
-    # a non-ASCII decimal digit is a number; trailing and Unicode
-    # whitespace is skipped; one group or arrow below the limits parses
-    assert parse_likelihood("l(p) >= ٣") == Basic(Term(((F(1), p),)), Rel.GE, F(3))
+    # trailing and Unicode whitespace is skipped; one group or arrow below
+    # the limits parses
     assert parse_likelihood(" l(p) >= 1 \n\t") == Basic(Term(((F(1), p),)), Rel.GE, F(1))
     inner = "(" * (MAX_NESTING - 1) + "l(p) >= 0" + ")" * (MAX_NESTING - 1)
     assert parse_likelihood(inner) == Basic(Term(((F(1), p),)), Rel.GE, F(0))
