@@ -15,48 +15,53 @@ against the system's rows, in integers too.
 
 Each system has one tableau, built the first time feasible or optimize
 needs it and cached on the system: phase_one drives the artificial columns
-out of the basis and, when the system has strict rows, _run maximizes
-delta (below).  feasible reads its point off that tableau.  Each optimize
-runs the same _run on a copy of it, so its answer does not depend on the
-calls made before; a minimum and a maximum, or the many objectives of one
-polytope, share one phase 1.  Tableau rows are never changed in place,
-only replaced, so a copy shares them; the tableau's first rows are
-copies of the system's, which stay as they are.
+out of the basis, and that alone decides the system, strict rows
+included (below).  feasible reads its point off that tableau.  Each
+optimize runs the same _run on a copy of it, so its answer does not
+depend on the calls made before; a minimum and a maximum, or the many
+objectives of one polytope, share one phase 1.  Tableau rows are never
+changed in place, only replaced, so a copy shares them; the tableau's
+first rows are copies of the system's, which stay as they are.
 
-Column j of the tableau is column j of the system, and delta, when there
-is one, is the column after the last of them.  The tableau is
+Column j of the tableau is column j of the system.  The tableau is
 fraction-free and sparse: each row is a map from column to nonzero Python
 int over one positive denominator, at first the system row's own (its
-slack entry); the right-hand side is the entry at column RHS.  A pivot
-divides the pivot row by the pivot entry, which only sets the row's
+slack entry); the right-hand side is the entries at RHS and DLT (below).
+A pivot divides the pivot row by the pivot entry, which only sets the row's
 denominator to the pivot numerator; every other row with a nonzero entry
 in the entering column becomes num*P - F*p over den*P (P the pivot row's
 denominator, F the row's entry, p the pivot row), and each changed row is
 divided by the gcd of its entries and denominator, in the style of
 Bareiss elimination.  The cost row is held the same way, so
 Dantzig's choice compares numerators and the ratio test cross-multiplies;
-ties go to the lowest column and, in the ratio test, to the lowest basic
-column.  Every comparison is exact, so the pivots and points are those of
+ties go to the lowest column and, in the ratio test, to the lower delta
+part and then the lowest basic column.  Every comparison is exact, so the pivots and points are those of
 a dense tableau of Fractions; points and values leave as Fractions.
 
 The simplex starts from a basis of one column per row.  A row a.x <= b
 with b >= 0, and a row a.x >= b with b <= 0 (negated to -a.x <= -b),
-starts on its own slack, so every homogeneous row a.x >= 0 or
-a.x - delta >= 0 costs no phase-1 work.  Only a row a.x >= b with b > 0,
-or an equality, starts on an artificial column that phase 1 must drive
-to zero; an equality has no slack, so a = row is one tableau row where a
-pair of >= rows would be two.  Pivots touch only the nonzero columns of
-the pivot row.  Every system this package builds is bounded, so a _run
-that finds no optimum raises InternalCheckError.
+starts on its own slack, so every homogeneous row a.x >= 0 costs no
+phase-1 work.  Only a row a.x >= b with b > 0, a strict row a.x > b with
+b >= 0, or an equality, starts on an artificial column that phase 1 must
+drive to zero; an equality has no slack, so a = row is one tableau row
+where a pair of >= rows would be two.  Pivots touch only the nonzero
+columns of the pivot row.  Every system this package builds is bounded,
+so a _run that finds no optimum raises InternalCheckError.
 
-Strict inequalities are honored by the slack method: each row c.x > b is
-rewritten as c.x - delta >= b for a single fresh delta >= 0, delta <= 1,
-and delta is maximized; the original system is strictly feasible iff the
-optimum has delta > 0.  The optimum of an objective over the closure is
-attained iff delta > 0 somewhere on the optimal face.  At an optimal
-tableau the face is the set of feasible points with every column of
-negative reduced cost at zero, so optimize, on the same copy, maximizes
-delta with those columns banned from entering.
+Strict rows are held as delta-rationals (Dutertre and de Moura, CAV
+2006): a right-hand side is a pair b + k*delta for an infinitesimal
+delta > 0, its real part at RHS and its delta part at DLT, and a strict
+row c.x > b over den is c.x >= b + den*delta, weak with no extra column.
+The ratio test compares pairs lexicographically, real parts first, so
+the simplex runs on the system with every strict row tightened by one
+small eps > 0, for all small enough eps at once.  The strict system is
+feasible iff some such tightening is, so phase 1 alone decides it: it
+is infeasible iff a basic artificial keeps a nonzero pair.  The optimum
+of an objective over the tightened system is v + k*eps, read off the
+cost row: v is the optimum over the closure, and it is attained with
+every strict row strict iff k = 0, since an attaining point satisfies
+some tightening, on which the optimum is then v.  A point is read at
+the largest eps <= 1 that keeps every basic column >= 0, which is > 0.
 
 Basis is the other simplex here, for a revised simplex whose caller
 prices its own columns (envelope.dominated_max): only the m basic columns
@@ -113,8 +118,10 @@ class LinearSystem(Record):
 
     @cached_property
     def _tableau(self) -> Optional[_Simplex]:
-        """_phase_one(self), built once: feasible reads it, optimize copies it."""
-        return _phase_one(self)
+        """The tableau after phase 1, built once, or None when the system has
+        no solution: feasible reads it, optimize copies it."""
+        sx = _Simplex(self)
+        return sx if sx.phase_one() else None
 
 
 def _check_columns(n: int, rows: Iterable[Mapping], what: str) -> None:
@@ -158,7 +165,8 @@ def make_system(n: int, constraints: Iterable[Constraint]) -> LinearSystem:
 # Core simplex: maximize c.x subject to rows a.x rel b with
 # rel in {"<=", ">=", "="}, x >= 0.
 
-RHS = -1  # the column of a tableau row's right-hand side
+RHS = -1  # the column of a tableau row's right-hand side: its real part
+DLT = -2  # and its delta part, the coefficient of an infinitesimal delta > 0
 
 
 def _reduce(row: dict, den: int) -> tuple[dict, int]:
@@ -250,35 +258,35 @@ class _Simplex:
 
     Row i of the tableau is T[i][j] / D[i]: a sparse map from column to
     nonzero int over one positive denominator, kept in lowest terms
-    (gcd(D[i], *T[i].values()) == 1), with the right-hand side at column
-    RHS.  The cost row is held the same way.  Comparisons on these rows
-    are exact, so the pivot sequence is that of a tableau of Fractions.
+    (gcd(D[i], *T[i].values()) == 1), with the right-hand side at the
+    columns RHS and DLT.  The cost row is held the same way.  Comparisons on
+    these rows are exact, so the pivot sequence is that of a tableau of
+    Fractions.
     Rows are replaced, never changed in place, so copy() shares them.
     """
 
     def __init__(self, sys: LinearSystem):
         # Each row of sys, copied over its own denominator: the slack and
-        # artificial entries go into the copy.  A row is negated to rhs >= 0;
-        # a >= row with rhs 0 is negated too, since as "<=" its slack is a
-        # feasible starting basic variable and it needs no artificial.  A
-        # strict row c.x > b is c.x - delta >= b, and with strict rows
-        # delta <= 1 is the last row.  Slack columns follow the structural
-        # ones, and artificial columns the slacks, each in row order.
+        # artificial entries go into the copy.  A strict row c.x > b is
+        # c.x >= b + den*delta, its right-hand side the pair (b, den).  A row
+        # is negated to a pair >= (0, 0); a >= or > row with a pair <= (0, 0)
+        # is negated too, since as "<=" its slack is a feasible starting
+        # basic variable and it needs no artificial.  Slack columns follow
+        # the structural ones, and artificial columns the slacks, each in
+        # row order.
         n, rows = len(sys.variables), sys.constraints
-        strict = any(c.rel is Relation.GT for c in rows)
-        self.n_struct = n + strict
-        self.m = len(rows) + strict
-        self.ncols = self.n_struct + self.m - sum(c.rel is Relation.EQ for c in rows)
-        slack_at, art_at = self.n_struct, self.ncols
+        self.n, self.m = n, len(rows)
+        slack_at = n
+        art_at = n + self.m - sum(c.rel is Relation.EQ for c in rows)
         self.T, self.D, self.basis, art_cols = [], [], [], []
         for c in rows:
-            b, den, eq = c.bound, c.den, c.rel is Relation.EQ
-            flip = b < 0 or (b == 0 and not eq)
+            b, den, eq, strict = c.bound, c.den, c.rel is Relation.EQ, c.rel is Relation.GT
+            flip = b < 0 or (b == 0 and not eq and not strict)
             row = {j: -x for j, x in c.coeffs.items()} if flip else dict(c.coeffs)
-            if c.rel is Relation.GT:
-                row[n] = den if flip else -den
             if b:
                 row[RHS] = -b if flip else b
+            if strict:
+                row[DLT] = -den if flip else den
             if not eq:
                 row[slack_at] = den if flip else -den
                 slack_at += 1
@@ -291,10 +299,6 @@ class _Simplex:
                 art_at += 1
             self.T.append(row)
             self.D.append(den)
-        if strict:
-            self.T.append({n: 1, RHS: 1, slack_at: 1})
-            self.D.append(1)
-            self.basis.append(slack_at)
         self.total = art_at
         self.art_cols = set(art_cols)
 
@@ -331,11 +335,12 @@ class _Simplex:
         self.basis[r] = e
         return nz, piv
 
-    def _run(self, c: dict, cden: int, banned: set) -> None:
+    def _run(self, c: dict, cden: int, banned: set) -> tuple[dict, int]:
         """Maximize c / cden over the current tableau, never entering a
-        banned column, and leave the final cost row in self.costs.  Raises
-        InternalCheckError if c is unbounded: no system this package
-        builds has an unbounded objective."""
+        banned column; returns the final cost row and its denominator, with
+        minus the optimum at RHS and DLT.  Raises InternalCheckError if c is
+        unbounded: no system this package builds has an unbounded
+        objective."""
         T, basis = self.T, self.basis
         costs, den = self._reduced_costs(c, cden)
         iters = 0
@@ -346,7 +351,7 @@ class _Simplex:
             e = -1
             best = 0
             for j, cj in costs.items():
-                if cj > 0 and j != RHS and j not in banned:
+                if cj > 0 and j >= 0 and j not in banned:
                     if bland:
                         if e < 0 or j < e:
                             e = j
@@ -354,9 +359,8 @@ class _Simplex:
                         best = cj
                         e = j
             if e < 0:
-                self.costs = costs
-                return
-            # ratio test: rhs_i / a_i, the row denominators cancel
+                return costs, den
+            # ratio test: rhs_i / a_i, the row denominators cancel, delta on a tie
             r = -1
             for i in range(self.m):
                 a = T[i].get(e, 0)
@@ -366,6 +370,8 @@ class _Simplex:
                         r, rb, ra = i, b, a
                         continue
                     lhs, rhs = b * ra, rb * a
+                    if lhs == rhs:
+                        lhs, rhs = T[i].get(DLT, 0) * ra, T[r].get(DLT, 0) * a
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
                         r, rb, ra = i, b, a
             if r < 0:
@@ -374,11 +380,11 @@ class _Simplex:
 
     def phase_one(self) -> bool:
         """Drive the artificial columns out of the basis; False when the
-        rows have no solution."""
+        rows, strict ones strictly, have no solution."""
         if self.art_cols:
             self._run(dict.fromkeys(self.art_cols, -1), 1, banned=set())
-            # every rhs is >= 0, so the residual is 0 iff each term is
-            if any(self.T[i].get(RHS) for i in range(self.m)
+            # each pair is >= (0, 0), so the residual is zero iff each term is
+            if any(RHS in self.T[i] or DLT in self.T[i] for i in range(self.m)
                    if self.basis[i] in self.art_cols):
                 return False
             self._evict_artificials()
@@ -401,10 +407,21 @@ class _Simplex:
             self.m -= 1
 
     def _point(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.total
+        """The structural columns at delta = eps = en / ed, the largest
+        eps <= 1 that keeps every basic column >= 0."""
+        en, ed = 1, 1
+        for row in self.T:
+            k = row.get(DLT, 0)
+            if k < 0 and row.get(RHS, 0) * ed < en * -k:
+                en, ed = row.get(RHS, 0), -k
+        if en <= 0:
+            raise InternalCheckError(f"a basic column is negative at every delta > 0: {en}/{ed}")
+        x = [Fraction(0)] * self.n
         for i, b in enumerate(self.basis):
-            x[b] = Fraction(self.T[i].get(RHS, 0), self.D[i])
-        return x[: self.n_struct]
+            if b < self.n:
+                row = self.T[i]
+                x[b] = Fraction(row.get(RHS, 0) * ed + en * row.get(DLT, 0), self.D[i] * ed)
+        return x
 
 
 _HOLDS = {Relation.EQ: operator.eq, Relation.GE: operator.ge, Relation.GT: operator.gt}
@@ -428,26 +445,12 @@ def _check_point(sys: LinearSystem, point: Sequence[Fraction]) -> None:
                 f" over {c.den}")
 
 
-def _phase_one(sys: LinearSystem) -> Optional[_Simplex]:
-    """sys's tableau after phase 1 and, with strict rows, the delta
-    maximization; None when sys, strictness honored, is infeasible."""
-    sx = _Simplex(sys)
-    if not sx.phase_one():
-        return None
-    delta = len(sys.variables)
-    if sx.n_struct > delta:  # sys has strict rows, and delta a column
-        sx._run({delta: 1}, 1, banned=sx.art_cols)
-        if sx._point()[delta] == 0:
-            return None
-    return sx
-
-
 def feasible(sys: LinearSystem) -> LPOutcome:
     """Exact feasibility of sys, strict rows honored strictly."""
     sx = sys._tableau
     if sx is None:
         return LPOutcome(Verdict.INFEASIBLE)
-    point = sx._point()[: len(sys.variables)]
+    point = sx._point()
     _check_point(sys, point)
     return LPOutcome(Verdict.FEASIBLE, point=point)
 
@@ -465,8 +468,7 @@ def optimize(
     system, with strictness honored, has no solution.
     """
     coeffs, den = objective
-    n = len(sys.variables)
-    _check_columns(n, [coeffs], "objective")
+    _check_columns(len(sys.variables), [coeffs], "objective")
     if den <= 0:
         raise InputError(f"objective denominator {den} is not positive")
     built = sys._tableau
@@ -474,17 +476,14 @@ def optimize(
         return LPOutcome(Verdict.INFEASIBLE)
     sign = 1 if direction is Direction.MAX else -1
     sx = built.copy()
-    sx._run({j: sign * x for j, x in coeffs.items() if x}, den, banned=sx.art_cols)
-    internal = sx._point()
-    value = sum((x * internal[j] for j, x in coeffs.items()), Fraction(0)) / den
-    if sx.n_struct > n:  # sys has strict rows, and delta a column
-        # attained iff delta > 0 on the optimal face: the columns of
-        # negative reduced cost stay at zero
-        face = sx.art_cols | {j for j, d in sx.costs.items() if d < 0}
-        sx._run({n: 1}, 1, banned=face)
-        internal = sx._point()
-        if internal[n] == 0:
-            return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
-    point = internal[:n]
+    costs, cden = sx._run({j: sign * x for j, x in coeffs.items() if x}, den,
+                          banned=sx.art_cols)
+    # the optimum of sign * objective is v + k*delta with -v, -k on the cost row
+    value = Fraction(-sign * costs.get(RHS, 0), cden)
+    if DLT in costs:
+        return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
+    point = sx._point()
     _check_point(sys, point)
+    if sum((x * point[j] for j, x in coeffs.items()), Fraction(0)) / den != value:
+        raise InternalCheckError(f"optimum {value} is not the objective at the point returned")
     return LPOutcome(Verdict.OPTIMAL, point=point, value=value, attained=True)

@@ -287,10 +287,12 @@ def test_optimum_dominates_sampled_feasible_points():
 
 
 # ---------------------------------------------------------------------------
-# Starting basis.  A homogeneous row a.x >= 0 (and the strict-slack form
-# a.x - delta >= 0) is feasible at the origin, so it must start on its own
-# slack; giving it an artificial makes phase 1 pivot through long
-# degenerate runs on the solver's dominance rows.
+# Starting basis.  A homogeneous row a.x >= 0 is feasible at the origin,
+# so it must start on its own slack; giving it an artificial makes phase 1
+# pivot through long degenerate runs on the solver's dominance rows.  A
+# strict row a.x > 0 is a.x >= 0 + delta, which the origin misses by delta,
+# so it starts on an artificial; a strict row with a negative bound holds at
+# the origin and starts on its slack.
 
 
 def test_zero_rhs_rows_start_on_slack(monkeypatch):
@@ -304,17 +306,73 @@ def test_zero_rhs_rows_start_on_slack(monkeypatch):
     monkeypatch.setattr(lp, "_Simplex", Recording)
     names = ["x", "y", "z"]
     weak = [([F(1), F(-1), F(0)], GE, F(0)), ([F(0), F(1), F(-1)], GE, F(0))]
-    strict = [([F(-1), F(2), F(0)], GT, F(0)), ([F(0), F(0), F(1)], GT, F(0))]
     low = optimize(dense(names, weak), ({0: 1}, 1), MIN)
     assert low.verdict is Verdict.OPTIMAL and low.value == 0
-    assert feasible(dense(names, weak + strict)).verdict is Verdict.FEASIBLE
-    assert len(built) == 2
-    assert all(not s.art_cols for s in built)
-    # a row with a positive bound is the only one that needs an artificial
+    assert [len(s.art_cols) for s in built] == [0]
     built.clear()
-    out = feasible(dense(names, weak + strict + [([F(1), F(1), F(1)], GE, F(3))]))
+    zero = [([F(-1), F(2), F(0)], GT, F(0))]
+    negative = [([F(0), F(0), F(-1)], GT, F(-1))]
+    assert feasible(dense(names, weak + zero + negative)).verdict is Verdict.FEASIBLE
+    assert [len(s.art_cols) for s in built] == [1]
+    built.clear()
+    assert feasible(dense(names, weak + negative)).verdict is Verdict.FEASIBLE
+    assert [len(s.art_cols) for s in built] == [0]
+    # a weak row with a positive bound needs an artificial too
+    built.clear()
+    out = feasible(dense(names, weak + negative + [([F(1), F(1), F(1)], GE, F(3))]))
     assert out.verdict is Verdict.FEASIBLE
     assert [len(s.art_cols) for s in built] == [1]
+
+
+# ---------------------------------------------------------------------------
+# Delta-rationals.  A strict row's right-hand side is a pair b + k*delta,
+# and the ratio test looks at the delta parts when the real parts tie; a
+# point is read at a concrete eps that keeps every basic column >= 0.
+
+
+def test_a_tie_on_the_real_part_goes_to_the_lower_delta_part():
+    # x <= 1 and x < 1: x enters at ratio 1 in both rows, and only the delta
+    # parts, 0 and -1, make the strict row leave.  The weak row's slack is
+    # the lower basic column, so a ratio test blind to delta would pick it
+    # and leave the strict row's slack at -delta.
+    sys = sys1([([F(-1)], GE, F(-1)), ([F(-1)], GT, F(-1))])
+    hi = optimize(sys, X, MAX)
+    assert (hi.verdict, hi.value, hi.attained, hi.point) == (Verdict.OPTIMAL, 1, False, None)
+    lo = optimize(sys, X, MIN)
+    assert (lo.verdict, lo.value, lo.attained, lo.point) == (Verdict.OPTIMAL, 0, True, [0])
+
+
+def test_a_point_is_read_at_an_eps_that_keeps_every_row():
+    # x > 0 and x <= 1/1000: phase 1 leaves x = delta basic and the slack of
+    # the second row at 1/1000 - delta, so delta = 1 would break that row
+    sys = sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(-1, 1000))])
+    out = feasible(sys)
+    assert out.verdict is Verdict.FEASIBLE and out.point == [F(1, 1000)]
+    hi = optimize(sys, X, MAX)
+    assert (hi.value, hi.attained, hi.point) == (F(1, 1000), True, [F(1, 1000)])
+    lo = optimize(sys, X, MIN)
+    assert (lo.value, lo.attained, lo.point) == (0, False, None)
+
+
+def test_a_basic_column_negative_at_every_eps_is_caught():
+    sx = sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(-1, 1000))])._tableau
+    [i] = [i for i, row in enumerate(sx.T) if row.get(lp.DLT, 0) < 0]
+    sx.T[i] = {j: x for j, x in sx.T[i].items() if j != lp.RHS}
+    with pytest.raises(InternalCheckError, match="negative at every delta"):
+        sx._point()
+
+
+def test_an_optimum_off_the_point_is_caught(monkeypatch):
+    run = lp._Simplex._run
+
+    def off_by_one(self, c, cden, banned):
+        costs, den = run(self, c, cden, banned)
+        return {**costs, lp.RHS: costs.get(lp.RHS, 0) - den}, den
+
+    monkeypatch.setattr(lp._Simplex, "_run", off_by_one)
+    sys = sys1([([F(1)], GE, F(0)), ([F(-1)], GE, F(-1))])
+    with pytest.raises(InternalCheckError, match="is not the objective at the point"):
+        optimize(sys, X, MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +774,8 @@ def test_integer_tableau_matches_fraction_tableau():
 # two-phase solve of the weak relaxation and, over strict rows, a strict
 # feasibility check with the objective pinned to its optimum by one = row,
 # all on FractionSimplex.  optimize re-optimizes a copy of the system's one
-# tableau and decides attainment on the optimal face; the verdict, value and
-# attainment must be the reference's.
+# tableau and reads attainment off the delta part of the optimum; the
+# verdict, value and attainment must be the reference's.
 
 _REF_REL = {EQ: "=", GE: ">=", GT: ">="}
 UNBOUNDED = "unbounded"  # the reference's verdict where optimize raises
