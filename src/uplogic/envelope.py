@@ -23,16 +23,18 @@ g and one column y_X per proper nonempty subset X:
     minimize    lam + sum_X y_X v(X)
     subject to  lam + sum_{X containing g} y_X - s_g = [g in A]  for each g,
 
-with lam free and y, s >= 0.  A revised simplex keeps only the n basic
-columns, as an exact integer inverse (lp.Basis), and prices every y_X in
-one pass over v's integer table (structure.mask_tables: V over the
-denominator L): with the duals P / (L D), y_X's reduced cost is
-(V[X] D - P(X)) / (L D), where P(X) is a subset sum of P
-(structure.subset_sums), and s_g's is P[g] / (L D).  lam has the column of
-the ground set, and the start basis, lam at the row of the first element
-of A and s_g at every other row, is feasible, so there is no phase 1.  An
-entering column that no row bounds makes the dual unbounded: the polytope
-is empty.
+with lam free and y, s >= 0.  It runs on lp's revised simplex (lp.Basis,
+the solve, ratio test, pivot and switch to Bland's rule of every LP in
+this package), which keeps only the inverse of the n basic columns; this
+module only prices, every y_X in one pass over v's integer table
+(structure.mask_tables: V over the denominator L).  With the duals
+P / (L D), y_X's reduced cost is (V[X] D - P(X)) / (L D), where P(X) is a
+subset sum of P (structure.subset_sums), and s_g's is P[g] / (L D).  lam
+has the column of the ground set and is free, so it never leaves the
+basis.  The start basis, lam at the row of the first element of A and
+s_g at every other row, is feasible, so there is no phase 1.  An entering
+column that no row bounds makes the dual unbounded: the polytope is
+empty.
 
 The optimal duals are the witness measure mu.  Two exact checks in
 integers certify the optimum: mu is nonnegative, has total 1 and is at
@@ -85,53 +87,38 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     if not n:
         raise InputError(_EMPTY)
     a = _mask(ground, A)
-    b = _column(a, n, full)  # the right-hand side [g in A], y_A's column
     # column j is y_X for j = X < full, lam for j = full, s_g for
     # j = full + 1 + g; C[j] is its cost over L
     C = V[:full] + [L] + [0] * n
+    # lam at the row g0 of A's first element and s_g at every other: B^-1
+    # has row e_g0 at g0's position and e_g0 - e_g at g's, so lam is
+    # [g0 in A] and s_g is [g0 in A] - [g in A]; the dual minimizes, so the
+    # simplex maximizes -C, whose only nonzero cost in that basis is lam's
     g0 = (a & -a).bit_length() - 1 if a else 0
-    # lam at g0's row and s_g at every other: B^-1 has row e_g0 at g0's
-    # position and e_g0 - e_g at g's, over D = 1
-    M = [[(j == g0) - (j == i) for j in range(n)] for i in range(n)]
-    M[g0][g0] = 1
-    basis = lp.Basis(M, 1, [full + 1 + i for i in range(n)])
-    basis.cols[g0] = full
-    dantzig = lp.bland_after(n, len(C))
-    iters = 0
-    while True:
-        iters += 1
-        D = basis.D
-        P = basis.duals([C[j] for j in basis.cols])
-        # every reduced cost over L D: C[j] D minus P on column j, which is
-        # P(X) for y_X and lam, and -P[g] for s_g
-        rc = [c * D - p for c, p in zip(C, subset_sums(P) + [-p for p in P])]
-        if iters > dantzig:  # Bland's rule: the lowest improving column
-            e = next((j for j, r in enumerate(rc) if r < 0), -1)
-        else:  # Dantzig's: the most negative, ties to the lowest column
-            low = min(rc)
-            e = rc.index(low) if low < 0 else -1
-        if e < 0:
-            break
-        u = basis.solve(_column(e, n, full))
-        beta = basis.solve(b)
-        # ratio test on the rows of the bounded basic columns (lam is free),
-        # ties to the lowest basic column
-        r = -1
-        for i, ui in enumerate(u):
-            if ui <= 0 or basis.cols[i] == full:
-                continue
-            if r < 0:
-                r = i
-                continue
-            lhs, rhs = beta[i] * u[r], beta[r] * ui
-            if lhs < rhs or (lhs == rhs and basis.cols[i] < basis.cols[r]):
-                r = i
-        if r < 0:
-            raise InputError(_EMPTY)
-        basis.pivot(r, e, u)
-    point = list(zip(basis.cols, basis.solve(b)))
-    value = _certify(C, full, a, point, D, P)
-    return value, {g: Fraction(p, L * D) for g, p in zip(ground, P) if p}
+    b0 = a >> g0 & 1
+    basis = lp.Basis([full if g == g0 else full + 1 + g for g in range(n)],
+                     [({g0: 1}, 1, b0, 0) if g == g0 else
+                      ({g0: 1, g: -1}, 1, b0 - (a >> g & 1), 0) for g in range(n)], len(C))
+
+    def price(Y: dict, D: int) -> dict:
+        # each reduced cost over L D is C[j] D minus P on column j, which is
+        # P(X) for y_X and lam, and -P[g] for s_g, with the duals P = -Y;
+        # the columns where it is negative improve the objective -C
+        P = [-Y.get(g, 0) for g in range(n)]
+        N = [p - c * D for c, p in zip(C, subset_sums(P) + [-p for p in P])]
+        return {j: x for j, x in enumerate(N) if x > 0}
+
+    out = basis.run({full: -L}, price, lambda j: _column(j, n, full), free=full)
+    if out is None:
+        raise InputError(_EMPTY)
+    Y, D = out
+    point = basis.values(len(C))
+    # the duals and the dual point over one denominator
+    den = lcm(D, *[d for _, _, d in point])
+    P = [-Y.get(g, 0) * (den // D) for g in range(n)]
+    point = [(j, x * (den // d)) for j, x, d in point]
+    value = _certify(C, full, a, point, den, P)
+    return value, {g: Fraction(p, L * den) for g, p in zip(ground, P) if p}
 
 
 _EMPTY = ("the dominated-measure polytope is empty; v admits no probability "

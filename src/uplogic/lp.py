@@ -9,44 +9,43 @@ denominator, the lcm of the row's denominators.  The objective is not
 part of the system but an argument of optimize(system, objective,
 direction), a sparse int row over its own denominator, so one system
 serves both a minimum and a maximum.  Feasibility and optimization are
-decided exactly: a tableau simplex, Dantzig pivoting with a switch to
-Bland's rule to guarantee termination.  Each point it returns is checked
-against the system's rows, in integers too.
+decided exactly, and each point returned is checked against the system's
+rows, in integers too.
 
-Each system has one tableau, built the first time feasible or optimize
-needs it and cached on the system: phase_one drives the artificial columns
-out of the basis, and that alone decides the system, strict rows
-included (below).  feasible reads its point off that tableau.  Each
-optimize runs the same _run on a copy of it, so its answer does not
-depend on the calls made before; a minimum and a maximum, or the many
-objectives of one polytope, share one phase 1.  Tableau rows are never
-changed in place, only replaced, so a copy shares them; the tableau's
-first rows are copies of the system's, which stay as they are.
+Every LP here, the solver's and envelope.dominated_max's, runs on one
+revised simplex (Chvatal, Linear Programming, 1983), Basis, which keeps
+only B^-1, the inverse of the basic columns: row i is a sparse map from
+row index to nonzero Python int over one positive denominator, in lowest
+terms, and carries row i of B^-1 b, the i-th basic column's value, at the
+keys RHS and DLT (below).  The caller prices its own columns from the
+duals y = c_B B^-1, built once per run and then updated with the new
+pivot row at each pivot.  A pivot on u = B^-1 a, a the entering column,
+divides row r by u_r, which only sets its denominator to u_r's numerator,
+and every other row with u_i != 0 becomes num*P - F*p over den*P (P the
+new row r's denominator, p its entries, F u_i's numerator), divided by
+the gcd of its entries and denominator, in the style of Bareiss
+elimination; the rows with u_i = 0 are not touched.  Dantzig's rule
+leaves for Bland's after bland_after pivots; ties go to the lowest
+column and, in the ratio test, to the lower delta part and then the
+lowest basic column.  Every comparison is exact, so the pivots and
+points are those of the dense tableau B^-1 A of Fractions.
 
-Column j of the tableau is column j of the system.  The tableau is
-fraction-free and sparse: each row is a map from column to nonzero Python
-int over one positive denominator, at first the system row's own (its
-slack entry); the right-hand side is the entries at RHS and DLT (below).
-A pivot divides the pivot row by the pivot entry, which only sets the row's
-denominator to the pivot numerator; every other row with a nonzero entry
-in the entering column becomes num*P - F*p over den*P (P the pivot row's
-denominator, F the row's entry, p the pivot row), and each changed row is
-divided by the gcd of its entries and denominator, in the style of
-Bareiss elimination.  The cost row is held the same way, so
-Dantzig's choice compares numerators and the ratio test cross-multiplies;
-ties go to the lowest column and, in the ratio test, to the lower delta
-part and then the lowest basic column.  Every comparison is exact, so the pivots and points are those of
-a dense tableau of Fractions; points and values leave as Fractions.
-
-The simplex starts from a basis of one column per row.  A row a.x <= b
-with b >= 0, and a row a.x >= b with b <= 0 (negated to -a.x <= -b),
-starts on its own slack, so every homogeneous row a.x >= 0 costs no
-phase-1 work.  Only a row a.x >= b with b > 0, a strict row a.x > b with
-b >= 0, or an equality, starts on an artificial column that phase 1 must
-drive to zero; an equality has no slack, so a = row is one tableau row
-where a pair of >= rows would be two.  Pivots touch only the nonzero
-columns of the pivot row.  Every system this package builds is bounded,
-so a _run that finds no optimum raises InternalCheckError.
+A system's LP (_SystemLP) reads its columns off the system's rows and
+copies none.  Column j is the system's; each row but an equality has a
+slack column, the single entry -den, and starts on it iff its
+right-hand side (below) is <= 0: its starting row of B^-1 is then {i: -1}
+over den, the row negated to -a.x <= -b, so a homogeneous row a.x >= 0
+costs no phase-1 work.  Every other row starts on an artificial column
+that phase 1 drives to zero, the single entry den, or -den for an
+equality with b < 0.  After phase 1 each basic artificial is pivoted out
+on the lowest other column nonzero in its row of B^-1 A; a row with none
+is redundant, and its artificial stays basic at zero, since its u_i is 0
+for every entering column.  A system's basis after phase 1 is built once
+and cached on it: feasible reads its point off it, and each optimize
+runs on a copy, so a minimum and a maximum, or the many objectives of one
+polytope, share one phase 1.  Rows of B^-1 are never changed in place,
+only replaced, so a copy shares them.  Every system this package builds
+is bounded, so a run that finds no optimum raises InternalCheckError.
 
 Strict rows are held as delta-rationals (Dutertre and de Moura, CAV
 2006): a right-hand side is a pair b + k*delta for an infinitesimal
@@ -58,16 +57,11 @@ small eps > 0, for all small enough eps at once.  The strict system is
 feasible iff some such tightening is, so phase 1 alone decides it: it
 is infeasible iff a basic artificial keeps a nonzero pair.  The optimum
 of an objective over the tightened system is v + k*eps, read off the
-cost row: v is the optimum over the closure, and it is attained with
-every strict row strict iff k = 0, since an attaining point satisfies
-some tightening, on which the optimum is then v.  A point is read at
-the largest eps <= 1 that keeps every basic column >= 0, which is > 0.
-
-Basis is the other simplex here, for a revised simplex whose caller
-prices its own columns (envelope.dominated_max): only the m basic columns
-are kept, as an exact integer inverse M / D, and a pivot is one Bareiss
-step on M.  Both loops leave Dantzig's rule for Bland's after the same
-number of pivots (bland_after).
+duals, which carry c_B B^-1 b at RHS and DLT: v is the optimum over the
+closure, and it is attained with every strict row strict iff k = 0, since
+an attaining point satisfies some tightening, on which the optimum is
+then v.  A point is read at the largest eps <= 1 that keeps every basic
+column >= 0, which is > 0.
 """
 
 from __future__ import annotations
@@ -77,7 +71,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
 from .record import Record
@@ -117,10 +111,10 @@ class LinearSystem(Record):
         super().__init__(variables, constraints)
 
     @cached_property
-    def _tableau(self) -> Optional[_Simplex]:
-        """The tableau after phase 1, built once, or None when the system has
-        no solution: feasible reads it, optimize copies it."""
-        sx = _Simplex(self)
+    def _phase_one(self) -> Optional[_SystemLP]:
+        """The LP after phase 1, built once, or None when the system has no
+        solution: feasible reads its basis, optimize copies it."""
+        sx = _SystemLP(self)
         return sx if sx.phase_one() else None
 
 
@@ -162,11 +156,12 @@ def make_system(n: int, constraints: Iterable[Constraint]) -> LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# Core simplex: maximize c.x subject to rows a.x rel b with
-# rel in {"<=", ">=", "="}, x >= 0.
+# The revised simplex: maximize c.x subject to A x = b, x >= 0.
 
-RHS = -1  # the column of a tableau row's right-hand side: its real part
-DLT = -2  # and its delta part, the coefficient of an infinitesimal delta > 0
+RHS = -1  # the key of a right-hand side's real part
+DLT = -2  # and of its delta part, the coefficient of an infinitesimal delta > 0
+
+_ZERO = Fraction(0)
 
 
 def _reduce(row: dict, den: int) -> tuple[dict, int]:
@@ -192,236 +187,253 @@ def _axpy(row: dict, s: int, f: int, other) -> dict:
     return out
 
 
-def _eliminate(row: dict, den: int, e: int, nz: list, piv_den: int):
-    """Subtract row[e]/den times the pivot row from row/den.
-
-    The pivot row is given by its nonzero entries nz over piv_den; its entry
-    in column e is piv_den, so column e of the result is zero.  Returns the
-    new (row, den) in lowest terms."""
-    return _reduce(_axpy(row, piv_den, row[e], nz), den * piv_den)
-
-
 def bland_after(rows: int, columns: int) -> int:
-    """The pivots after which a simplex loop leaves Dantzig's rule for
-    Bland's, which cannot cycle."""
+    """The pivots after which a run leaves Dantzig's rule for Bland's,
+    which cannot cycle."""
     return 20 * (rows + columns + 10)
 
 
 class Basis:
-    """The basis of a revised simplex over m rows, as an exact integer
-    inverse B^-1 = M / D.
+    """A basis of the revised simplex: cols[i] is the column basic at
+    position i, and rows[i] / dens[i] is row i of B^-1, with row i of
+    B^-1 b at RHS and DLT.  A column is a sparse map from row to int entry;
+    what the columns stand for, and their costs, are the caller's."""
 
-    cols[i] is the column basic at position i, and M[i], a list of m ints,
-    is position i's row of the inverse.  D > 0 is det B up to a sign fixed
-    at the start, so M is B's adjugate up to that sign: both stay integral
-    while B's columns are.  Columns and costs are given as ints; what the
-    columns stand for is the caller's.
-    """
-
-    def __init__(self, M: list[list[int]], D: int, cols: list[int]):
-        self.M, self.D, self.cols = M, D, cols
-
-    def solve(self, column: Mapping[int, int]) -> list[int]:
-        """u with B^-1 a = u / D, for a sparse column a (row -> entry)."""
-        items = column.items()
-        return [sum([row[g] * x for g, x in items]) for row in self.M]
-
-    def duals(self, costs: Sequence[int]) -> list[int]:
-        """P with c_B B^-1 = P / D, for the basic columns' costs c_B in
-        position order."""
-        P = [0] * len(self.M)
-        for c, row in zip(costs, self.M):
-            if c:
-                P = [p + c * x for p, x in zip(P, row)]
-        return P
-
-    def pivot(self, r: int, col: int, u: Sequence[int]) -> None:
-        """Make col basic at position r, where u = solve(col's column) and
-        u[r] > 0.
-
-        Row r of the inverse is divided by u[r] / D and every other row i
-        loses u[i] / u[r] times the result, so with the new D = u[r] each
-        new row is (M[i] u[r] - u[i] M[r]) / D, a Bareiss step: the
-        division is exact because the new M is again an adjugate."""
-        M, D, ur = self.M, self.D, u[r]
-        Mr = M[r]
-        for i, ui in enumerate(u):
-            if i != r:
-                M[i] = [(x * ur - ui * y) // D for x, y in zip(M[i], Mr)]
-        self.D = ur
-        self.cols[r] = col
-
-
-class _Simplex:
-    """Tableau simplex in exact rational arithmetic: phase_one, then _run
-    for each objective.
-
-    Row i of the tableau is T[i][j] / D[i]: a sparse map from column to
-    nonzero int over one positive denominator, kept in lowest terms
-    (gcd(D[i], *T[i].values()) == 1), with the right-hand side at the
-    columns RHS and DLT.  The cost row is held the same way.  Comparisons on
-    these rows are exact, so the pivot sequence is that of a tableau of
-    Fractions.
-    Rows are replaced, never changed in place, so copy() shares them.
-    """
-
-    def __init__(self, sys: LinearSystem):
-        # Each row of sys, copied over its own denominator: the slack and
-        # artificial entries go into the copy.  A strict row c.x > b is
-        # c.x >= b + den*delta, its right-hand side the pair (b, den).  A row
-        # is negated to a pair >= (0, 0); a >= or > row with a pair <= (0, 0)
-        # is negated too, since as "<=" its slack is a feasible starting
-        # basic variable and it needs no artificial.  Slack columns follow
-        # the structural ones, and artificial columns the slacks, each in
-        # row order.
-        n, rows = len(sys.variables), sys.constraints
-        self.n, self.m = n, len(rows)
-        slack_at = n
-        art_at = n + self.m - sum(c.rel is Relation.EQ for c in rows)
-        self.T, self.D, self.basis, art_cols = [], [], [], []
-        for c in rows:
-            b, den, eq, strict = c.bound, c.den, c.rel is Relation.EQ, c.rel is Relation.GT
-            flip = b < 0 or (b == 0 and not eq and not strict)
-            row = {j: -x for j, x in c.coeffs.items()} if flip else dict(c.coeffs)
+    def __init__(self, cols: list[int], start: Sequence[tuple[dict, int, int, int]],
+                 columns: int):
+        """The basis of cols among `columns` columns: start[i] = (row, den,
+        b, k) is row i of B^-1, row / den with row a sparse int map whose
+        entries have no common factor with den, and the value
+        (b + k*delta) / den of cols[i]."""
+        self.cols, self.rows, self.dens = cols, [], []
+        for row, den, b, k in start:
+            row = dict(row)
             if b:
-                row[RHS] = -b if flip else b
-            if strict:
-                row[DLT] = -den if flip else den
-            if not eq:
-                row[slack_at] = den if flip else -den
-                slack_at += 1
-            if flip and not eq:  # a "<=" row starts on its slack
-                self.basis.append(slack_at - 1)
-            else:
-                row[art_at] = den
-                self.basis.append(art_at)
-                art_cols.append(art_at)
-                art_at += 1
-            self.T.append(row)
-            self.D.append(den)
-        self.total = art_at
-        self.art_cols = set(art_cols)
+                row[RHS] = b
+            if k:
+                row[DLT] = k
+            self.rows.append(row)
+            self.dens.append(den)
+        self.dantzig = bland_after(len(cols), columns)
 
-    def copy(self) -> _Simplex:
-        """A tableau to pivot on that leaves this one as it is."""
+    def copy(self) -> Basis:
+        """A basis to pivot on that leaves this one as it is."""
         other = object.__new__(type(self))
         other.__dict__.update(self.__dict__)
-        other.T, other.D, other.basis = list(self.T), list(self.D), list(self.basis)
+        other.rows, other.dens, other.cols = list(self.rows), list(self.dens), list(self.cols)
         return other
 
-    def _reduced_costs(self, c: dict, cden: int) -> tuple[dict, int]:
-        # cost row = c_j - sum over basic rows of c_basis * row, over one den
-        costs, den = dict(c), cden
-        for i, b in enumerate(self.basis):
-            cb = c.get(b)
-            if cb:
-                s = cden * self.D[i]
-                costs, den = _reduce(_axpy(costs, s, cb * den, self.T[i].items()), den * s)
-        return costs, den
+    def solve(self, column: Mapping[int, int]) -> dict[int, int]:
+        """u = B^-1 a for the column a, as {position: numerator over that
+        position's denominator}, nonzero entries only."""
+        u = {}
+        get = column.get
+        for i, row in enumerate(self.rows):
+            x = 0
+            for g, y in row.items():  # RHS and DLT are no row of a column
+                a = get(g)
+                if a:
+                    x += a * y
+            if x:
+                u[i] = x
+        return u
 
-    def _pivot(self, r: int, e: int) -> tuple[list, int]:
-        """Pivot on (r, e); returns the nonzero entries of the new pivot row
-        and its denominator, for the caller's cost row."""
-        T, D = self.T, self.D
-        prow, piv = T[r], T[r][e]
+    def pivot(self, r: int, e: int, u: Mapping[int, int]) -> tuple[list, int]:
+        """Make column e basic at position r, for u = solve(column e) and
+        u[r] != 0; returns the new row r's nonzero entries and denominator."""
+        rows, dens = self.rows, self.dens
+        prow, piv = rows[r], u[r]
         if piv < 0:
             prow, piv = {j: -x for j, x in prow.items()}, -piv
         prow, piv = _reduce(prow, piv)
-        T[r], D[r] = prow, piv
+        rows[r], dens[r] = prow, piv
         nz = list(prow.items())
-        for i in range(self.m):
-            if i != r and e in T[i]:
-                T[i], D[i] = _eliminate(T[i], D[i], e, nz, piv)
-        self.basis[r] = e
+        for i, f in u.items():
+            if i != r:
+                rows[i], dens[i] = _reduce(_axpy(rows[i], piv, f, nz), dens[i] * piv)
+        self.cols[r] = e
         return nz, piv
 
-    def _run(self, c: dict, cden: int, banned: set) -> tuple[dict, int]:
-        """Maximize c / cden over the current tableau, never entering a
-        banned column; returns the final cost row and its denominator, with
-        minus the optimum at RHS and DLT.  Raises InternalCheckError if c is
-        unbounded: no system this package builds has an unbounded
-        objective."""
-        T, basis = self.T, self.basis
-        costs, den = self._reduced_costs(c, cden)
-        iters = 0
-        dantzig = bland_after(self.m, self.total)
+    def duals(self, cost: Mapping[int, int]) -> tuple[dict, int]:
+        """c_B B^-1 for the int costs of the columns, as a sparse row over
+        one denominator, with c_B B^-1 b at RHS and DLT."""
+        Y, den = {}, 1
+        for i, j in enumerate(self.cols):
+            c = cost.get(j)
+            if c:
+                d = self.dens[i]
+                Y, den = _reduce(_axpy(Y, d, -c * den, self.rows[i].items()), den * d)
+        return Y, den
+
+    def _leaving(self, u: Mapping[int, int], free: int) -> int:
+        """The ratio test: the position of the least ratio (b, k) / u_i over
+        u_i > 0, pairs compared lexicographically, ties to the lowest basic
+        column; -1 when no row bounds the entering column."""
+        rows, cols = self.rows, self.cols
+        r = -1
+        for i, a in u.items():
+            if a > 0 and cols[i] != free:
+                b = rows[i].get(RHS, 0)  # the denominators cancel
+                if r < 0:
+                    r, rb, ra = i, b, a
+                    continue
+                lhs, rhs = b * ra, rb * a
+                if lhs == rhs:
+                    lhs, rhs = rows[i].get(DLT, 0) * ra, rows[r].get(DLT, 0) * a
+                if lhs < rhs or (lhs == rhs and cols[i] < cols[r]):
+                    r, rb, ra = i, b, a
+        return r
+
+    def run(self, cost: Mapping[int, int], price: Callable[[dict, int], dict],
+            column: Callable[[int], Mapping[int, int]], free: int = -1
+            ) -> Optional[tuple[dict, int]]:
+        """Maximize an objective; returns its duals (duals()) at the
+        optimum, or None when it is unbounded.
+
+        cost holds the int cost of every column basic at the start, from
+        which the duals are built once.  price(Y, yden) gives
+        c_j yden - Y a_j, the reduced cost times yden, of a set of columns
+        j holding every improving one (> 0); column(j) gives column j.  The
+        column free is unbounded below, so it never leaves the basis."""
+        Y, den = self.duals(cost)
+        pivots = 0
         while True:
-            iters += 1
-            bland = iters > dantzig
-            e = -1
-            best = 0
-            for j, cj in costs.items():
-                if cj > 0 and j >= 0 and j not in banned:
-                    if bland:
-                        if e < 0 or j < e:
-                            e = j
-                    elif cj > best or (cj == best and j < e):
-                        best = cj
-                        e = j
-            if e < 0:
-                return costs, den
-            # ratio test: rhs_i / a_i, the row denominators cancel, delta on a tie
-            r = -1
-            for i in range(self.m):
-                a = T[i].get(e, 0)
-                if a > 0:
-                    b = T[i].get(RHS, 0)
-                    if r < 0:
-                        r, rb, ra = i, b, a
-                        continue
-                    lhs, rhs = b * ra, rb * a
-                    if lhs == rhs:
-                        lhs, rhs = T[i].get(DLT, 0) * ra, T[r].get(DLT, 0) * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
-                        r, rb, ra = i, b, a
+            N = price(Y, den)
+            best = max(N.values(), default=0)
+            if best <= 0:
+                return Y, den
+            if pivots >= self.dantzig:  # Bland's rule: the lowest improving column
+                e = min(j for j, d in N.items() if d > 0)
+            else:  # Dantzig's: the largest reduced cost, then the lowest column
+                e = min(j for j, d in N.items() if d == best)
+            u = self.solve(column(e))
+            r = self._leaving(u, free)
             if r < 0:
-                raise InternalCheckError(f"column {e} enters with no leaving row: unbounded")
-            costs, den = _eliminate(costs, den, e, *self._pivot(r, e))
+                return None
+            nz, piv = self.pivot(r, e, u)
+            # y gains the reduced cost of e times the new row r of B^-1
+            Y, den = _reduce(_axpy(Y, piv, -N[e], nz), den * piv)
+            pivots += 1
 
-    def phase_one(self) -> bool:
-        """Drive the artificial columns out of the basis; False when the
-        rows, strict ones strictly, have no solution."""
-        if self.art_cols:
-            self._run(dict.fromkeys(self.art_cols, -1), 1, banned=set())
-            # each pair is >= (0, 0), so the residual is zero iff each term is
-            if any(RHS in self.T[i] or DLT in self.T[i] for i in range(self.m)
-                   if self.basis[i] in self.art_cols):
-                return False
-            self._evict_artificials()
-        return True
-
-    def _evict_artificials(self) -> None:
-        drop: list[int] = []
-        for i in range(self.m):
-            if self.basis[i] in self.art_cols:
-                e = min((j for j in self.T[i] if j != RHS and j not in self.art_cols),
-                        default=-1)
-                if e >= 0:
-                    self._pivot(i, e)
-                else:
-                    drop.append(i)  # redundant row
-        for i in reversed(drop):
-            del self.T[i]
-            del self.D[i]
-            del self.basis[i]
-            self.m -= 1
-
-    def _point(self) -> list[Fraction]:
-        """The structural columns at delta = eps = en / ed, the largest
-        eps <= 1 that keeps every basic column >= 0."""
+    def values(self, n: int) -> list[tuple[int, int, int]]:
+        """(column, num, den) for each basic column below n, its value
+        num / den at delta = eps = en / ed, the largest eps <= 1 that keeps
+        every basic column >= 0."""
         en, ed = 1, 1
-        for row in self.T:
+        for row in self.rows:
             k = row.get(DLT, 0)
             if k < 0 and row.get(RHS, 0) * ed < en * -k:
                 en, ed = row.get(RHS, 0), -k
         if en <= 0:
             raise InternalCheckError(f"a basic column is negative at every delta > 0: {en}/{ed}")
-        x = [Fraction(0)] * self.n
-        for i, b in enumerate(self.basis):
-            if b < self.n:
-                row = self.T[i]
-                x[b] = Fraction(row.get(RHS, 0) * ed + en * row.get(DLT, 0), self.D[i] * ed)
+        return [(b, row.get(RHS, 0) * ed + en * row.get(DLT, 0), den * ed)
+                for b, row, den in zip(self.cols, self.rows, self.dens) if b < n]
+
+
+class _SystemLP:
+    """The LP of a system, and its basis after phase 1: columns 0..n-1 are
+    the system's, then come the slack columns and then the artificial
+    ones, each in row order.  units[t] is (row, entry) of column n + t."""
+
+    def __init__(self, sys: LinearSystem):
+        n, rows = len(sys.variables), sys.constraints
+        self.n, self.rows = n, rows
+        self.first_art = art_at = n + sum(c.rel is not Relation.EQ for c in rows)
+        self.units: list[tuple[int, int]] = []
+        arts, starts, inverse = [], [], []
+        for g, c in enumerate(rows):
+            # the right-hand side (b, den) of a strict row, (b, 0) else; the
+            # starting column's entry is -den iff that pair is < (0, 0) or
+            # the row starts on its slack, so that its value is >= (0, 0)
+            eq, k = c.rel is Relation.EQ, c.den if c.rel is Relation.GT else 0
+            flip = c.bound < 0 or (c.bound == 0 and not eq and not k)
+            s = -1 if flip else 1
+            inverse.append(({g: s}, c.den, s * c.bound, s * k))
+            if not eq:
+                self.units.append((g, -c.den))
+            if flip and not eq:
+                starts.append(n + len(self.units) - 1)
+            else:
+                starts.append(art_at + len(arts))
+                arts.append((g, s * c.den))
+        self.units += arts
+        self.total = n + len(self.units)
+        self.art_cols = set(range(art_at, self.total))
+        self.basis = Basis(starts, inverse, self.total)
+
+    def point(self, basis: Basis) -> list[Fraction]:
+        """The value of each column of the system at basis (Basis.values)."""
+        x = [_ZERO] * self.n
+        for j, num, den in basis.values(self.n):
+            x[j] = Fraction(num, den)
         return x
+
+    def column(self, j: int) -> dict[int, int]:
+        if j < self.n:
+            return {g: c.coeffs[j] for g, c in enumerate(self.rows) if j in c.coeffs}
+        return dict([self.units[j - self.n]])
+
+    def maximize(self, basis: Basis, cost: dict[int, int],
+                 artificial: bool = False) -> tuple[dict, int]:
+        """basis.run on the int costs cost, pricing the artificial columns
+        only in phase 1 (artificial); raises InternalCheckError when the
+        objective is unbounded."""
+        rows, n = self.rows, self.n
+        units = self.units if artificial else self.units[:self.first_art - n]
+
+        def price(Y: dict, den: int) -> dict:
+            # c_j den - Y a_j, row by row over the rows where y is nonzero
+            N = {j: c * den for j, c in cost.items()}
+            get = N.get
+            for g, y in Y.items():
+                if g >= 0:
+                    for j, a in rows[g].coeffs.items():
+                        N[j] = get(j, 0) - y * a
+            for j, (g, a) in enumerate(units, n):
+                y = Y.get(g)
+                if y:
+                    N[j] = get(j, 0) - y * a
+            return N
+
+        out = basis.run(cost, price, self.column)
+        if out is None:
+            raise InternalCheckError("the objective is unbounded")
+        return out
+
+    def phase_one(self) -> bool:
+        """Drive the artificial columns out of the basis; False when the
+        rows, strict ones strictly, have no solution."""
+        if self.art_cols:
+            Y, _ = self.maximize(self.basis, dict.fromkeys(self.art_cols, -1), True)
+            # minus the sum of the artificials' pairs, each >= (0, 0): zero
+            # iff each of them is
+            if RHS in Y or DLT in Y:
+                return False
+            self._evict_artificials()
+        return True
+
+    def _evict_artificials(self) -> None:
+        basis, n = self.basis, self.n
+        redundant = 0
+        for i, b in enumerate(basis.cols):
+            if b >= self.first_art:
+                # the lowest other column nonzero in row i of B^-1 A: a
+                # structural one, else the slack of the lowest row in it
+                inv, T = basis.rows[i], {}
+                for g, y in inv.items():
+                    if g >= 0:
+                        for j, a in self.rows[g].coeffs.items():
+                            T[j] = T.get(j, 0) + y * a
+                e = min((j for j, x in T.items() if x), default=-1)
+                if e < 0:
+                    e = next((j for j, (g, _) in enumerate(self.units[:self.first_art - n], n)
+                              if g in inv), -1)
+                if e >= 0:
+                    basis.pivot(i, e, basis.solve(self.column(e)))
+                else:
+                    redundant += 1
+        if redundant:
+            basis.dantzig = bland_after(len(self.rows) - redundant, self.total)
 
 
 _HOLDS = {Relation.EQ: operator.eq, Relation.GE: operator.ge, Relation.GT: operator.gt}
@@ -447,10 +459,10 @@ def _check_point(sys: LinearSystem, point: Sequence[Fraction]) -> None:
 
 def feasible(sys: LinearSystem) -> LPOutcome:
     """Exact feasibility of sys, strict rows honored strictly."""
-    sx = sys._tableau
+    sx = sys._phase_one
     if sx is None:
         return LPOutcome(Verdict.INFEASIBLE)
-    point = sx._point()
+    point = sx.point(sx.basis)
     _check_point(sys, point)
     return LPOutcome(Verdict.FEASIBLE, point=point)
 
@@ -471,18 +483,17 @@ def optimize(
     _check_columns(len(sys.variables), [coeffs], "objective")
     if den <= 0:
         raise InputError(f"objective denominator {den} is not positive")
-    built = sys._tableau
-    if built is None:
+    sx = sys._phase_one
+    if sx is None:
         return LPOutcome(Verdict.INFEASIBLE)
     sign = 1 if direction is Direction.MAX else -1
-    sx = built.copy()
-    costs, cden = sx._run({j: sign * x for j, x in coeffs.items() if x}, den,
-                          banned=sx.art_cols)
-    # the optimum of sign * objective is v + k*delta with -v, -k on the cost row
-    value = Fraction(-sign * costs.get(RHS, 0), cden)
-    if DLT in costs:
+    basis = sx.basis.copy()
+    Y, yden = sx.maximize(basis, {j: sign * x for j, x in coeffs.items() if x})
+    # the optimum of sign * objective is v + k*delta: c_B B^-1 b over den
+    value = Fraction(sign * Y.get(RHS, 0), yden * den)
+    if DLT in Y:
         return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
-    point = sx._point()
+    point = sx.point(basis)
     _check_point(sys, point)
     if sum((x * point[j] for j, x in coeffs.items()), Fraction(0)) / den != value:
         raise InternalCheckError(f"optimum {value} is not the objective at the point returned")

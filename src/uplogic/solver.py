@@ -44,9 +44,9 @@ substitution is one-to-one, so it changes no verdict and no bounds end,
 only the vertex reached.  Each row is stated once, in ints over the
 columns as lp takes it: entries +-1 over 1 for measure and dominance
 rows, and for a literal its numerators over the lcm of its denominators
-(the integers that chose c0), since a row's slack enters the tableau
-with its denominator and a rescaled row would steer Dantzig's rule
-elsewhere.  Every SAT answer is re-checked by the model checker before
+(the integers that chose c0), since a row's slack column has the row's
+denominator as its entry (lp) and a rescaled row would steer Dantzig's
+rule elsewhere.  Every SAT answer is re-checked by the model checker before
 being returned.
 """
 

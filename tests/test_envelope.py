@@ -296,8 +296,8 @@ def test_each_lp_reaches_a_new_subset(monkeypatch):
 
 
 def test_no_tableau_for_a_set_function(monkeypatch):
-    """The envelope LPs run on the dual: no linear system and no tableau is
-    built for a set function, and the vacuous one on five elements still
+    """The envelope LPs run on the dual: no linear system and no system LP
+    is built for a set function, and the vacuous one on five elements still
     runs five LPs."""
     built, calls = [], []
 
@@ -309,20 +309,20 @@ def test_no_tableau_for_a_set_function(monkeypatch):
         return Counting
 
     monkeypatch.setattr(lp, "LinearSystem", counting(lp.LinearSystem))
-    monkeypatch.setattr(lp, "_Simplex", counting(lp._Simplex))
+    monkeypatch.setattr(lp, "_SystemLP", counting(lp._SystemLP))
     monkeypatch.setattr(envelope, "dominated_max",
                         lambda v, A: calls.append(A) or dominated_max(v, A))
     v = _vacuous_fn(tuple("abcde"))
     assert is_upper_probability(v).is_upper_probability
     assert dominated_max(v, {"a", "b"})[0] == 1
     assert (len(built), len(calls)) == (0, 5)
-    # the counts see a system and its tableau when there is one
+    # the counts see a system and its LP when there is one
     assert lp.feasible(reference_system(v)).verdict is lp.Verdict.FEASIBLE
     assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
-# The primal LP as a 2^n-row tableau, the reference for the dual simplex.
+# The primal LP as a 2^n-row system, the reference for the dual simplex.
 
 
 def reference_system(v: SetFunction) -> lp.LinearSystem:

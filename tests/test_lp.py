@@ -114,7 +114,7 @@ class TestOptimize:
         sys = dense(["x", "y"], [([F(1), F(0)], GE, F(0)), ([F(0), F(1)], GE, F(0))])
         with pytest.raises(InternalCheckError, match="unbounded"):
             optimize(sys, objective(["x", "y"], {"x": F(1), "y": F(1)}), MAX)
-        # the bounded direction still answers on the same tableau
+        # the bounded direction still answers on the same phase-1 basis
         out = optimize(sys, objective(["x", "y"], {"x": F(1), "y": F(1)}), MIN)
         assert (out.verdict, out.value, out.point) == (Verdict.OPTIMAL, 0, [0, 0])
 
@@ -298,12 +298,12 @@ def test_optimum_dominates_sampled_feasible_points():
 def test_zero_rhs_rows_start_on_slack(monkeypatch):
     built = []
 
-    class Recording(lp._Simplex):
+    class Recording(lp._SystemLP):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(lp, "_Simplex", Recording)
+    monkeypatch.setattr(lp, "_SystemLP", Recording)
     names = ["x", "y", "z"]
     weak = [([F(1), F(-1), F(0)], GE, F(0)), ([F(0), F(1), F(-1)], GE, F(0))]
     low = optimize(dense(names, weak), ({0: 1}, 1), MIN)
@@ -355,21 +355,22 @@ def test_a_point_is_read_at_an_eps_that_keeps_every_row():
 
 
 def test_a_basic_column_negative_at_every_eps_is_caught():
-    sx = sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(-1, 1000))])._tableau
-    [i] = [i for i, row in enumerate(sx.T) if row.get(lp.DLT, 0) < 0]
-    sx.T[i] = {j: x for j, x in sx.T[i].items() if j != lp.RHS}
+    # the slack of x <= 1/1000 is basic at 1/1000 - delta; drop its real part
+    basis = sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(-1, 1000))])._phase_one.basis
+    [i] = [i for i, row in enumerate(basis.rows) if row.get(lp.DLT, 0) < 0]
+    basis.rows[i] = {j: x for j, x in basis.rows[i].items() if j != lp.RHS}
     with pytest.raises(InternalCheckError, match="negative at every delta"):
-        sx._point()
+        basis.values(1)
 
 
 def test_an_optimum_off_the_point_is_caught(monkeypatch):
-    run = lp._Simplex._run
+    run = lp.Basis.run
 
-    def off_by_one(self, c, cden, banned):
-        costs, den = run(self, c, cden, banned)
-        return {**costs, lp.RHS: costs.get(lp.RHS, 0) - den}, den
+    def off_by_one(self, *args):
+        Y, den = run(self, *args)
+        return {**Y, lp.RHS: Y.get(lp.RHS, 0) + den}, den
 
-    monkeypatch.setattr(lp._Simplex, "_run", off_by_one)
+    monkeypatch.setattr(lp.Basis, "run", off_by_one)
     sys = sys1([([F(1)], GE, F(0)), ([F(-1)], GE, F(-1))])
     with pytest.raises(InternalCheckError, match="is not the objective at the point"):
         optimize(sys, X, MAX)
@@ -487,17 +488,20 @@ def test_oracle_agreement_with_equality_rows():
 
 
 # ---------------------------------------------------------------------------
-# Differential test of the integer tableau.  FractionSimplex is the simplex
-# as it was over a tableau of Fractions; the integer tableau must make the
-# same pivots and return the same status, point and value, and raise
-# InternalCheckError where the reference finds the objective unbounded.
+# Differential test of the revised simplex.  FractionSimplex is the simplex
+# as it was over a tableau of Fractions; the revised simplex must make the
+# same pivots, as (leaving column, entering column) pairs, and return the
+# same status, point and value, and raise InternalCheckError where the
+# reference finds the objective unbounded.  The pairs, not the row
+# positions, are compared: the reference deletes a redundant row, while the
+# revised simplex keeps its artificial basic at zero.
 
 ZERO, ONE = F(0), F(1)
 
 
 class FractionSimplex:
     """The simplex over a tableau of Fractions, kept as the reference for
-    the integer tableau in `lp._Simplex`."""
+    the revised simplex in `lp`, whose B^-1 A is this tableau."""
 
     def __init__(self, n: int, rows: list[tuple[list, str, object]], c: list):
         # Normalize rows to rhs >= 0, assign slack/surplus/artificial columns.
@@ -686,17 +690,14 @@ class FractionSimplex:
         return x[: self.n_struct]
 
 
-def recording(cls):
-    class Recording(cls):
-        def __init__(self, *args):
-            self.pivots = []
-            super().__init__(*args)
+class RecordingFractionSimplex(FractionSimplex):
+    def __init__(self, *args):
+        self.pivots = []
+        super().__init__(*args)
 
-        def _pivot(self, r, e):
-            self.pivots.append((r, e))
-            return super()._pivot(r, e)
-
-    return Recording
+    def _pivot(self, r, e):
+        self.pivots.append((self.basis[r], e))
+        return super()._pivot(r, e)
 
 
 SMALL = [0, 0, 0, 1, -1, 2, -3, F(7, 13), F(-5, 6), F(1, 10**12)]
@@ -733,25 +734,33 @@ def internal_system(n, rows):
 
 
 def integer_solve(sx, c):
-    """FractionSimplex.solve on lp._Simplex: phase_one, then _run of the
+    """FractionSimplex.solve on lp._SystemLP: phase_one, then a run of the
     dense objective c.  Returns (status, value, point)."""
     if not sx.phase_one():
         return ("infeasible", None, None)
     c, cden = objective(range(len(c)), dict(enumerate(c)))
-    sx._run(c, cden, banned=sx.art_cols)
-    point = sx._point()
+    sx.maximize(sx.basis, c)
+    point = sx.point(sx.basis)
     return ("optimal", sum((x * point[j] for j, x in c.items()), F(0)) / cden, point)
 
 
-def test_integer_tableau_matches_fraction_tableau():
+def test_integer_tableau_matches_fraction_tableau(monkeypatch):
     rng = random.Random(31337)
-    Ref, New = recording(FractionSimplex), recording(lp._Simplex)
+    pivots = []
+    pivot = lp.Basis.pivot
+
+    def recording(self, r, e, u):
+        pivots.append((self.cols[r], e))
+        return pivot(self, r, e, u)
+
+    monkeypatch.setattr(lp.Basis, "pivot", recording)
     seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "eq_negative_rhs": 0,
-            "huge": 0, "pivots": 0}
+            "huge": 0, "pivots": 0, "redundant": 0}
     for _ in range(400):
         n, rows, c = random_internal_system(rng)
-        ref = Ref(n, rows, c)
-        new = New(internal_system(n, rows))
+        ref = RecordingFractionSimplex(n, rows, c)
+        pivots.clear()
+        new = lp._SystemLP(internal_system(n, rows))
         assert new.art_cols == ref.art_cols
         want = ref.solve()
         if want[0] == "unbounded":
@@ -759,22 +768,26 @@ def test_integer_tableau_matches_fraction_tableau():
                 integer_solve(new, c)
         else:
             assert integer_solve(new, c) == want
-        assert new.pivots == ref.pivots
-        for row, den in zip(new.T, new.D):
+        assert pivots == ref.pivots
+        for row, den in zip(new.basis.rows, new.basis.dens):
             assert den > 0 and math.gcd(den, *row.values()) == 1 and all(row.values())
         seen[want[0]] += 1
         seen["eq_negative_rhs"] += any(rel == "=" and b < 0 for _, rel, b in rows)
         seen["huge"] += any(abs(x) > 10**20 for a, _, _ in rows for x in a)
-        seen["pivots"] += len(new.pivots)
+        seen["pivots"] += len(pivots)
+        # a redundant row: its artificial stays basic, where the reference
+        # deletes the row
+        seen["redundant"] += want[0] != "infeasible" and any(
+            b in new.art_cols for b in new.basis.cols)
     assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
-# One tableau per system.  reference_optimize is optimize as it was: a cold
+# One phase 1 per system.  reference_optimize is optimize as it was: a cold
 # two-phase solve of the weak relaxation and, over strict rows, a strict
 # feasibility check with the objective pinned to its optimum by one = row,
 # all on FractionSimplex.  optimize re-optimizes a copy of the system's one
-# tableau and reads attainment off the delta part of the optimum; the
+# phase-1 basis and reads attainment off the delta part of the optimum; the
 # verdict, value and attainment must be the reference's.
 
 _REF_REL = {EQ: "=", GE: ">=", GT: ">="}
@@ -874,7 +887,7 @@ def test_face_step_matches_pinned_reference():
 
 
 def _fresh(sys):
-    """An equal system with no tableau built yet."""
+    """An equal system with no LP built yet."""
     return lp.LinearSystem(sys.variables, sys.constraints)
 
 
@@ -882,12 +895,12 @@ def test_interleaved_objectives_answer_as_on_a_fresh_system(monkeypatch):
     rng = random.Random(5150)
     built = []
 
-    class Counting(lp._Simplex):
+    class Counting(lp._SystemLP):
         def __init__(self, *args):
             built.append(self)
             super().__init__(*args)
 
-    monkeypatch.setattr(lp, "_Simplex", Counting)
+    monkeypatch.setattr(lp, "_SystemLP", Counting)
     strict = 0
     for _ in range(60):
         sys, first, _ = random_strict_system(rng)
@@ -899,7 +912,7 @@ def test_interleaved_objectives_answer_as_on_a_fresh_system(monkeypatch):
         calls = [(first, MAX), (second, MIN), (first, MIN), (second, MAX), (first, MAX)]
         built.clear()
         got = [_answer(sys, o, d) for o, d in calls] + [feasible(sys)]
-        assert len(built) == 1  # one tableau, built once
+        assert len(built) == 1  # one LP, built once
         want = [_answer(_fresh(sys), o, d) for o, d in calls] + [feasible(_fresh(sys))]
         assert got == want
     assert 10 < strict < 50
@@ -911,9 +924,9 @@ def _rows(sys):
 
 
 def test_stored_rows_survive_feasible_and_two_optimizes():
-    # the tableau writes slack, artificial and delta entries into its rows,
-    # so it must write them into copies of the system's rows: a second
-    # optimize, or the point check, reads the stored ones
+    # the simplex reads its columns and right-hand sides off the stored
+    # rows and must leave them as they are: a second optimize, or the point
+    # check, reads them again
     rng = random.Random(1414)
     seen = collections.Counter()
     for _ in range(80):
@@ -941,15 +954,15 @@ def test_stored_rows_survive_feasible_and_two_optimizes():
 def test_one_tableau_per_bounds_disjunct_and_none_per_set_function(monkeypatch):
     built, calls = [], []
 
-    class Counting(lp._Simplex):
+    class Counting(lp._SystemLP):
         def __init__(self, *args):
             built.append(self)
             super().__init__(*args)
 
-    monkeypatch.setattr(lp, "_Simplex", Counting)
+    monkeypatch.setattr(lp, "_SystemLP", Counting)
     monkeypatch.setattr(lp, "optimize",
                         lambda *args: calls.append(args) or optimize(*args))
-    # two disjuncts reach an LP: one tableau and two optimize calls each
+    # two disjuncts reach an LP: one phase 1 and two optimize calls each
     res = solver.bounds(parse_likelihood("l(p) = 1/4 | l(p) < 3/4 & l(q) > 1/2"),
                         parse_term("l(p)"))
     assert (res.lower, res.lower_attained) == (F(0), True)
@@ -973,53 +986,62 @@ def test_one_tableau_per_bounds_disjunct_and_none_per_set_function(monkeypatch):
 
 
 def _inverse(B):
-    """The inverse of a square Fraction matrix and its determinant, by
-    Gauss-Jordan elimination."""
+    """The inverse of a square Fraction matrix, by Gauss-Jordan
+    elimination."""
     m = len(B)
     rows = [list(map(F, r)) + [F(i == j) for j in range(m)] for i, r in enumerate(B)]
-    det = F(1)
     for c in range(m):
         p = next(i for i in range(c, m) if rows[i][c])
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        det *= rows[c][c]
+        rows[c], rows[p] = rows[p], rows[c]
         rows[c] = [x / rows[c][c] for x in rows[c]]
         for i in range(m):
             if i != c and rows[i][c]:
                 rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
-    return [r[m:] for r in rows], det
+    return [r[m:] for r in rows]
 
 
 def test_basis_inverse_after_random_pivots():
     rng = random.Random(1990)
-    pivots = big = 0
+    pivots = negative = big = 0
     for _ in range(100):
         m, k = rng.randint(1, 5), rng.randint(1, 6)
-        # columns 0..k-1 random, then the m unit columns the basis starts on
+        # columns 0..k-1 random, then the m columns the basis starts on, each
+        # one nonzero entry in its row, and a right-hand side b + k*delta
+        scales = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(m)]
         columns = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
-        columns += [[int(i == j) for i in range(m)] for j in range(m)]
-        basis = lp.Basis([[int(i == j) for j in range(m)] for i in range(m)], 1,
-                         list(range(k, k + m)))
+        columns += [[s * (i == j) for i in range(m)] for j, s in enumerate(scales)]
+        rhs = [(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(m)]
+        signs = [1 if s > 0 else -1 for s in scales]
+        basis = lp.Basis(list(range(k, k + m)), [
+            ({i: sign}, abs(s), sign * b, sign * d)
+            for i, (s, sign, (b, d)) in enumerate(zip(scales, signs, rhs))], k + m)
         for _ in range(rng.randint(1, 16)):
             e = rng.randrange(len(columns))
             if e in basis.cols:
                 continue
             u = basis.solve({g: x for g, x in enumerate(columns[e]) if x})
-            rows = [i for i, x in enumerate(u) if x > 0]
-            if not rows:
+            if not u:
                 continue
-            basis.pivot(rng.choice(rows), e, u)
+            # any nonzero entry, as artificial eviction pivots on negative ones
+            r = rng.choice(sorted(u))
+            basis.pivot(r, e, u)
             pivots += 1
-            big = max(big, basis.D)
-            B = [[columns[j][g] for j in basis.cols] for g in range(m)]
-            inverse, det = _inverse(B)
-            assert [[F(x, basis.D) for x in row] for row in basis.M] == inverse
-            assert basis.D == det  # the start basis has det 1, and D > 0
-            costs = [rng.randint(-4, 4) for _ in range(m)]
-            duals = [sum(c * inverse[i][g] for i, c in enumerate(costs)) for g in range(m)]
-            assert [F(p, basis.D) for p in basis.duals(costs)] == duals
-    assert pivots > 200 and big > 20  # Bareiss divisions by D > 1
+            negative += u[r] < 0
+            inverse = _inverse([[columns[j][g] for j in basis.cols] for g in range(m)])
+            for i, (row, den) in enumerate(zip(basis.rows, basis.dens)):
+                big = max(big, den)
+                assert den > 0 and math.gcd(den, *row.values()) == 1 and all(row.values())
+                assert [F(row.get(g, 0), den) for g in range(m)] == inverse[i]
+                for key, part in (lp.RHS, 0), (lp.DLT, 1):
+                    assert F(row.get(key, 0), den) == sum(
+                        x * b[part] for x, b in zip(inverse[i], rhs))
+            costs = {j: rng.randint(-4, 4) for j in range(len(columns))}
+            Y, yden = basis.duals(costs)
+            duals = [sum(costs[j] * inverse[i][g] for i, j in enumerate(basis.cols))
+                     for g in range(m)]
+            assert [F(Y.get(g, 0), yden) for g in range(m)] == duals
+            assert F(Y.get(lp.RHS, 0), yden) == sum(y * b for y, (b, _) in zip(duals, rhs))
+    assert pivots > 200 and negative > 20 and big > 20
 
 
 def _certify_with(monkeypatch, perturb):

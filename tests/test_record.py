@@ -112,7 +112,7 @@ def test_records_keep_their_signatures():
 
 def test_cached_properties_survive():
     system = make_system(1, [Constraint({0: 1}, Relation.GE, 1, 1)])
-    assert system._tableau is system._tableau
+    assert system._phase_one is system._phase_one
     assert system == make_system(1, [Constraint({0: 1}, Relation.GE, 1, 1)])
     M = UpperProbStructure(("p",), ("w0", "w1"), {"w0": {"p": True}, "w1": {}},
                            ({"w0": F(1, 2), "w1": F(1, 2)},))

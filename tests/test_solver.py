@@ -527,7 +527,7 @@ class TestPivotClass:
         assert res.stats["lp_sizes"] == [{"variables": 1, "rows": n + 1}]
         worlds, g = solver._prepare(f)
         [basics] = dnf(g)
-        assert solver._DisjunctLP(worlds, basics).system._tableau.art_cols == set()
+        assert solver._DisjunctLP(worlds, basics).system._phase_one.art_cols == set()
 
 
 class _FractionDisjunctRows:
@@ -656,3 +656,41 @@ class TestIntegerRows:
         [basics] = dnf(g)
         self._compare(worlds, basics, parse_term("1/2 l(p) + 1/3 l(true)"), seen)
         assert seen["reduced"] >= 1, seen
+
+
+# The ring "hard2" on 8 propositions: one disjunct whose LP has 272 rows
+# and 4,064 columns, far wider than the random suites build.  The model and
+# the bounds are pinned: the simplex must reach the same vertex.
+HARD2 = " & ".join(f"l(p{i} & !p{(i + 1) % 8}) >= 1/4 & l(!p{i} & p{(i + 1) % 8}) <= 1/7"
+                   for i in range(8))
+HARD2_MODEL = [  # each measure's nonzero masses, world id without its "w"
+    "00000000:43/196 00001000:3/28 00001101:5/196 00001110:1/98 00011100:9/98 00110100:11/196"
+    " 00111110:17/196 01110010:1/7 10000000:13/98 10000101:15/196 10010001:2/49 11010110:1/98",
+    "00000000:6/7 01000000:1/7",
+    "00000000:3/10 00010101:1/10 00100000:1/7 01000000:1/28 01100000:3/28 10001010:1/10"
+    " 11000000:3/70 11000011:3/70 11000111:3/70 11001001:3/70 11011111:3/70",
+    "00000000:6/7 00100000:1/7",
+    "00000000:3/4 00100000:1/7 01100000:3/28",
+    "00000000:6/7 00010000:1/7",
+    "00000000:3/4 00010000:1/7 00110000:3/28",
+    "00000000:6/7 00001000:1/7",
+    "00000000:3/4 00001000:1/7 00011000:3/28",
+    "00000000:6/7 00000100:1/7",
+    "00000000:3/4 00000100:1/7 00001100:3/28",
+    "00000000:6/7 00000010:1/7",
+    "00000000:3/4 00000010:1/7 00000110:3/28",
+    "00000000:3/4 00000001:1/7 00000011:3/28",
+    "00000000:3/4 00000001:1/7 00000011:3/28",
+    "00000000:6/7 10000000:1/7",
+]
+
+
+def test_the_ring_hard2_on_one_wide_lp():
+    f = parse_likelihood(HARD2)
+    res = sat(f)
+    assert res.verdict is SatVerdict.SAT
+    assert res.stats["lp_sizes"] == [{"variables": 4064, "rows": 272}]
+    assert evaluate(res.model, f)
+    assert [" ".join(f"{w[1:]}:{x}" for w, x in mu.items() if x)
+            for mu in res.model.measures] == HARD2_MODEL
+    assert bounds(f, parse_term("l(p0 & p1)")) == solver.BoundsResult(F(3, 28), True, F(1), True)

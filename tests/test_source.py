@@ -17,3 +17,20 @@ def test_no_module_asserts():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_lp_reads_the_private_names_of_lp():
+    # the basis representation stays behind lp's public names, so that a
+    # caller (envelope's pricing) cannot come to depend on it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "lp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "lp"):
+                found.append(f"{path.name}:{node.lineno}: lp.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "lp":
+                found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
