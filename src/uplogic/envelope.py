@@ -40,8 +40,10 @@ The optimal duals are the witness measure mu.  Two exact checks in
 integers certify the optimum: mu is nonnegative, has total 1 and is at
 most v on every other subset; and the dual point, which must satisfy its
 n rows with y, s >= 0, has objective mu(A).  By weak duality, mu(A) is
-then the maximum.  The reuse test reads v's table and each witness's
-subset sums over its own denominator.
+then the maximum.  The decision runs on masks and ints: v(empty),
+v(ground), the shortfall test and the reuse test read v's table (and
+each witness's subset sums over its own denominator), each LP is asked
+for by its subset's mask, and Fractions are made only for the result.
 """
 
 from __future__ import annotations
@@ -78,15 +80,21 @@ class EnvelopeResult(Record):
 
 def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     """max mu(A) over probability measures dominated by v, with an
-    optimal measure."""
-    A = frozenset(A)
-    if not A <= frozenset(v.ground):
-        raise InputError(f"subset {sorted(A)} not within the ground set")
+    optimal measure.  A is a subset of v's ground set: its elements, or
+    its mask (bit i for v.ground[i])."""
     ground, V, _, L = mask_tables(v)
     n, full = len(ground), len(V) - 1
+    if isinstance(A, int):
+        if not 0 <= A <= full:
+            raise InputError(f"subset mask {A} not within the ground set")
+        a = A
+    else:
+        A = frozenset(A)
+        if not A <= frozenset(ground):
+            raise InputError(f"subset {sorted(A)} not within the ground set")
+        a = _mask(ground, A)
     if not n:
         raise InputError(_EMPTY)
-    a = _mask(ground, A)
     # column j is y_X for j = X < full, lam for j = full, s_g for
     # j = full + 1 + g; C[j] is its cost over L
     C = V[:full] + [L] + [0] * n
@@ -167,32 +175,32 @@ def is_upper_probability(v: SetFunction) -> EnvelopeResult:
     specific failing subset (or the normalization failure).
     """
     errors.check_cap(len(v.ground), "ground elements", errors.cap())
-    empty, full = frozenset(), frozenset(v.ground)
-    if v(empty) != 0:
-        return EnvelopeResult(False, failing_set=empty,
-                              failing_reason="v(empty) != 0")
-    if v(full) != 1:
-        return EnvelopeResult(False, failing_set=full,
-                              failing_reason="v(ground) != 1")
     ground, table, _, L = mask_tables(v)
+    n, full = len(ground), len(table) - 1
+    if table[0]:
+        return EnvelopeResult(False, failing_set=frozenset(),
+                              failing_reason="v(empty) != 0")
+    if table[full] != L:
+        return EnvelopeResult(False, failing_set=frozenset(ground),
+                              failing_reason="v(ground) != 1")
     reached = [False] * len(table)  # masks at which some witness has mass v
     witnesses: list[dict] = []
-    for mask in subset_masks(len(ground)):
+    for mask in subset_masks(n):
         if not mask or reached[mask]:
             continue
-        A = _unmask(ground, (mask,))[0]
         try:
-            best, measure = dominated_max(v, A)
+            best, measure = dominated_max(v, mask)
         except InputError:
             return EnvelopeResult(
-                False, failing_set=full,
+                False, failing_set=frozenset(ground),
                 failing_reason="no probability measure is dominated by v",
             )
-        if best < v(A):
+        # best < v(A) = table[mask] / L, in integers
+        if best.numerator * L < table[mask] * best.denominator:
             return EnvelopeResult(
                 False,
-                failing_set=A,
-                failing_reason=f"dominated max {best} < v(A) = {v(A)}",
+                failing_set=_unmask(ground, (mask,))[0],
+                failing_reason=f"dominated max {best} < v(A) = {Fraction(table[mask], L)}",
                 shortfall_value=best,
             )
         witnesses.append(measure)
@@ -203,6 +211,7 @@ def is_upper_probability(v: SetFunction) -> EnvelopeResult:
         reached = [r or s * L == t * den for r, s, t in zip(reached, sums, table)]
         if not reached[mask]:
             raise InternalCheckError(
-                f"the optimal measure for {sorted(A)} does not reach v there"
+                f"the optimal measure for {sorted(_unmask(ground, (mask,))[0])} "
+                f"does not reach v there"
             )
     return EnvelopeResult(True, witness=tuple(witnesses))

@@ -191,7 +191,8 @@ class Term(Record):
     def __init__(self, parts: tuple[tuple[Fraction, PropFormula], ...]):
         if not parts:
             raise InputError("term must have at least one addend")
-        object.__setattr__(self, "parts", tuple((Fraction(c), a) for c, a in parts))
+        object.__setattr__(self, "parts", tuple(
+            (c if type(c) is Fraction else Fraction(c), a) for c, a in parts))
         set_hash(self, None)
 
     def negated(self) -> "Term":
@@ -202,7 +203,7 @@ class Term(Record):
 
 
 def term(*parts: tuple[Rational, PropFormula]) -> Term:
-    return Term(tuple((Fraction(c), a) for c, a in parts))
+    return Term(parts)
 
 
 class LikelihoodFormula(Record):
@@ -215,7 +216,7 @@ class Basic(LikelihoodFormula):
     def __init__(self, term: Term, rel: Rel, bound: Rational):
         object.__setattr__(self, "term", term)
         object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "bound", Fraction(bound))
+        object.__setattr__(self, "bound", bound if type(bound) is Fraction else Fraction(bound))
         set_hash(self, None)
 
 

@@ -89,6 +89,7 @@ class _Parser:
         self.i = 0
         self.tok = self.tokens[0]  # the current token's text
         self.depth = 0  # groups, negations, implications and l(.) open here
+        self.deepest = 0  # the most levels open at once
 
     def offset(self, i: int) -> int:
         """Where token i starts; offsets are found again only for errors."""
@@ -116,6 +117,8 @@ class _Parser:
         if self.depth == MAX_NESTING:
             raise self.error(f"at most {MAX_NESTING} levels of nesting")
         self.depth += 1
+        if self.depth > self.deepest:
+            self.deepest = self.depth
 
     # -- rationals ---------------------------------------------------------
 
@@ -292,7 +295,18 @@ def _parse(text: str, rule):
     # Every level of a tree has a token of its own on the way down, except
     # that an implication's Or and Not share its arrow; so only a text of
     # more than MAX_NESTING // 2 tokens can be too deep.
-    if 2 * len(p.tokens) > MAX_NESTING:
+    #
+    # Nor can a tree whose parse had at most D levels open at once
+    # (p.deepest) have more than 4 D + 2 levels, by induction on D - d for a
+    # subtree parsed with d levels open.  A propositional formula is an Or
+    # over an And over operands that are atoms or open a level ("!", a
+    # group); an implication opens a level for its right side only, and puts
+    # its left side, parsed with d open, under an Or and a Not of its own.
+    # So it has at most 4 (D - d) + 2 levels, and ((q & (...) | q) -> q)
+    # takes four per group.  A likelihood formula puts at most an LOr and an
+    # LAnd over its negations, groups and Basics, and a Basic sits one level
+    # above its l(.) arguments, parsed with d + 1 open.
+    if 2 * len(p.tokens) > MAX_NESTING and 4 * p.deepest + 2 > MAX_NESTING:
         levels = _levels(out)
         if levels > MAX_NESTING:
             raise ParseError(text, 0, f"at most {MAX_NESTING} levels of nesting",

@@ -15,13 +15,18 @@ Set function:
 Subsets are keyed by comma-joined sorted element names, "" is the empty
 set.  Omitted empty set / full set default to 0 / 1; every other subset
 must be present, and each subset is given once, by one key that names
-each of its elements once.
+each of its elements once.  The reader makes one pass over the keys: each
+key becomes a mask through an element -> bit dict and each value a
+numerator and denominator, with no frozenset or Fraction.  It checks them
+in integers, the count of subsets before anything of size 2^n is built,
+and the table it builds is the set function itself (SetFunction).
 
 This module alone maps worlds and subsets to bitmasks: world or ground
 element i is bit i, and subsets are listed by size, then by element index
 (subset_masks).  Upper and lower values are read from a structure's
 cached supports (UpperProbStructure.masses) or from integer tables over
-one common denominator (mask_tables).
+one common denominator (mask_tables), which a set function holds as its
+state.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ import re
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from math import gcd, lcm
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from . import errors
 from .errors import InputError, ValidationError
@@ -42,22 +48,30 @@ from .record import Record
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(raw: Union[str, int]) -> Fraction:
+def _rational_parts(raw: Union[str, int]) -> tuple[int, int]:
     """A JSON integer, or a string -?digits(/digits)? with a nonzero
-    denominator, as a Fraction."""
+    denominator, as (numerator, positive denominator)."""
+    if isinstance(raw, str):
+        if _RATIONAL.fullmatch(raw):
+            num, _, den = raw.partition("/")
+            try:
+                parts = int(num), int(den or 1)
+            except ValueError:  # past int()'s digit limit
+                pass
+            else:
+                if parts[1]:
+                    return parts
+        raise ValidationError(f"not a rational: {raw!r}")
     if isinstance(raw, bool):
         raise ValidationError(f"not a rational: {raw!r}")
     if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        num, _, den = raw.partition("/")
-        try:
-            if _RATIONAL.fullmatch(raw):
-                return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or n/0
-            pass
-        raise ValidationError(f"not a rational: {raw!r}")
+        return raw, 1
     raise ValidationError(f"not a rational: {raw!r} (floats are not accepted)")
+
+
+def parse_rational(raw: Union[str, int]) -> Fraction:
+    """A rational of a document (_rational_parts) as a Fraction."""
+    return Fraction(*_rational_parts(raw))
 
 
 def format_rational(x: Fraction) -> Union[str, int]:
@@ -181,51 +195,125 @@ def lower_of(M: UpperProbStructure, S: Iterable[str]) -> Fraction:
 
 
 class SetFunction(Record):
-    """Total map from subsets of a finite ground set to rationals in [0,1]."""
+    """Total map from subsets of a finite ground set to rationals in [0,1].
 
-    __slots__ = ("ground", "values", "__dict__")
+    The set function is its integer table: upper[mask] / denominator is the
+    value at the subset mask, bit i standing for ground[i], over the least
+    common denominator of the values.  values and v(X) are Fractions made
+    from the table; two set functions are equal when their grounds, in
+    order, and their values are."""
+
+    __slots__ = ("ground", "upper", "denominator", "__dict__")
 
     def __init__(self, ground: tuple[str, ...], values: Mapping[frozenset, Fraction]):
-        if len(set(ground)) != len(ground):
-            raise ValidationError("duplicate ground element")
-        whole = frozenset(ground)
-        vals = dict(values)
-        vals.setdefault(frozenset(), Fraction(0))
-        vals.setdefault(whole, Fraction(1))
-        expected = 1 << len(ground)
-        if len(vals) != expected:
-            raise ValidationError(
-                f"set function must be total: expected {expected} subsets, got {len(vals)}"
-            )
-        for X, v in vals.items():
-            if not X <= whole:
-                raise ValidationError(f"subset {sorted(X)} not within the ground set")
-            if not (0 <= v <= 1):
-                raise ValidationError(f"value {v} at {sorted(X)} outside [0,1]")
-        super().__init__(ground, vals)
+        super().__init__(ground, *_table(ground, values.items(), frozenset, _fraction_parts))
+
+    def __hash__(self):  # the table is a list
+        return hash((self.ground, tuple(self.upper), self.denominator))
 
     def __call__(self, X: Iterable[str]) -> Fraction:
         X = frozenset(X)
-        if X not in self.values:
-            raise InputError(f"subset {sorted(X)} not within the ground set")
-        return self.values[X]
+        try:
+            mask = sum(self._bits[g] for g in X)
+        except KeyError:
+            raise InputError(f"subset {sorted(X)} not within the ground set") from None
+        return Fraction(self.upper[mask], self.denominator)
+
+    @cached_property
+    def _bits(self) -> dict[str, int]:
+        return {g: 1 << i for i, g in enumerate(self.ground)}
+
+    @cached_property
+    def values(self) -> dict[frozenset, Fraction]:
+        """The value at each subset, in subset_masks order."""
+        masks = subset_masks(len(self.ground))
+        return {X: Fraction(self.upper[m], self.denominator)
+                for X, m in zip(_unmask(self.ground, masks), masks)}
 
     @cached_property
     def _tables(self) -> tuple[list[str], list[int], list[int], int]:
-        """mask_tables(self), built once per set function."""
-        ground = list(self.ground)
-        n = len(ground)
-        L = lcm(*[x.denominator for x in self.values.values()])
-        upper = [0] * (1 << n)
-        for X, val in self.values.items():
-            upper[_mask(ground, X)] = val.numerator * (L // val.denominator)
-        full = (1 << n) - 1
-        lower = [L - upper[full ^ m] for m in range(1 << n)]
-        return ground, upper, lower, L
+        """mask_tables(self): the table itself, and the lower table, built
+        on first use: lower[m] = L - upper[full ^ m], and full ^ m is
+        full - m."""
+        L = self.denominator
+        return list(self.ground), self.upper, [L - u for u in reversed(self.upper)], L
 
     def subsets(self) -> tuple[frozenset, ...]:
         """Every subset of the ground set, in subset_masks order."""
         return _unmask(self.ground, subset_masks(len(self.ground)))
+
+
+_fraction_parts = attrgetter("numerator", "denominator")
+
+
+def _table(ground: Sequence[str], items: Iterable[tuple], names_of: Callable,
+           parts_of: Callable) -> tuple[list[int], int]:
+    """The table of the set function on ground that items gives, and its
+    denominator L: upper[mask] / L is the value at the subset mask, over
+    the least common denominator of the values.
+
+    items are (key, value) pairs: names_of(key) lists the elements of the
+    key's subset, and parts_of(value) is its value as (numerator, positive
+    denominator).  The empty set and the ground set default to 0 and 1.
+    ValidationError, checked in this order, unless each key names each
+    element once, each subset is given once, ground names each element
+    once, the keys and the defaults number 2^n, every key is within ground,
+    and each value is in [0,1].  No table of 2^n entries is built before
+    the count is checked.
+    """
+    bit: dict[str, int] = {}
+    for i, g in enumerate(ground):
+        bit.setdefault(g, 1 << i)
+    repeated = len(bit) < len(ground)
+    names = list(ground)  # the element at each bit, then those outside ground
+    given: dict[int, tuple[int, int]] = {}
+    bit_of = bit.__getitem__
+    for key, raw in items:
+        elements = names_of(key)
+        try:  # a sum of distinct bits has one bit set per term
+            mask = sum(map(bit_of, elements))
+        except KeyError:
+            mask = -1
+        if mask < 0 or mask.bit_count() != len(elements):
+            mask = 0
+            for e in elements:
+                b = bit.get(e)
+                if b is None:  # outside ground: a bit of its own, refused below
+                    b = bit[e] = 1 << len(names)
+                    names.append(e)
+                if mask & b:
+                    raise ValidationError(f"subset key {key!r} names an element twice")
+                mask |= b
+        if mask in given:
+            raise ValidationError(f"subset {{{_subset_key(_unmask(names, (mask,))[0])}}} "
+                                  f"is given twice, the second time as {key!r}")
+        given[mask] = parts_of(raw)
+    if repeated:
+        raise ValidationError("duplicate ground element")
+    full = (1 << len(ground)) - 1
+    count = len(given) + len({0, full} - given.keys())
+    if count != full + 1:
+        raise ValidationError(
+            f"set function must be total: expected {full + 1} subsets, got {count}")
+    L = lcm(*[den for _, den in given.values()])
+    upper = [0] * (full + 1)
+    upper[full] = L if full else 0
+    for mask, (num, den) in given.items():
+        if mask > full or not 0 <= num <= den:
+            X = sorted(_unmask(names, (mask,))[0])
+            if mask > full:
+                raise ValidationError(f"subset {X} not within the ground set")
+            raise ValidationError(f"value {Fraction(num, den)} at {X} outside [0,1]")
+        upper[mask] = num * (L // den)
+    return _lowest(upper, L)
+
+
+def _lowest(upper: list[int], L: int) -> tuple[list[int], int]:
+    """upper / L over the least common denominator of its values."""
+    g = gcd(L, *upper)
+    if g > 1:
+        return [u // g for u in upper], L // g
+    return upper, L
 
 
 def mask_tables(
@@ -259,10 +347,16 @@ def mask_tables(
 
 def set_function_of(M: UpperProbStructure) -> SetFunction:
     """The upper envelope of M's measures, as a total set function."""
-    ground, upper, _, L = mask_tables(M)
-    masks = subset_masks(len(ground))
-    return SetFunction(M.worlds, {X: Fraction(upper[m], L)
-                                  for X, m in zip(_unmask(ground, masks), masks)})
+    _, upper, _, L = mask_tables(M)
+    return _set_function(M.worlds, *_lowest(upper, L))
+
+
+def _set_function(ground: tuple[str, ...], upper: list[int], L: int) -> SetFunction:
+    """The set function with the table upper over L, in lowest terms, which
+    the caller has checked."""
+    v = object.__new__(SetFunction)
+    Record.__init__(v, ground, upper, L)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +465,23 @@ def _subset_key(X: frozenset) -> str:
     return ",".join(sorted(X))
 
 
+def _key_names(key: str) -> list[str]:
+    """The elements a subset key names: its comma-separated parts, empty
+    ones dropped."""
+    names = key.split(",")
+    return [e for e in names if e] if "" in names else names
+
+
 def load_set_function(data: Union[bytes, str]) -> SetFunction:
+    """The set function of a document, read in one pass over its keys into
+    its integer table (_table checks it)."""
     doc = _load_json(data, "set-function")
     ground = _strings(_field(doc, "omega", list, "set-function"), "'omega'")
     for g in ground:  # a subset key is its elements joined by commas
         if not g or "," in g:
             raise ValidationError(f"omega entry {g!r} cannot appear in a subset key")
-    values = {}
-    for key, val in _field(doc, "v", dict, "set-function").items():
-        names = [e for e in key.split(",") if e]
-        elems = frozenset(names)
-        if len(elems) != len(names):
-            raise ValidationError(f"subset key {key!r} names an element twice")
-        if elems in values:
-            raise ValidationError(f"subset {{{_subset_key(elems)}}} is given twice, "
-                                  f"the second time as {key!r}")
-        values[elems] = parse_rational(val)
-    return SetFunction(ground=ground, values=values)
+    items = _field(doc, "v", dict, "set-function").items()
+    return _set_function(ground, *_table(ground, items, _key_names, _rational_parts))
 
 
 def save_set_function(v: SetFunction) -> str:

@@ -23,6 +23,7 @@ from uplogic.parser import (
     MAX_NESTING,
     ParseError,
     _levels,
+    _Parser,
     _tokenize,
     parse_likelihood,
     parse_prop,
@@ -281,3 +282,59 @@ def test_at_most_two_levels_per_token(text):
     # the parser checks the tree's depth only on texts long enough to
     # exceed MAX_NESTING at two levels per token
     assert _levels(parse_likelihood(text)) <= 2 * len(_tokenize(text))
+
+
+# Texts whose left sides of "->" are Ors over Ands: an implication puts them
+# under an Or and a Not of its own, the most levels per open level.
+_dense_texts = st.recursive(
+    st.sampled_from(["p", "q", "true"]),
+    lambda inner: st.one_of(
+        inner.map(lambda x: "!" + x),
+        inner.map(lambda x: f"({x})"),
+        st.tuples(inner, inner, inner).map(lambda t: f"{t[0]} & {t[1]} | {t[2]}"),
+        st.tuples(inner, inner).map(lambda t: f"{t[0]} -> {t[1]}"),
+    ),
+    max_leaves=16,
+)
+
+
+def _levels_and_deepest(text, rule):
+    """The levels of text's tree, and the most levels its parse had open."""
+    p = _Parser(text)
+    tree = rule(p)
+    p.done()
+    return _levels(tree), p.deepest
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    lforms().map(lambda f: (print_formula(f), _Parser.lform)),
+    _dense_texts.map(lambda x: (f"l({x}) >= 0 | ~(l(p) <= 1 & l({x}) > 0)", _Parser.lform)),
+    _dense_texts.map(lambda x: (f"l({x}) - 2 l(p)", _Parser.term)),
+    _dense_texts.map(lambda x: (x, _Parser.prop)),
+))
+def test_levels_within_four_per_open_level(case):
+    # the bound by which _parse skips its walk of the tree
+    levels, deepest = _levels_and_deepest(*case)
+    assert levels <= 4 * deepest + 2
+
+
+def _arrow_tower(k):
+    """l(((p) & q | q -> q) & q | q -> q ...) with k arrows: each group puts
+    an Or, a Not, an Or and an And above the next."""
+    arg = "p"
+    for _ in range(k):
+        arg = f"({arg}) & q | q -> q"
+    return f"l({arg}) >= 0"
+
+
+def test_four_levels_per_open_level_are_reached():
+    # random formulas stay within 3 D + 1 levels, but the bound is 4 D + 2
+    for k in (5, 20, 49):
+        levels, deepest = _levels_and_deepest(_arrow_tower(k), _Parser.lform)
+        assert 3 * deepest + 1 < levels <= 4 * deepest + 2
+    parse_likelihood(_arrow_tower(49))
+    with pytest.raises(ParseError) as err:  # past MAX_NESTING levels, with D = 51
+        parse_likelihood(_arrow_tower(50))
+    assert (err.value.expected, err.value.found) == (
+        f"at most {MAX_NESTING} levels of nesting", f"{MAX_NESTING + 1}")

@@ -1,11 +1,14 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uplogic import errors
+from uplogic import cli, errors
 from uplogic.errors import InputError, ResourceError, ValidationError
 from uplogic.structure import (
     SetFunction,
@@ -200,3 +203,80 @@ class TestSetFunction:
         doc["v"][key] = "1/2"
         with pytest.raises(ValidationError, match=message):
             load_set_function(json.dumps(doc))
+
+
+_FULL_DOC = {"omega": ["a", "b"], "v": {"": "0", "a": "1/2", "b": "1/2", "a,b": "1"}}
+_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+def _with(omega=None, drop=(), **values):
+    """_FULL_DOC with another omega, the keys in drop left out, and the
+    values given as keyword arguments (the key "a_b" stands for "a,b")."""
+    doc = {"omega": omega or _FULL_DOC["omega"],
+           "v": {k: x for k, x in _FULL_DOC["v"].items() if k not in drop}}
+    doc["v"].update({k.replace("_", ","): x for k, x in values.items()})
+    return json.dumps(doc)
+
+
+class TestSetFunctionReader:
+    """Each document below has one fault, and the reader names it."""
+
+    @pytest.mark.parametrize("text, message", [
+        (_with(drop=("b",), c="1/2"), "subset ['c'] not within the ground set"),
+        (_with(drop=("a",), a_a="1/2"), "subset key 'a,a' names an element twice"),
+        (_with(b_a="1"), "subset {a,b} is given twice, the second time as 'b,a'"),
+        (_with(drop=("b",)), "set function must be total: expected 4 subsets, got 3"),
+        (_with(a="3/2"), "value 3/2 at ['a'] outside [0,1]"),
+        (_with(a="-2/4"), "value -1/2 at ['a'] outside [0,1]"),
+        (_with(a=0.5), "not a rational: 0.5 (floats are not accepted)"),
+        (_with(a="0.5"), "not a rational: '0.5'"),
+        (_with(a="1/0"), "not a rational: '1/0'"),
+        (_with(a=True), "not a rational: True"),
+        (_with(a=_LONG), f"not a rational: '{_LONG}'"),
+        (_with(omega=["a", ""]), "omega entry '' cannot appear in a subset key"),
+        (_with(omega=["a", "b,c"]), "omega entry 'b,c' cannot appear in a subset key"),
+        (_with(omega=["a", "b", "a"]), "duplicate ground element"),
+    ])
+    def test_single_fault_messages(self, text, message):
+        with pytest.raises(ValidationError) as err:
+            load_set_function(text)
+        assert str(err.value) == message
+
+    def test_defaults_and_lowest_terms(self):
+        v = load_set_function('{"omega": ["a", "b"], "v": {"a": "2/4", ",b,": 1}}')
+        assert (v.upper, v.denominator) == ([0, 1, 2, 2], 2)
+        assert v == SetFunction(("a", "b"), {frozenset("a"): F(1, 2), frozenset("b"): F(1)})
+        assert load_set_function('{"omega": [], "v": {}}').values == {frozenset(): 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_read_back_and_table(self, data):
+        n = data.draw(st.integers(0, 5))
+        ground = tuple(data.draw(st.permutations("abcde")))[:n]
+        subsets = [frozenset(g for i, g in enumerate(ground) if m >> i & 1)
+                   for m in range(1 << n)]
+        values = {X: F(data.draw(st.integers(0, 6)), 6) for X in subsets}
+        v = SetFunction(ground, values)
+        again = load_set_function(save_set_function(v))
+        assert again == v and hash(again) == hash(v) and again.values == values
+        assert mask_tables(again) == mask_tables(v)
+        # keys in any order, elements of a key in any order, values not in
+        # lowest terms: the same table
+        masks = data.draw(st.permutations(range(1 << n)))
+        scale = data.draw(st.integers(1, 4))
+        doc = {"omega": list(ground), "v": {}}
+        for m in masks:
+            X = [g for i, g in enumerate(ground) if m >> i & 1]
+            x = values[frozenset(X)]
+            doc["v"][",".join(data.draw(st.permutations(X)))] = (
+                f"{x.numerator * scale}/{x.denominator * scale}")
+        assert mask_tables(load_set_function(json.dumps(doc))) == mask_tables(v)
+
+    def test_a_long_omega_is_refused_before_its_table(self, tmp_path, capsys):
+        # 2^40 subsets: the count is checked before any table is built
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"omega": [f"e{i}" for i in range(40)],
+                                    "v": {"": "0", "e0": "1/2", "e1": "1/2"}}))
+        assert cli.main(["envelope", "--function", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: set function must be total: expected 1099511627776 subsets, got 4\n")
