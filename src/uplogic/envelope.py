@@ -27,14 +27,15 @@ with lam free and y, s >= 0.  It runs on lp's revised simplex (lp.Basis,
 the solve, ratio test, pivot and switch to Bland's rule of every LP in
 this package), which keeps only the inverse of the n basic columns; this
 module only prices, every y_X in one pass over v's integer table
-(structure.mask_tables: V over the denominator L).  With the duals
-P / (L D), y_X's reduced cost is (V[X] D - P(X)) / (L D), where P(X) is a
-subset sum of P (structure.subset_sums), and s_g's is P[g] / (L D).  lam
-has the column of the ground set and is free, so it never leaves the
-basis.  The start basis, lam at the row of the first element of A and
-s_g at every other row, is feasible, so there is no phase 1.  An entering
-column that no row bounds makes the dual unbounded: the polytope is
-empty.
+(structure.mask_tables: V over the denominator L), and hands Basis.run
+the list of every column's reduced cost, of which it enters the best.
+With the duals P / (L D), y_X's reduced cost is (V[X] D - P(X)) / (L D),
+where P(X) is a subset sum of P (structure.subset_sums), and s_g's is
+P[g] / (L D).  lam has the column of the ground set and is free, so it
+never leaves the basis.  The start basis, lam at the row of the first
+element of A and s_g at every other row, is feasible, so there is no
+phase 1.  An entering column that no row bounds makes the dual
+unbounded: the polytope is empty.
 
 The optimal duals are the witness measure mu.  Two exact checks in
 integers certify the optimum: mu is nonnegative, has total 1 and is at
@@ -57,7 +58,6 @@ from .errors import InputError, InternalCheckError
 from .record import Record
 from .structure import (
     SetFunction,
-    _mask,
     _unmask,
     mask_tables,
     subset_masks,
@@ -84,15 +84,9 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     its mask (bit i for v.ground[i])."""
     ground, V, _, L = mask_tables(v)
     n, full = len(ground), len(V) - 1
-    if isinstance(A, int):
-        if not 0 <= A <= full:
-            raise InputError(f"subset mask {A} not within the ground set")
-        a = A
-    else:
-        A = frozenset(A)
-        if not A <= frozenset(ground):
-            raise InputError(f"subset {sorted(A)} not within the ground set")
-        a = _mask(ground, A)
+    a = A if isinstance(A, int) else v.mask(A)
+    if not 0 <= a <= full:  # only a mask can be out of range
+        raise InputError(f"subset mask {A} not within the ground set")
     if not n:
         raise InputError(_EMPTY)
     # column j is y_X for j = X < full, lam for j = full, s_g for
@@ -108,13 +102,12 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
                      [({g0: 1}, 1, b0, 0) if g == g0 else
                       ({g0: 1, g: -1}, 1, b0 - (a >> g & 1), 0) for g in range(n)], len(C))
 
-    def price(Y: dict, D: int) -> dict:
+    def price(Y: dict, D: int) -> list:
         # each reduced cost over L D is C[j] D minus P on column j, which is
         # P(X) for y_X and lam, and -P[g] for s_g, with the duals P = -Y;
-        # the columns where it is negative improve the objective -C
+        # negated, as the simplex maximizes the objective -C
         P = [-Y.get(g, 0) for g in range(n)]
-        N = [p - c * D for c, p in zip(C, subset_sums(P) + [-p for p in P])]
-        return {j: x for j, x in enumerate(N) if x > 0}
+        return [p - c * D for c, p in zip(C, subset_sums(P) + [-p for p in P])]
 
     out = basis.run({full: -L}, price, lambda j: _column(j, n, full), free=full)
     if out is None:

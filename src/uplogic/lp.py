@@ -19,15 +19,17 @@ row index to nonzero Python int over one positive denominator, in lowest
 terms, and carries row i of B^-1 b, the i-th basic column's value, at the
 keys RHS and DLT (below).  The caller prices its own columns from the
 duals y = c_B B^-1, built once per run and then updated with the new
-pivot row at each pivot.  A pivot on u = B^-1 a, a the entering column,
-divides row r by u_r, which only sets its denominator to u_r's numerator,
-and every other row with u_i != 0 becomes num*P - F*p over den*P (P the
-new row r's denominator, p its entries, F u_i's numerator), divided by
-the gcd of its entries and denominator, in the style of Bareiss
-elimination; the rows with u_i = 0 are not touched.  Dantzig's rule
-leaves for Bland's after bland_after pivots; ties go to the lowest
-column and, in the ratio test, to the lower delta part and then the
-lowest basic column.  Every comparison is exact, so the pivots and
+pivot row at each pivot: it lists c_j - y a_j, times y's denominator,
+at the index j of each column that may enter, and Basis.run enters the
+largest.  A pivot on u = B^-1 a, a the entering column, divides row r by
+u_r, which only sets its denominator to u_r's numerator, and every other
+row with u_i != 0 becomes num*P - F*p over den*P (P the new row r's
+denominator, p its entries, F u_i's numerator), divided by the gcd of
+its entries and denominator, in the style of Bareiss elimination; the
+rows with u_i = 0 are not touched.  Dantzig's rule leaves for Bland's,
+the lowest improving column, after bland_after pivots; ties go to the
+lowest column and, in the ratio test, to the lower delta part and then
+the lowest basic column.  Every comparison is exact, so the pivots and
 points are those of the dense tableau B^-1 A of Fractions.
 
 A system's LP (_SystemLP) reads its columns off the system's rows and
@@ -37,9 +39,12 @@ right-hand side (below) is <= 0: its starting row of B^-1 is then {i: -1}
 over den, the row negated to -a.x <= -b, so a homogeneous row a.x >= 0
 costs no phase-1 work.  Every other row starts on an artificial column
 that phase 1 drives to zero, the single entry den, or -den for an
-equality with b < 0.  After phase 1 each basic artificial is pivoted out
-on the lowest other column nonzero in its row of B^-1 A; a row with none
-is redundant, and its artificial stays basic at zero, since its u_i is 0
+equality with b < 0.  One product y A, row by row over the rows where
+y is nonzero, serves pricing (y the duals) and, after phase 1, the
+eviction of each basic artificial (y its row of B^-1): it is pivoted out
+on the lowest non-artificial column nonzero in its row of B^-1 A, a
+structural one, else the slack of the lowest row in it; a row with none is
+redundant, and its artificial stays basic at zero, since its u_i is 0
 for every entering column.  A system's basis after phase 1 is built once
 and cached on it: feasible reads its point off it, and each optimize
 runs on a copy, so a minimum and a maximum, or the many objectives of one
@@ -284,28 +289,28 @@ class Basis:
                     r, rb, ra = i, b, a
         return r
 
-    def run(self, cost: Mapping[int, int], price: Callable[[dict, int], dict],
+    def run(self, cost: Mapping[int, int], price: Callable[[dict, int], list],
             column: Callable[[int], Mapping[int, int]], free: int = -1
             ) -> Optional[tuple[dict, int]]:
         """Maximize an objective; returns its duals (duals()) at the
         optimum, or None when it is unbounded.
 
         cost holds the int cost of every column basic at the start, from
-        which the duals are built once.  price(Y, yden) gives
-        c_j yden - Y a_j, the reduced cost times yden, of a set of columns
-        j holding every improving one (> 0); column(j) gives column j.  The
-        column free is unbounded below, so it never leaves the basis."""
+        which the duals are built once.  price(Y, yden) lists c_j yden -
+        Y a_j, the reduced cost times yden, at the index j of each column
+        that may enter; column(j) gives column j.  The column free is
+        unbounded below, so it never leaves the basis."""
         Y, den = self.duals(cost)
         pivots = 0
         while True:
             N = price(Y, den)
-            best = max(N.values(), default=0)
+            best = max(N, default=0)
             if best <= 0:
                 return Y, den
             if pivots >= self.dantzig:  # Bland's rule: the lowest improving column
-                e = min(j for j, d in N.items() if d > 0)
+                e = next(j for j, d in enumerate(N) if d > 0)
             else:  # Dantzig's: the largest reduced cost, then the lowest column
-                e = min(j for j, d in N.items() if d == best)
+                e = N.index(best)
             u = self.solve(column(e))
             r = self._leaving(u, free)
             if r < 0:
@@ -373,27 +378,31 @@ class _SystemLP:
             return {g: c.coeffs[j] for g, c in enumerate(self.rows) if j in c.coeffs}
         return dict([self.units[j - self.n]])
 
+    def minus_yA(self, Y: Mapping[int, int], out: list) -> list:
+        """out, less yA in place over its columns 0..len(out)-1: y is Y
+        but for RHS and DLT, read row by row over the rows where it is nonzero."""
+        for g, y in Y.items():
+            if g >= 0:
+                for j, a in self.rows[g].coeffs.items():
+                    out[j] -= y * a
+        for j, (g, a) in enumerate(self.units[:len(out) - self.n], self.n):
+            y = Y.get(g)
+            if y:
+                out[j] -= y * a
+        return out
+
     def maximize(self, basis: Basis, cost: dict[int, int],
                  artificial: bool = False) -> tuple[dict, int]:
-        """basis.run on the int costs cost, pricing the artificial columns
-        only in phase 1 (artificial); raises InternalCheckError when the
-        objective is unbounded."""
-        rows, n = self.rows, self.n
-        units = self.units if artificial else self.units[:self.first_art - n]
+        """basis.run on the int costs cost, pricing the columns below
+        first_art, and in phase 1 (artificial) the artificial ones too;
+        raises InternalCheckError when the objective is unbounded."""
+        m = self.total if artificial else self.first_art
 
-        def price(Y: dict, den: int) -> dict:
-            # c_j den - Y a_j, row by row over the rows where y is nonzero
-            N = {j: c * den for j, c in cost.items()}
-            get = N.get
-            for g, y in Y.items():
-                if g >= 0:
-                    for j, a in rows[g].coeffs.items():
-                        N[j] = get(j, 0) - y * a
-            for j, (g, a) in enumerate(units, n):
-                y = Y.get(g)
-                if y:
-                    N[j] = get(j, 0) - y * a
-            return N
+        def price(Y: dict, den: int) -> list:
+            N = [0] * m
+            for j, c in cost.items():
+                N[j] = c * den
+            return self.minus_yA(Y, N)
 
         out = basis.run(cost, price, self.column)
         if out is None:
@@ -413,21 +422,14 @@ class _SystemLP:
         return True
 
     def _evict_artificials(self) -> None:
-        basis, n = self.basis, self.n
+        basis = self.basis
         redundant = 0
         for i, b in enumerate(basis.cols):
             if b >= self.first_art:
-                # the lowest other column nonzero in row i of B^-1 A: a
-                # structural one, else the slack of the lowest row in it
-                inv, T = basis.rows[i], {}
-                for g, y in inv.items():
-                    if g >= 0:
-                        for j, a in self.rows[g].coeffs.items():
-                            T[j] = T.get(j, 0) + y * a
-                e = min((j for j, x in T.items() if x), default=-1)
-                if e < 0:
-                    e = next((j for j, (g, _) in enumerate(self.units[:self.first_art - n], n)
-                              if g in inv), -1)
+                # the lowest non-artificial column nonzero in row i of B^-1 A:
+                # a structural one, else the slack of the lowest row in it
+                T = self.minus_yA(basis.rows[i], [0] * self.first_art)
+                e = next((j for j, x in enumerate(T) if x), -1)
                 if e >= 0:
                     basis.pivot(i, e, basis.solve(self.column(e)))
                 else:

@@ -212,12 +212,15 @@ class SetFunction(Record):
         return hash((self.ground, tuple(self.upper), self.denominator))
 
     def __call__(self, X: Iterable[str]) -> Fraction:
+        return Fraction(self.upper[self.mask(X)], self.denominator)
+
+    def mask(self, X: Iterable[str]) -> int:
+        """The mask of the subset X of the ground set: bit i for ground[i]."""
         X = frozenset(X)
         try:
-            mask = sum(self._bits[g] for g in X)
+            return sum(self._bits[g] for g in X)
         except KeyError:
             raise InputError(f"subset {sorted(X)} not within the ground set") from None
-        return Fraction(self.upper[mask], self.denominator)
 
     @cached_property
     def _bits(self) -> dict[str, int]:

@@ -47,8 +47,16 @@ class TestDominatedMax:
         assert sum(measure.values()) == 1
 
     def test_outside_ground(self, table_upper):
-        with pytest.raises(InputError):
-            dominated_max(table_upper, {"zzz"})
+        # v(X) and dominated_max read a subset through one path, with one
+        # message; a mask is checked against the table
+        for ask in (table_upper, lambda X: dominated_max(table_upper, X)):
+            with pytest.raises(InputError,
+                               match=r"^subset \['a', 'zzz'\] not within the ground set$"):
+                ask(["zzz", "a"])
+        for mask in (-1, 16):
+            with pytest.raises(InputError, match=f"^subset mask {mask} not within the ground"):
+                dominated_max(table_upper, mask)
+        assert table_upper.mask(["c", "a"]) == 0b101
 
     def test_empty_polytope(self):
         v = SetFunction(("1", "2"), {

@@ -129,6 +129,14 @@ class TestOptimize:
         out = optimize(sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(0))]), X, MAX)
         assert out.verdict is Verdict.INFEASIBLE
 
+    def test_no_column_may_enter(self):
+        # no columns, and no rows or one row 0 = 0 whose artificial stays
+        # basic: the list of reduced costs to price is empty
+        for rows in ([], [Constraint({}, EQ, 0, 1)]):
+            out = optimize(make_system(0, rows), ({}, 1), MAX)
+            assert (out.verdict, out.value, out.point, out.attained) == (
+                Verdict.OPTIMAL, 0, [], True)
+
 
 class TestEquality:
     """An = row is one row of the system, beside weak and strict rows."""
@@ -251,6 +259,17 @@ def random_bounded_system(rng, nvars):
 
 
 def test_oracle_agreement_200_random_systems():
+    _oracle_agreement_200_random_systems()
+
+
+def test_oracle_agreement_on_blands_rule_alone(monkeypatch):
+    # Bland's rule from the first pivot; it otherwise takes over only after
+    # 20 (m + n + 10) pivots, which no system here reaches
+    monkeypatch.setattr(lp, "bland_after", lambda rows, columns: 0)
+    _oracle_agreement_200_random_systems()
+
+
+def _oracle_agreement_200_random_systems():
     rng = random.Random(2025)
     checked = 0
     while checked < 200:
@@ -284,6 +303,36 @@ def test_optimum_dominates_sampled_feasible_points():
                 for coeffs, _, b in constraints
             ):
                 assert sum(c * x for c, x in zip(obj, point)) <= out.value
+
+
+# ---------------------------------------------------------------------------
+# The entering column.  The pricer lists c_j yden - Y a_j for each column j
+# that may enter; Dantzig's rule enters the largest, the lowest column among
+# tied maxima, and Bland's rule the lowest column > 0.
+
+
+def _entering(dantzig):
+    """The columns Basis.run asks for when the pricer lists [0, 3, 5, 5, 1],
+    after dantzig pivots on Dantzig's rule; the column it is given is
+    bounded by no row, so the run stops, unbounded, after one choice."""
+    basis = lp.Basis([0], [({0: 1}, 1, 0, 0)], 5)
+    basis.dantzig = dantzig
+    asked = []
+
+    def column(j):
+        asked.append(j)
+        return {}
+
+    assert basis.run({}, lambda Y, den: [0, 3, 5, 5, 1], column) is None
+    return asked
+
+
+def test_dantzig_enters_the_lowest_of_the_tied_maxima():
+    assert _entering(1) == [2]
+
+
+def test_bland_enters_the_lowest_improving_column():
+    assert _entering(0) == [1]
 
 
 # ---------------------------------------------------------------------------
