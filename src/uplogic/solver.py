@@ -46,8 +46,14 @@ columns as lp takes it: entries +-1 over 1 for measure and dominance
 rows, and for a literal its numerators over the lcm of its denominators
 (the integers that chose c0), since a row's slack column has the row's
 denominator as its entry (lp) and a rescaled row would steer Dantzig's
-rule elsewhere.  Every SAT answer is re-checked by the model checker before
-being returned.
+rule elsewhere.
+
+A model lists only the worlds where some measure puts mass, and each
+distinct measure once.  Neither changes an upper probability, and both
+keep it small: the simplex stops at a basic point, whose nonzero columns
+are at most the LP's rows, so the worlds are at most its rows plus c0's
+representative (the small-model property).  Every SAT answer, in exactly
+the form it is returned, is re-checked by the model checker.
 """
 
 from __future__ import annotations
@@ -115,17 +121,20 @@ class BoundsResult(Record):
 class _Worlds:
     """The atom worlds of a formula's proposition set: world i is atom i of
     atom_columns(props), and each proposition has a column of the worlds
-    where it is true."""
+    where it is true.  World i's id, w followed by i's n bits, is made
+    only for the worlds a model keeps."""
 
     def __init__(self, props: Sequence[str]):
         self.props = tuple(props)
-        n = len(props)
-        self.ids = tuple("w" + format(i, f"0{n}b") for i in range(1 << n))
+        self.count = 1 << len(props)
         self.columns = atom_columns(props)
-        self.full = (1 << len(self.ids)) - 1
+        self.full = (1 << self.count) - 1
 
     def extension_mask(self, phi) -> int:
         return extension_mask(phi, self.columns, self.full)
+
+    def id(self, w: int) -> str:
+        return "w" + format(w, f"0{len(self.props)}b")
 
 
 ONE = Fraction(1)
@@ -142,7 +151,6 @@ class _DisjunctLP:
     column indices, over the lcm of the row's denominators."""
 
     def __init__(self, worlds: _Worlds, basics: Sequence[Basic], extra_args=()):
-        self.worlds = worlds
         mask_of: dict[int, int] = {}  # extension mask -> measure index
         cache = self._arg_cache = {}  # argument -> measure index
 
@@ -163,7 +171,7 @@ class _DisjunctLP:
         # merge worlds by membership signature across all argument extensions
         sig_of: dict[tuple, int] = {}
         self.class_rep: list[int] = []
-        for w in range(len(worlds.ids)):
+        for w in range(worlds.count):
             sig = tuple([(m >> w) & 1 for m in masks])
             if sig not in sig_of:
                 sig_of[sig] = len(self.class_rep)
@@ -226,13 +234,19 @@ class _DisjunctLP:
         row, bound, den = self._row(*_integer_literal(parts, Fraction(0)))
         return (row, den), Fraction(-bound, den)
 
-    def measures(self, point: Sequence[Fraction]) -> list[dict]:
-        ids, reps, width, c0 = self.worlds.ids, self.class_rep, self._width, self.c0
+    def measures(self, point: Sequence[Fraction]) -> list[dict[int, Fraction]]:
+        """Each measure at point as its nonzero masses, world -> mass in
+        world order: column k's class is k, or k + 1 from c0 on, and c0's
+        representative gets the mass the others leave."""
+        reps, width, c0 = self.class_rep, self._width, self.c0
         out = []
         for i in range(len(self._in0)):
             block = point[i * width:(i + 1) * width]
-            mass = block[:c0] + [ONE - sum(block)] + block[c0:]
-            out.append({ids[reps[c]]: x for c, x in enumerate(mass) if x})
+            mass = {c + (c >= c0): x for c, x in enumerate(block) if x}
+            rest = ONE - sum(mass.values())
+            if rest:
+                mass[c0] = rest
+            out.append({reps[c]: mass[c] for c in sorted(mass)})
         return out
 
 
@@ -318,21 +332,29 @@ def _disjuncts(
             yield [b for part in parts for b in part]
 
 
-def _structure_from(worlds: _Worlds, measures: list[dict]) -> UpperProbStructure:
+def _structure_from(worlds: _Worlds, measures: list[dict[int, Fraction]]) -> UpperProbStructure:
+    """The structure of the measures' supports: equal measures merged, in
+    order of first appearance, over the worlds where some measure puts
+    mass, in world order.  Neither changes any upper probability: a max
+    over a set ignores repeats, and a world outside every support adds 0
+    to every measure's mass on every extension."""
+    distinct = list(dict.fromkeys(tuple(mu.items()) for mu in measures))
+    ids = {w: worlds.id(w) for w in sorted({w for mu in distinct for w, _ in mu})}
+    columns = worlds.columns.items()
     return UpperProbStructure(
         props=worlds.props,
-        worlds=worlds.ids,
-        assignment={w: {p: bool(col >> i & 1) for p, col in worlds.columns.items()}
-                    for i, w in enumerate(worlds.ids)},
-        measures=tuple(measures),
+        worlds=tuple(ids.values()),
+        assignment={i: {p: bool(col >> w & 1) for p, col in columns} for w, i in ids.items()},
+        measures=tuple({ids[w]: x for w, x in mu} for mu in distinct),
     )
 
 
 def sat(f: LikelihoodFormula) -> SatResult:
     """SAT with a verified witness structure, or UNSAT.
 
-    The model, when present, has exactly the formula's atom worlds and one
-    measure per distinct likelihood argument of the satisfied disjunct.
+    The model, when present, has the atom worlds where some measure puts
+    mass, and at most one measure per distinct likelihood argument of the
+    satisfied disjunct, equal measures merged.
     """
     worlds, g = _prepare(f)
     stats = {"disjuncts": _count(g), "lp_sizes": []}

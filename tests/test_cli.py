@@ -206,6 +206,25 @@ class TestSatValid:
         doc = json.loads(out)
         assert doc["verdict"] == "INVALID" and "countermodel" in doc
 
+    SMALL = "l(p) >= 1/3 & l(q) >= 1/3 & l(p & q) = 0 & l(p | q) <= 2/3"
+
+    def test_printed_model_is_the_file_and_checks(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        code, out, _ = run(capsys, "--json", "sat", "--formula", self.SMALL,
+                           "--model-out", str(path))
+        assert code == 0
+        assert json.loads(path.read_text()) == json.loads(out)["model"]
+        code, out, _ = run(capsys, "check", "--model", str(path), "--formula", self.SMALL)
+        assert code == 0 and out.startswith("true\n")
+
+    def test_countermodel_file_refutes_the_formula(self, capsys, tmp_path):
+        path = tmp_path / "counter.json"
+        f = "l(p) + l(q) - l(p | q) >= 1/2"
+        code, _, _ = run(capsys, "valid", "--formula", f, "--counter-out", str(path))
+        assert code == 1
+        code, out, _ = run(capsys, "check", "--model", str(path), "--formula", f)
+        assert code == 1 and out.startswith("false\n")
+
 
 class TestBounds:
     def test_interval_format(self, capsys):

@@ -45,8 +45,10 @@ class TestSat:
         f = parse_likelihood("l(p) >= 1/3 & l(q) >= 1/3 & l(p & q) = 0")
         res = sat(f)
         assert res.verdict is SatVerdict.SAT
-        assert len(res.model.worlds) <= 4  # at most 2^N atom worlds
-        assert len(res.model.measures) <= 3  # one per distinct argument
+        # the worlds that carry mass, of the 2^N atom worlds, and at most
+        # one measure per distinct argument, equal measures merged
+        assert len(res.model.worlds) <= 4
+        assert len(res.model.measures) <= 3
         assert evaluate(res.model, f)
 
     def test_disjunction_picks_feasible_branch(self):
@@ -323,6 +325,62 @@ class TestRepeatedConjuncts:
         assert a.model == b.model and a.stats["lp_sizes"] == b.stats["lp_sizes"]
 
 
+def _deciding_disjunct(f):
+    """The worlds of f and the first disjunct of its walk whose witness LP
+    is feasible: the one sat decides on."""
+    worlds, g = solver._prepare(f)
+    for basics in solver._disjuncts(worlds, g, []):
+        if _feasible(solver._DisjunctLP(worlds, basics).system):
+            return worlds, basics
+
+
+class TestSmallModels:
+    """A model keeps the worlds where some measure puts mass and each
+    distinct measure once, so its size is the paper's small-model bound as
+    the simplex gives it: a basic point has at most as many nonzero
+    columns as its LP has rows, and the pivot class's representative adds
+    one world."""
+
+    def test_every_model_is_small(self):
+        seen = collections.Counter()
+        for f in _random_suite_formulas():
+            res = sat(f)
+            if res.verdict is not SatVerdict.SAT:
+                continue
+            M = res.model
+            worlds, basics = _deciding_disjunct(f)
+            # each world is the atom its id names, listed in atom order
+            assert list(M.worlds) == sorted(M.worlds)
+            for w in M.worlds:
+                assert M.assignment[w] == {p: w[1 + k] == "1" for k, p in enumerate(M.props)}
+            # every world carries mass in some measure
+            assert set(M.worlds) == {w for mu in M.measures for w, x in mu.items() if x}
+            # no two measures are equal
+            assert len(set(map(frozenset, (mu.items() for mu in M.measures)))) == len(M.measures)
+            assert M.measure_ids == tuple(f"m{i}" for i in range(len(M.measures)))
+            rows = res.stats["lp_sizes"][-1]["rows"]
+            assert len(M.worlds) <= rows + 1
+            arguments = {worlds.extension_mask(phi) for b in basics for _, phi in b.term.parts}
+            assert len(M.measures) <= len(arguments)
+            assert evaluate(M, f)
+            seen["sat"] += 1
+            seen["merged"] += len(M.measures) < len(arguments)
+            seen["dropped"] += len(M.worlds) < worlds.count
+        assert min(seen.values()) >= 20, seen
+
+    def test_the_ring_at_twelve_is_one_world(self):
+        # l(p_i | p_{i+1}) >= 1/3 around 12 propositions and l(p_0 & ... &
+        # p_11) <= 1/5: a point mass satisfies it, and the model is that one
+        # world of the 4,096
+        ring = " & ".join(f"l(p{i} | p{(i + 1) % 12}) >= 1/3" for i in range(12))
+        f = parse_likelihood(ring + " & l(" + " & ".join(f"p{i}" for i in range(12)) + ") <= 1/5")
+        res = sat(f)
+        assert res.verdict is SatVerdict.SAT
+        assert res.model.worlds == ("w010101010101",)
+        assert res.model.measures == ({"w010101010101": 1},)
+        assert evaluate(res.model, f)
+
+
 class TestBoundsMetamorphic:
     """Each end of bounds(f, t) is checked by sat on f & t compared with it:
     a closed upper end U makes f & t >= U SAT and f & t > U UNSAT; an open
@@ -376,7 +434,7 @@ class _ReferenceLP:
                 self.measure_of[phi] = masks.setdefault(mask, len(masks))
         T = len(masks)
         sigs = list(dict.fromkeys(
-            tuple((m >> w) & 1 for m in masks) for w in range(len(worlds.ids))))
+            tuple((m >> w) & 1 for m in masks) for w in range(worlds.count)))
         C = len(sigs)
         self.names = [[f"x_{i}_{c}" for c in range(C)] for i in range(T)]
         self.inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
@@ -546,7 +604,7 @@ class _FractionDisjunctRows:
                 self.measure_of[phi] = masks.setdefault(mask, len(masks))
         T = len(masks)
         sigs = list(dict.fromkeys(
-            tuple((m >> w) & 1 for m in masks) for w in range(len(worlds.ids))))
+            tuple((m >> w) & 1 for m in masks) for w in range(worlds.count)))
         C = len(sigs)
 
         def value_at(t, c):  # the term at the point mass on class c
@@ -660,7 +718,8 @@ class TestIntegerRows:
 
 # The ring "hard2" on 8 propositions: one disjunct whose LP has 272 rows
 # and 4,064 columns, far wider than the random suites build.  The model and
-# the bounds are pinned: the simplex must reach the same vertex.
+# the bounds are pinned: the simplex must reach the same vertex.  Of the 16
+# measures the LP finds, two are equal and the model lists them once.
 HARD2 = " & ".join(f"l(p{i} & !p{(i + 1) % 8}) >= 1/4 & l(!p{i} & p{(i + 1) % 8}) <= 1/7"
                    for i in range(8))
 HARD2_MODEL = [  # each measure's nonzero masses, world id without its "w"
@@ -679,8 +738,7 @@ HARD2_MODEL = [  # each measure's nonzero masses, world id without its "w"
     "00000000:3/4 00000100:1/7 00001100:3/28",
     "00000000:6/7 00000010:1/7",
     "00000000:3/4 00000010:1/7 00000110:3/28",
-    "00000000:3/4 00000001:1/7 00000011:3/28",
-    "00000000:3/4 00000001:1/7 00000011:3/28",
+    "00000000:3/4 00000001:1/7 00000011:3/28",  # the witness of two arguments
     "00000000:6/7 10000000:1/7",
 ]
 
@@ -691,6 +749,7 @@ def test_the_ring_hard2_on_one_wide_lp():
     assert res.verdict is SatVerdict.SAT
     assert res.stats["lp_sizes"] == [{"variables": 4064, "rows": 272}]
     assert evaluate(res.model, f)
-    assert [" ".join(f"{w[1:]}:{x}" for w, x in mu.items() if x)
+    assert [" ".join(f"{w[1:]}:{x}" for w, x in mu.items())
             for mu in res.model.measures] == HARD2_MODEL
+    assert res.model.worlds == tuple(sorted({w for mu in res.model.measures for w in mu}))
     assert bounds(f, parse_term("l(p0 & p1)")) == solver.BoundsResult(F(3, 28), True, F(1), True)
