@@ -113,11 +113,11 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     if out is None:
         raise InputError(_EMPTY)
     Y, D = out
-    point = basis.values(len(C))
+    pden, nums = basis.values(len(C))
     # the duals and the dual point over one denominator
-    den = lcm(D, *[d for _, _, d in point])
+    den = lcm(D, pden)
     P = [-Y.get(g, 0) * (den // D) for g in range(n)]
-    point = [(j, x * (den // d)) for j, x, d in point]
+    point = [(j, x * (den // pden)) for j, x in nums.items()]
     value = _certify(C, full, a, point, den, P)
     return value, {g: Fraction(p, L * den) for g, p in zip(ground, P) if p}
 

@@ -9,8 +9,10 @@ denominator, the lcm of the row's denominators.  The objective is not
 part of the system but an argument of optimize(system, objective,
 direction), a sparse int row over its own denominator, so one system
 serves both a minimum and a maximum.  Feasibility and optimization are
-decided exactly, and each point returned is checked against the system's
-rows, in integers too.
+decided exactly.  A point leaves the simplex only through Basis.values:
+its nonzero basic columns, at most one per row, as numerators over one
+denominator, checked against the system's rows in integers (_check_point)
+before any Fraction is made.
 
 Every LP here, the solver's and envelope.dominated_max's, runs on one
 revised simplex (Chvatal, Linear Programming, 1983), Basis, which keeps
@@ -137,11 +139,11 @@ class Verdict(Enum):
 
 
 class LPOutcome(Record):
-    """point: the value of each column."""
+    """point: column -> value, the nonzero columns only (Basis.values)."""
 
     __slots__ = ("verdict", "point", "value", "attained")
 
-    def __init__(self, verdict: Verdict, point: Optional[list[Fraction]] = None,
+    def __init__(self, verdict: Verdict, point: Optional[dict[int, Fraction]] = None,
                  value: Optional[Fraction] = None, attained: bool = True):
         super().__init__(verdict, point, value, attained)
 
@@ -165,8 +167,6 @@ def make_system(n: int, constraints: Iterable[Constraint]) -> LinearSystem:
 
 RHS = -1  # the key of a right-hand side's real part
 DLT = -2  # and of its delta part, the coefficient of an infinitesimal delta > 0
-
-_ZERO = Fraction(0)
 
 
 def _reduce(row: dict, den: int) -> tuple[dict, int]:
@@ -320,10 +320,11 @@ class Basis:
             Y, den = _reduce(_axpy(Y, piv, -N[e], nz), den * piv)
             pivots += 1
 
-    def values(self, n: int) -> list[tuple[int, int, int]]:
-        """(column, num, den) for each basic column below n, its value
-        num / den at delta = eps = en / ed, the largest eps <= 1 that keeps
-        every basic column >= 0."""
+    def values(self, n: int) -> tuple[int, dict[int, int]]:
+        """The point (den, nums): basic column j below n is nums[j] / den at
+        delta = eps = en / ed, the largest eps <= 1 that keeps every basic
+        column >= 0; zero values are left out, and den > 0 is one common
+        denominator, in lowest terms."""
         en, ed = 1, 1
         for row in self.rows:
             k = row.get(DLT, 0)
@@ -331,8 +332,12 @@ class Basis:
                 en, ed = row.get(RHS, 0), -k
         if en <= 0:
             raise InternalCheckError(f"a basic column is negative at every delta > 0: {en}/{ed}")
-        return [(b, row.get(RHS, 0) * ed + en * row.get(DLT, 0), den * ed)
-                for b, row, den in zip(self.cols, self.rows, self.dens) if b < n]
+        # each value (b ed + en k) / (den ed), over the lcm of the dens
+        point = [(j, row.get(RHS, 0) * ed + en * row.get(DLT, 0), den)
+                 for j, row, den in zip(self.cols, self.rows, self.dens) if j < n]
+        L = lcm(*[den for _, x, den in point if x])
+        nums, den = _reduce({j: x * (L // den) for j, x, den in point if x}, L * ed)
+        return den, nums
 
 
 class _SystemLP:
@@ -365,13 +370,6 @@ class _SystemLP:
         self.total = n + len(self.units)
         self.art_cols = set(range(art_at, self.total))
         self.basis = Basis(starts, inverse, self.total)
-
-    def point(self, basis: Basis) -> list[Fraction]:
-        """The value of each column of the system at basis (Basis.values)."""
-        x = [_ZERO] * self.n
-        for j, num, den in basis.values(self.n):
-            x[j] = Fraction(num, den)
-        return x
 
     def column(self, j: int) -> dict[int, int]:
         if j < self.n:
@@ -441,18 +439,20 @@ class _SystemLP:
 _HOLDS = {Relation.EQ: operator.eq, Relation.GE: operator.ge, Relation.GT: operator.gt}
 
 
-def _check_point(sys: LinearSystem, point: Sequence[Fraction]) -> None:
-    """Raise InternalCheckError unless point (the value of each column) is
-    >= 0 and satisfies every row of sys.  Exact in integers: the point is
-    put over its common denominator den once, and a row coeffs.x rel bound,
-    over its own denominator, holds iff coeffs.nums rel bound * den."""
-    den = lcm(*[x.denominator for x in point])
-    nums = [x.numerator * (den // x.denominator) for x in point]
-    for j, x in enumerate(nums):
+def _check_point(sys: LinearSystem, den: int, nums: Mapping[int, int]) -> None:
+    """Raise InternalCheckError unless the point nums / den (Basis.values:
+    column -> numerator over den > 0, a column not named is 0) names only
+    columns of sys, is >= 0 and satisfies every row of sys.  Exact in
+    integers: a row coeffs.x rel bound, over its own denominator, holds
+    iff coeffs.nums rel bound * den."""
+    for j, x in nums.items():
+        if j not in sys.variables:
+            raise InternalCheckError(f"solver returned column {j} outside the system")
         if x < 0:
             raise InternalCheckError(f"solver returned negative column {j}")
-    for c in sys.constraints:
-        lhs = sum([a * nums[j] for j, a in c.coeffs.items()])
+    for c in sys.constraints:  # over the point's columns, at most one per row
+        co = c.coeffs
+        lhs = sum([co[j] * x for j, x in nums.items() if j in co])
         if not _HOLDS[c.rel](lhs, c.bound * den):
             raise InternalCheckError(
                 f"solver returned a point violating {c.coeffs} {c.rel.value} {c.bound}"
@@ -464,9 +464,9 @@ def feasible(sys: LinearSystem) -> LPOutcome:
     sx = sys._phase_one
     if sx is None:
         return LPOutcome(Verdict.INFEASIBLE)
-    point = sx.point(sx.basis)
-    _check_point(sys, point)
-    return LPOutcome(Verdict.FEASIBLE, point=point)
+    den, nums = sx.basis.values(sx.n)
+    _check_point(sys, den, nums)
+    return LPOutcome(Verdict.FEASIBLE, point={j: Fraction(x, den) for j, x in nums.items()})
 
 
 def optimize(
@@ -495,8 +495,10 @@ def optimize(
     value = Fraction(sign * Y.get(RHS, 0), yden * den)
     if DLT in Y:
         return LPOutcome(Verdict.OPTIMAL, point=None, value=value, attained=False)
-    point = sx.point(basis)
-    _check_point(sys, point)
-    if sum((x * point[j] for j, x in coeffs.items()), Fraction(0)) / den != value:
+    pden, nums = basis.values(sx.n)
+    _check_point(sys, pden, nums)
+    at = sum([x * nums.get(j, 0) for j, x in coeffs.items()])  # over den * pden
+    if at * yden != sign * Y.get(RHS, 0) * pden:
         raise InternalCheckError(f"optimum {value} is not the objective at the point returned")
-    return LPOutcome(Verdict.OPTIMAL, point=point, value=value, attained=True)
+    return LPOutcome(Verdict.OPTIMAL, point={j: Fraction(x, pden) for j, x in nums.items()},
+                     value=value, attained=True)

@@ -19,10 +19,12 @@ Grammar (whitespace-insensitive):
 
 "~" negates likelihood formulas, "!" negates propositions.  "->" is
 desugared to "!a | b".  Integers are ASCII digits [0-9]+, and identifiers
-match [A-Za-z_][A-Za-z0-9_]* other than true, false and l.  Each chain of
-"&" or "|" becomes one n-ary node, so "a & (b & c)" parses to the same
-node as "a & b & c" and prints as the latter.  Nesting is bounded by
-MAX_NESTING; a flat chain counts as one level, whatever its length.
+match [A-Za-z_][A-Za-z0-9_]* other than true, false and l.  One loop
+(_Parser.chain) reads the "|" and "&" levels of both kinds of formula,
+and each chain of "&" or "|" becomes one n-ary node, so "a & (b & c)"
+parses to the same node as "a & b & c" and prints as the latter.
+Nesting is bounded by MAX_NESTING; a flat chain counts as one level,
+whatever its length.
 """
 
 from __future__ import annotations
@@ -150,30 +152,31 @@ class _Parser:
         value = Fraction(num, den)
         return -value if neg else value
 
+    def chain(self, operand, conj, disj):
+        """operand ("&" operand)* ("|" operand ("&" operand)*)*, "&" binding
+        tighter than "|": the disj node over the conj nodes of the operands
+        (a one-part node is its part)."""
+        disjuncts = []
+        while True:
+            parts = [operand()]
+            while self.tok == "&":
+                self.advance()
+                parts.append(operand())
+            disjuncts.append(conj(parts))
+            if self.tok != "|":
+                return disj(disjuncts)
+            self.advance()
+
     # -- propositional formulas -------------------------------------------
 
     def prop(self) -> fm.PropFormula:
-        left = self.pdisj()
+        left = self.chain(self.pneg, fm.conj_all, fm.disj_all)
         if self.tok == "->":
             self.descend()
             self.advance()
             left = fm.implies(left, self.prop())
             self.depth -= 1
         return left
-
-    def pdisj(self) -> fm.PropFormula:
-        parts = [self.pconj()]
-        while self.tok == "|":
-            self.advance()
-            parts.append(self.pconj())
-        return fm.disj_all(parts)
-
-    def pconj(self) -> fm.PropFormula:
-        parts = [self.pneg()]
-        while self.tok == "&":
-            self.advance()
-            parts.append(self.pneg())
-        return fm.conj_all(parts)
 
     def pneg(self) -> fm.PropFormula:
         tok = self.tok
@@ -200,18 +203,7 @@ class _Parser:
     # -- likelihood formulas ----------------------------------------------
 
     def lform(self) -> fm.LikelihoodFormula:
-        parts = [self.lconj()]
-        while self.tok == "|":
-            self.advance()
-            parts.append(self.lconj())
-        return fm.ldisj_all(parts)
-
-    def lconj(self) -> fm.LikelihoodFormula:
-        parts = [self.lneg()]
-        while self.tok == "&":
-            self.advance()
-            parts.append(self.lneg())
-        return fm.lconj_all(parts)
+        return self.chain(self.lneg, fm.lconj_all, fm.ldisj_all)
 
     def lneg(self) -> fm.LikelihoodFormula:
         if self.tok == "~":

@@ -62,7 +62,7 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import errors, lp
 from .errors import InternalCheckError, UplogicError
@@ -234,20 +234,21 @@ class _DisjunctLP:
         row, bound, den = self._row(*_integer_literal(parts, Fraction(0)))
         return (row, den), Fraction(-bound, den)
 
-    def measures(self, point: Sequence[Fraction]) -> list[dict[int, Fraction]]:
-        """Each measure at point as its nonzero masses, world -> mass in
-        world order: column k's class is k, or k + 1 from c0 on, and c0's
-        representative gets the mass the others leave."""
+    def measures(self, point: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
+        """Each measure at point (lp's column -> nonzero value) as its
+        nonzero masses, world -> mass in world order: column j is measure
+        j // width's k-th column, k = j % width, whose class is k, or k + 1
+        from c0 on, and c0's representative gets the mass the others leave."""
         reps, width, c0 = self.class_rep, self._width, self.c0
-        out = []
-        for i in range(len(self._in0)):
-            block = point[i * width:(i + 1) * width]
-            mass = {c + (c >= c0): x for c, x in enumerate(block) if x}
+        masses: list[dict[int, Fraction]] = [{} for _ in self._in0]
+        for j, x in point.items():
+            i, k = divmod(j, width)
+            masses[i][k + (k >= c0)] = x
+        for mass in masses:
             rest = ONE - sum(mass.values())
             if rest:
                 mass[c0] = rest
-            out.append({reps[c]: mass[c] for c in sorted(mass)})
-        return out
+        return [{reps[c]: mass[c] for c in sorted(mass)} for mass in masses]
 
 
 def _integer_literal(parts: list[tuple[int, Fraction]], bound: Fraction):

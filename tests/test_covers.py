@@ -250,6 +250,25 @@ class TestCheckProperties:
         assert check_properties(None, 3)[1] == family
         assert check_properties(None, 4)[1] == family
 
+    def test_pairs_decide_properties_one_and_two(self):
+        # README, "Properties": if every pair passes (1) and (2), so does
+        # every family, by induction on its size; so families of up to four
+        # sets find nothing that pairs miss
+        rng = random.Random(41)
+        sources = [random_set_function(rng, 1 + t % 4) for t in range(300)]
+        sources += [random_structure(rng, max_worlds=4) for _ in range(40)]
+        seen = {"pairs pass": 0, "pairs fail": 0, "another fails": 0}
+        for source in sources:
+            pairs = check_properties(source, 2)
+            if pairs[1] is None and pairs[2] is None:
+                families = check_properties(source, 4)
+                assert families[1] is None and families[2] is None
+                seen["pairs pass"] += 1
+                seen["another fails"] += any(pairs.values())
+            else:
+                seen["pairs fail"] += 1
+        assert min(seen.values()) >= 15, seen
+
     def test_budget_counts_families_and_pairs(self, monkeypatch):
         # 4 elements, 16 sets: 816 families of three, 136 unordered pairs,
         # 256 ordered and 81 disjoint, 1289 in all

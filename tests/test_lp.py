@@ -79,7 +79,7 @@ class TestFeasible:
     def test_unit_interval(self):
         out = feasible(sys1([([F(1)], GE, F(0)), ([F(-1)], GE, F(-1))]))
         assert out.verdict is Verdict.FEASIBLE
-        assert 0 <= out.point[0] <= 1
+        assert 0 <= out.point.get(0, 0) <= 1
 
     def test_contradiction(self):
         out = feasible(sys1([([F(1)], GE, F(1)), ([F(-1)], GE, F(0))]))
@@ -116,7 +116,7 @@ class TestOptimize:
             optimize(sys, objective(["x", "y"], {"x": F(1), "y": F(1)}), MAX)
         # the bounded direction still answers on the same phase-1 basis
         out = optimize(sys, objective(["x", "y"], {"x": F(1), "y": F(1)}), MIN)
-        assert (out.verdict, out.value, out.point) == (Verdict.OPTIMAL, 0, [0, 0])
+        assert (out.verdict, out.value, out.point) == (Verdict.OPTIMAL, 0, {})
 
     def test_minimize(self):
         out = optimize(
@@ -135,7 +135,7 @@ class TestOptimize:
         for rows in ([], [Constraint({}, EQ, 0, 1)]):
             out = optimize(make_system(0, rows), ({}, 1), MAX)
             assert (out.verdict, out.value, out.point, out.attained) == (
-                Verdict.OPTIMAL, 0, [], True)
+                Verdict.OPTIMAL, 0, {}, True)
 
 
 class TestEquality:
@@ -143,7 +143,7 @@ class TestEquality:
 
     def test_strict_row_beside_equality(self):
         out = feasible(sys1([([F(1)], EQ, F(1, 2)), ([F(1)], GT, F(0))]))
-        assert out.verdict is Verdict.FEASIBLE and out.point == [F(1, 2)]
+        assert out.verdict is Verdict.FEASIBLE and out.point == {0: F(1, 2)}
         out = feasible(sys1([([F(1)], EQ, F(0)), ([F(1)], GT, F(0))]))
         assert out.verdict is Verdict.INFEASIBLE
 
@@ -158,7 +158,7 @@ class TestEquality:
         sys = dense(["x", "y"], [([F(1), F(1)], EQ, F(1))])
         assert len(sys.constraints) == 1
         out = optimize(sys, ({0: 2, 1: 1}, 1), MAX)
-        assert (out.value, out.point) == (2, [F(1), F(0)])
+        assert (out.value, out.point) == (2, {0: F(1)})
 
 
 class TestInputChecks:
@@ -269,22 +269,42 @@ def test_oracle_agreement_on_blands_rule_alone(monkeypatch):
     _oracle_agreement_200_random_systems()
 
 
-def _oracle_agreement_200_random_systems():
+def _oracle_systems():
+    """The 200 random systems of the oracle tests, as (nvars, constraints,
+    obj, direction, system, objective)."""
     rng = random.Random(2025)
-    checked = 0
-    while checked < 200:
+    for _ in range(200):
         nvars = rng.randint(1, 4)
         constraints, obj, direction = random_bounded_system(rng, nvars)
         names = [f"x{i}" for i in range(nvars)]
-        out = optimize(dense(names, constraints), objective(names, dict(zip(names, obj))),
-                       direction)
+        yield (nvars, constraints, obj, direction, dense(names, constraints),
+               objective(names, dict(zip(names, obj))))
+
+
+def _oracle_agreement_200_random_systems():
+    for nvars, constraints, obj, direction, sys, target in _oracle_systems():
+        out = optimize(sys, target, direction)
         expected = vertex_oracle(nvars, constraints, obj, direction)
         if expected is None:
             assert out.verdict is Verdict.INFEASIBLE
         else:
             assert out.verdict is Verdict.OPTIMAL
             assert out.value == expected
-        checked += 1
+
+
+def test_points_have_at_most_one_entry_per_row():
+    # a basic point: at most as many nonzero columns as the LP has rows,
+    # each of them a column of the system, with no zero entries listed
+    seen = collections.Counter()
+    for _, _, _, direction, sys, target in _oracle_systems():
+        for out in (feasible(sys), optimize(sys, target, direction)):
+            if out.point is None:
+                continue
+            assert len(out.point) <= len(sys.constraints)
+            assert all(j in sys.variables and x for j, x in out.point.items())
+            seen[out.verdict] += 1
+            seen["nonzero"] += bool(out.point)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_optimum_dominates_sampled_feasible_points():
@@ -388,7 +408,7 @@ def test_a_tie_on_the_real_part_goes_to_the_lower_delta_part():
     hi = optimize(sys, X, MAX)
     assert (hi.verdict, hi.value, hi.attained, hi.point) == (Verdict.OPTIMAL, 1, False, None)
     lo = optimize(sys, X, MIN)
-    assert (lo.verdict, lo.value, lo.attained, lo.point) == (Verdict.OPTIMAL, 0, True, [0])
+    assert (lo.verdict, lo.value, lo.attained, lo.point) == (Verdict.OPTIMAL, 0, True, {})
 
 
 def test_a_point_is_read_at_an_eps_that_keeps_every_row():
@@ -396,9 +416,9 @@ def test_a_point_is_read_at_an_eps_that_keeps_every_row():
     # the second row at 1/1000 - delta, so delta = 1 would break that row
     sys = sys1([([F(1)], GT, F(0)), ([F(-1)], GE, F(-1, 1000))])
     out = feasible(sys)
-    assert out.verdict is Verdict.FEASIBLE and out.point == [F(1, 1000)]
+    assert out.verdict is Verdict.FEASIBLE and out.point == {0: F(1, 1000)}
     hi = optimize(sys, X, MAX)
-    assert (hi.value, hi.attained, hi.point) == (F(1, 1000), True, [F(1, 1000)])
+    assert (hi.value, hi.attained, hi.point) == (F(1, 1000), True, {0: F(1, 1000)})
     lo = optimize(sys, X, MIN)
     assert (lo.value, lo.attained, lo.point) == (0, False, None)
 
@@ -436,6 +456,14 @@ def _violating(names, coeffs, rel, bound):
     return re.escape(f"solver returned a point violating {row} {rel.value} {b} over {den}")
 
 
+def check_point(sys, point):
+    """lp._check_point on the Fraction list point, given as Basis.values
+    gives a point: its nonzero entries as numerators over one denominator."""
+    den = math.lcm(*[x.denominator for x in point])
+    lp._check_point(sys, den, {j: x.numerator * (den // x.denominator)
+                               for j, x in enumerate(point) if x})
+
+
 def test_check_point_rejects_a_point_one_unit_off():
     D = 10**30 + 57
     names = ["x", "y", "z"]
@@ -446,19 +474,29 @@ def test_check_point_rejects_a_point_one_unit_off():
     # every row is checked: the row the moved point breaks comes last
     loose = [([F(1), F(0), F(0)], GE, F(0)), ([F(0), F(0), F(-1)], GE, F(-1))]
     weak = dense(names, loose + [(coeffs, GE, at)])
-    lp._check_point(weak, point)
+    check_point(weak, point)
     with pytest.raises(InternalCheckError, match=_violating(names, coeffs, GE, at)):
-        lp._check_point(weak, one_off)
+        check_point(weak, one_off)
     below = at - F(1, 3 * D)
     strict = dense(names, loose + [(coeffs, GT, below)])
-    lp._check_point(strict, point)
+    check_point(strict, point)
     with pytest.raises(InternalCheckError, match=_violating(names, coeffs, GT, below)):
-        lp._check_point(strict, one_off)
+        check_point(strict, one_off)
     # every variable is >= 0
     with pytest.raises(InternalCheckError, match="solver returned negative column 1"):
-        lp._check_point(weak, [point[0], F(-1, D), point[2]])
+        check_point(weak, [point[0], F(-1, D), point[2]])
     with pytest.raises(InternalCheckError, match="solver returned negative column 2"):
-        lp._check_point(weak, point[:2] + [F(-1, D)])
+        check_point(weak, point[:2] + [F(-1, D)])
+
+
+def test_check_point_rejects_a_column_outside_the_system():
+    # x + y >= 0 over the columns 0 and 1: any further column, or one below
+    # 0, is not the system's, whatever its value and however the rows read it
+    sys = make_system(2, [Constraint({0: 1, 1: 1}, GE, 0, 1)])
+    lp._check_point(sys, 3, {0: 1, 1: 2})
+    for j in (2, 7, -1):
+        with pytest.raises(InternalCheckError, match=f"column {j} outside the system"):
+            lp._check_point(sys, 3, {0: 1, j: 1})
 
 
 def test_oracle_agreement_mixed_sign_bounds():
@@ -493,10 +531,10 @@ def test_check_point_rejects_a_point_one_unit_off_an_equality():
     coeffs = [F(1, 3), F(-2, 7)]
     at = sum(c * x for c, x in zip(coeffs, point))
     sys = dense(names, [([F(0), F(1)], GE, F(0)), (coeffs, EQ, at)])
-    lp._check_point(sys, point)
+    check_point(sys, point)
     for off in (F(1, D), F(-1, D)):  # either side of the row
         with pytest.raises(InternalCheckError, match=_violating(names, coeffs, EQ, at)):
-            lp._check_point(sys, [point[0] + off, point[1]])
+            check_point(sys, [point[0] + off, point[1]])
 
 
 def test_oracle_agreement_with_equality_rows():
@@ -531,7 +569,7 @@ def test_oracle_agreement_with_equality_rows():
             assert out.verdict is Verdict.OPTIMAL
             assert out.value == expected
             for co, b in equalities:
-                assert sum(c * x for c, x in zip(co, out.point)) == b
+                assert sum(co[j] * x for j, x in out.point.items()) == b
         seen["two_eq"] += len(equalities) == 2
     assert min(seen.values()) >= 10, seen
 
@@ -689,8 +727,9 @@ class FractionSimplex:
             costs[e] = ZERO
 
     def solve(self) -> tuple[str, Optional[object], Optional[list]]:
-        """Two phases.  Returns (status, value, point) with point over
-        structural columns; status in {'optimal', 'unbounded', 'infeasible'}."""
+        """Two phases.  Returns (status, value, point) with point the
+        nonzero structural columns, column -> value; status in {'optimal',
+        'unbounded', 'infeasible'}."""
         if self.art_cols:
             phase1 = [ZERO] * self.total
             for j in self.art_cols:
@@ -709,9 +748,7 @@ class FractionSimplex:
         point = self._point()
         if status == "unbounded":
             return ("unbounded", None, point)
-        value = sum(
-            (self.c[j] * x for j, x in enumerate(point) if x != 0), ZERO
-        )
+        value = sum((self.c[j] * x for j, x in point.items()), ZERO)
         return ("optimal", value, point)
 
     def _evict_artificials(self) -> None:
@@ -732,11 +769,9 @@ class FractionSimplex:
             del self.basis[i]
             self.m -= 1
 
-    def _point(self) -> list:
-        x = [ZERO] * self.total
-        for i, b in enumerate(self.basis):
-            x[b] = self.T[i][-1]
-        return x[: self.n_struct]
+    def _point(self) -> dict:
+        return {b: self.T[i][-1] for i, b in enumerate(self.basis)
+                if b < self.n_struct and self.T[i][-1]}
 
 
 class RecordingFractionSimplex(FractionSimplex):
@@ -784,13 +819,15 @@ def internal_system(n, rows):
 
 def integer_solve(sx, c):
     """FractionSimplex.solve on lp._SystemLP: phase_one, then a run of the
-    dense objective c.  Returns (status, value, point)."""
+    dense objective c.  Returns (status, value, point), point as
+    FractionSimplex gives it, from Basis.values."""
     if not sx.phase_one():
         return ("infeasible", None, None)
     c, cden = objective(range(len(c)), dict(enumerate(c)))
     sx.maximize(sx.basis, c)
-    point = sx.point(sx.basis)
-    return ("optimal", sum((x * point[j] for j, x in c.items()), F(0)) / cden, point)
+    den, nums = sx.basis.values(sx.n)
+    point = {j: F(x, den) for j, x in nums.items()}
+    return ("optimal", sum((x * point.get(j, 0) for j, x in c.items()), F(0)) / cden, point)
 
 
 def test_integer_tableau_matches_fraction_tableau(monkeypatch):
@@ -926,7 +963,7 @@ def test_face_step_matches_pinned_reference():
             assert out.attained == attained
             if attained:  # a strictly feasible point at the optimum
                 coeffs, den = objective
-                assert sum(F(x, den) * out.point[j] for j, x in coeffs.items()) == value
+                assert sum(F(x, den) * out.point.get(j, 0) for j, x in coeffs.items()) == value
             else:
                 assert out.point is None
         seen[verdict, attained] += 1
@@ -1127,8 +1164,8 @@ def _step(full, X, t):
 @pytest.mark.parametrize("point, message", [
     # y_{a,b} and s_a, s_b one up: the rows hold, the objective rises by v({a,b})
     (lambda full, point: point + _step(full, 0b11, 1), r"dual objective [0-9/]+ != mu\(A\) = 3/4"),
-    # lam one up: every row is off
-    (lambda full, point: [(j, x + (j == full)) for j, x in point], "violates its rows"),
+    # lam one up (lam is left out of the point where it is 0): every row is off
+    (lambda full, point: point + [(full, 1)], "violates its rows"),
     # y_{a,b} and s_a, s_b one down
     (lambda full, point: point + _step(full, 0b11, -1), "negative column"),
 ])
