@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import errors
@@ -264,27 +263,23 @@ def l4_instances(
 
 def check_properties(
     source: Union[UpperProbStructure, SetFunction],
-    max_sets: int = 3,
 ) -> dict[int, Optional[tuple]]:
     """Check the six inclusion-exclusion-style envelope properties.
 
     Returns {property number: None on PASS, else the first violating subset
-    tuple}: for (1) and (2) over families of up to max_sets sets, by size
-    and then in combinations_with_replacement order of the masks; for
-    (3)-(6) over pairs in product order (README, "Properties").  Past
-    errors.SEARCH_BUDGET families and pairs, raises ResourceError before
-    any loop.  Given a SetFunction v, lower is the dual 1 - v(complement).
+    tuple}: for (1), (2), (4) and (5) over the unordered pairs A <= B of
+    masks in order; for (3) over ordered pairs and (6) over disjoint pairs,
+    both in product order.  (1) and (2) on pairs decide them on every
+    family (README, "Properties").  Past errors.SEARCH_BUDGET pairs, raises
+    ResourceError before any loop.  Given a SetFunction v, lower is the
+    dual 1 - v(complement).
     """
-    if max_sets < 2:
-        raise InputError("max_sets must be >= 2")
     ground, upper, lower, _ = mask_tables(source)
     N, masks = len(upper), range(len(upper))
-    # families of 3..max_sets sets (of 0..r sets there are comb(N + r, r)),
     # the unordered, ordered and disjoint pairs
-    work = (comb(N + max_sets, N) - comb(N + 2, 2) + comb(N + 1, 2) + N * N
-            + 3 ** len(ground))
+    work = N * (N + 1) // 2 + N * N + 3 ** len(ground)
     if work > errors.SEARCH_BUDGET:
-        raise ResourceError(f"props needs {work} families and pairs, "
+        raise ResourceError(f"props needs {work} pairs, "
                             f"over the budget of {errors.SEARCH_BUDGET}")
     report: dict[int, Optional[tuple]] = dict.fromkeys(range(1, 7))
     # on A <= B, (1) is y <= s, (2) x >= t, (4) t <= x <= s and (5) t <= y <= s
@@ -308,32 +303,6 @@ def check_properties(
                       for B in subset_sums([b for b in bits if not A & b]) if not (
         upper[A] + lower[B] <= upper[A | B] <= upper[A] + upper[B]
     )), None)
-    # families of r >= 3 sets, a frame per prefix (README); need[p]: largest size left
-    need = {p: 2 if report[p] else max_sets for p in (1, 2)}
-    family: list[int] = []
-    frames = [(iter(masks), 0, 0, 0, upper, lower)]
-    while frames:
-        it, union, c1, c2, up, lo = frames[-1]
-        a = next(it, None)
-        if a is None or max(2, len(frames)) >= max(need.values()):
-            frames.pop()
-            del family[len(frames) - 1:]
-            continue
-        union, c1, c2 = union | a, c1 + up[a], c2 + lo[a]
-        up, lo = ([u - lo[a & x] for x, u in enumerate(up)],
-                  [v - up[a & x] for x, v in enumerate(lo)])
-        size, xs = len(frames) + 1, range(a, N)
-        if need[1] >= size > 2:
-            x = next((x for x in xs if upper[union | x] > c1 + up[x]), None)
-            if x is not None:
-                report[1], need[1] = _unmask(ground, family + [a, x]), size - 1
-        if need[2] >= size > 2:
-            x = next((x for x in xs if lower[union | x] < c2 + lo[x]), None)
-            if x is not None:
-                report[2], need[2] = _unmask(ground, family + [a, x]), size - 1
-        if size < max(need.values()):
-            family.append(a)
-            frames.append((iter(xs), union, c1, c2, up, lo))
     return report
 
 

@@ -64,7 +64,7 @@ def test_03_four_measure_table_reproduction(table, table_upper, veps):
         res = is_upper_probability(veps)
         assert not res.is_upper_probability
         assert res.failing_set == frozenset({"a", "b", "c"})
-        report = check_properties(veps, 3)
+        report = check_properties(veps)
         assert report[6] is None
         assert all(report[i] is None for i in range(1, 6))
 
@@ -74,7 +74,7 @@ def test_04_property_suite_100_random():
         rng = random.Random(2024)
         for _ in range(100):
             M = random_structure(rng, max_worlds=5, max_measures=4)
-            assert all(x is None for x in check_properties(M, 3).values())
+            assert all(x is None for x in check_properties(M).values())
             worlds = set(M.worlds)
             for r in range(len(M.worlds) + 1):
                 for S in itertools.combinations(M.worlds, r):

@@ -400,8 +400,8 @@ class TestProps:
         assert err == "error: 18 worlds exceed the set-function cap 16\n"
 
     def test_work_budget_exit_3(self, capsys, tmp_path):
-        # 16 worlds are inside the world cap, but the families of three of
-        # their 2^16 subsets are far past the budget: exit 3 before any loop
+        # 16 worlds are inside the world cap, but the pairs of their 2^16
+        # subsets are far past the budget: exit 3 before any loop
         worlds = [{"id": f"w{i}"} for i in range(16)]
         doc = {"props": [], "worlds": worlds, "measures": [{"dist": {"w0": 1}}]}
         path = tmp_path / "wide.json"
@@ -410,12 +410,25 @@ class TestProps:
         code, out, err = run(capsys, "props", "--model", str(path))
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
-        assert err == ("error: props needs 46921129154369 families and pairs, "
-                       "over the budget of 2000000\n")
+        assert err == "error: props needs 6485530433 pairs, over the budget of 2000000\n"
+
+    def test_eight_worlds_answer_at_the_default(self, capsys, tmp_path):
+        # 32,896 unordered, 65,536 ordered and 6,561 disjoint pairs of the
+        # 2^8 subsets, inside the budget whatever --max-sets is
+        worlds = [{"id": f"w{i}"} for i in range(8)]
+        doc = {"props": [], "worlds": worlds, "measures": [{"dist": {"w0": 1}}]}
+        path = tmp_path / "eight.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "props", "--model", str(path))
+        assert (code, out.count("PASS"), err) == (0, 6, "")
+
+    def test_max_sets_must_cover_pairs(self, capsys):
+        code, out, err = run(capsys, "props", "--function", VEPS, "--max-sets", "1")
+        assert (code, out, err) == (2, "", "error: max_sets must be >= 2\n")
 
     def test_deep_families_end_in_an_exit_code(self, capsys, tmp_path):
-        # 1500 sets in a family are past Python's recursion limit, while the
-        # families of one element's two subsets stay inside the budget
+        # a family of 1500 sets is past Python's recursion limit; --max-sets
+        # changes no work, so it answers as at the default
         path = tmp_path / "one.json"
         path.write_text(json.dumps({"omega": ["a"], "v": {"": 0, "a": 1}}))
         code, out, err = run(capsys, "props", "--function", str(path), "--max-sets", "1500")

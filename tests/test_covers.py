@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from uplogic import covers, errors
+from uplogic import covers, errors, lp
 from uplogic.covers import (
     CoverInstance,
     check_properties,
@@ -158,7 +158,7 @@ class TestL4Instances:
 
 class TestCheckProperties:
     def test_veps_passes_all_six(self, veps):
-        report = check_properties(veps, 3)
+        report = check_properties(veps)
         assert report[6] is None  # the headline: (6) holds despite no envelope
         assert all(v is None for v in report.values())
 
@@ -166,7 +166,7 @@ class TestCheckProperties:
         rng = random.Random(19)
         for _ in range(5):
             M = random_structure(rng)
-            assert all(v is None for v in check_properties(M, 3).values())
+            assert all(v is None for v in check_properties(M).values())
 
     def test_non_monotone_function_fails(self):
         v = SetFunction(("1", "2"), {
@@ -179,7 +179,7 @@ class TestCheckProperties:
             frozenset(): F(0), frozenset({"1"}): F(1, 4),
             frozenset({"2"}): F(1, 4), frozenset({"1", "2"}): F(1),
         })
-        report = check_properties(w, 2)
+        report = check_properties(w)
         assert report[6] is not None
 
     def test_violation_witnesses_check_out(self):
@@ -188,7 +188,7 @@ class TestCheckProperties:
             frozenset(): F(0), frozenset({"1"}): F(1, 4),
             frozenset({"2"}): F(1, 4), frozenset({"1", "2"}): F(1),
         })
-        A, B = check_properties(w, 2)[6]
+        A, B = check_properties(w)[6]
         assert not (A & B)
         lower = lambda X: 1 - w(frozenset(w.ground) - X)
         assert not (w(A) + lower(B) <= w(A | B) <= w(A) + w(B))
@@ -202,7 +202,7 @@ class TestCheckProperties:
             frozenset("c"): F(1, 2), frozenset("ab"): F(1), frozenset("ac"): F(1, 2),
             frozenset("bc"): F(1), frozenset("abc"): F(1),
         })
-        report = check_properties(v, 2)
+        report = check_properties(v)
         assert report[3] == (frozenset("b"), frozenset("a"))
         assert report == reference_check_properties(v, 2)
 
@@ -214,78 +214,92 @@ class TestCheckProperties:
             frozenset("c"): F(1, 3), frozenset("ab"): F(2, 3), frozenset("ac"): F(1),
             frozenset("bc"): F(2, 3), frozenset("abc"): F(1),
         })
-        report = check_properties(v, 2)
+        report = check_properties(v)
         assert report[6] == (frozenset("b"), frozenset("a"))
         assert report == reference_check_properties(v, 2)
 
-    def test_property_one_failing_only_on_three_sets(self, monkeypatch):
-        # No structure and, by an exact LP over all set functions on up to
-        # four elements, no set function breaks (1) on three sets while
-        # every pair passes; so the tables are given directly.  With upper
-        # and lower 1 on every nonempty set, every pair passes (1), and the
-        # first family of three sets whose pairwise intersections meet but
-        # whose triple intersection is empty, {ab, ac, bc}, gives 1 <= 0.
-        ground = ["a", "b", "c"]
-        ones = [0] + [1] * 7
-        monkeypatch.setattr(covers, "mask_tables", lambda source: (ground, ones, ones, 1))
-        assert check_properties(None, 2)[1] is None
-        family = check_properties(None, 3)[1]
-        assert family == (frozenset("ab"), frozenset("ac"), frozenset("bc"))
-        assert check_properties(None, 4)[1] == family
-
-    def test_smaller_family_found_later_wins(self, monkeypatch):
-        # upper = lower = f, the sum of a mass m over the subsets of X, with
-        # m = +1 on d and abcd and -1 on abd, acd and bcd.  Then (1) fails
-        # on a family iff the subsets of its union inside none of its sets
-        # carry positive mass: no pair does, but {abd, acd, bcd} does, and
-        # so does {{}, abd, acd, bcd}, which a depth-first walk reaches
-        # first.  The family of three sets is the first violation.
-        ground, m = ["a", "b", "c", "d"], [0] * 16
-        m[8] = m[15] = 1
-        m[11] = m[13] = m[14] = -1
-        f = [sum(m[b] for b in range(16) if b & x == b) for x in range(16)]
-        monkeypatch.setattr(covers, "mask_tables", lambda source: (ground, f, f, 1))
-        family = (frozenset("abd"), frozenset("acd"), frozenset("bcd"))
-        assert check_properties(None, 2)[1] is None
-        assert check_properties(None, 3)[1] == family
-        assert check_properties(None, 4)[1] == family
-
     def test_pairs_decide_properties_one_and_two(self):
         # README, "Properties": if every pair passes (1) and (2), so does
-        # every family, by induction on its size; so families of up to four
-        # sets find nothing that pairs miss
+        # every family, by induction on its size; and where a pair fails
+        # only one of them, the other still holds on every family (the
+        # exact test below).  So families of up to four sets report the
+        # pairs' first violators, or None.
         rng = random.Random(41)
         sources = [random_set_function(rng, 1 + t % 4) for t in range(300)]
         sources += [random_structure(rng, max_worlds=4) for _ in range(40)]
-        seen = {"pairs pass": 0, "pairs fail": 0, "another fails": 0}
+        seen = {"pairs pass": 0, "one fails": 0, "both fail": 0, "another fails": 0}
         for source in sources:
-            pairs = check_properties(source, 2)
-            if pairs[1] is None and pairs[2] is None:
-                families = check_properties(source, 4)
-                assert families[1] is None and families[2] is None
-                seen["pairs pass"] += 1
-                seen["another fails"] += any(pairs.values())
-            else:
-                seen["pairs fail"] += 1
+            report = check_properties(source)
+            failing = (report[1] is not None) + (report[2] is not None)
+            if failing < 2:
+                families = reference_check_properties(source, 4)
+                assert (report[1], report[2]) == (families[1], families[2])
+            seen[("pairs pass", "one fails", "both fail")[failing]] += 1
+            seen["another fails"] += not failing and any(report.values())
         assert min(seen.values()) >= 15, seen
 
-    def test_budget_counts_families_and_pairs(self, monkeypatch):
-        # 4 elements, 16 sets: 816 families of three, 136 unordered pairs,
-        # 256 ordered and 81 disjoint, 1289 in all
+    def test_pairs_decide_families_exactly(self):
+        # (1) alone on pairs decides (1) on families of three and four
+        # sets, and so does (2) alone, for every set function with values
+        # in [0, 1] on up to three elements: column X is u(X), and l(X) is
+        # 1 - u(complement).  One system per property holds its row on
+        # every pair; over it, no family's violation exceeds 0.
+        for n in (1, 2, 3):
+            N = 1 << n
+            bounds = [lp.Constraint({X: -1}, lp.Relation.GE, -1, 1) for X in range(N)]
+            for prop in (1, 2):
+                rows = [margin(n, prop, pair) for pair in
+                        itertools.combinations_with_replacement(range(N), 2)]
+                system = lp.make_system(N, bounds + [
+                    lp.Constraint(dict(coeffs), lp.Relation.GE, -constant, 1)
+                    for coeffs, constant in rows])
+                objectives = {margin(n, prop, family) for size in (3, 4) for family
+                              in itertools.combinations_with_replacement(range(N), size)}
+                for coeffs, constant in objectives:
+                    worst = lp.optimize(system, ({X: -c for X, c in coeffs}, 1),
+                                        lp.Direction.MAX)
+                    assert worst.value - constant <= 0, (n, prop, coeffs, constant)
+
+    def test_budget_counts_pairs(self, monkeypatch):
+        # 4 elements, 16 sets: 136 unordered pairs, 256 ordered and 81
+        # disjoint, 473 in all
         v = SetFunction(tuple("abcd"), {frozenset(X): F(r, 4) for r in range(5)
                                         for X in itertools.combinations("abcd", r)})
-        monkeypatch.setattr(errors, "SEARCH_BUDGET", 1288)
-        with pytest.raises(ResourceError, match="^props needs 1289 families and pairs, "
-                                                "over the budget of 1288$"):
-            check_properties(v, 3)
-        monkeypatch.setattr(errors, "SEARCH_BUDGET", 1289)
-        assert check_properties(v, 3) == reference_check_properties(v, 3)
+        monkeypatch.setattr(errors, "SEARCH_BUDGET", 472)
+        with pytest.raises(ResourceError, match="^props needs 473 pairs, "
+                                                "over the budget of 472$"):
+            check_properties(v)
+        monkeypatch.setattr(errors, "SEARCH_BUDGET", 473)
+        assert check_properties(v) == reference_check_properties(v, 3)
 
-    def test_max_sets_must_cover_pairs(self):
-        with pytest.raises(InputError):
-            check_properties(SetFunction(("1",), {
-                frozenset(): F(0), frozenset({"1"}): F(1),
-            }), 1)
+
+def margin(n, prop, family):
+    """The margin by which property prop (1 or 2) holds on a family of
+    masks over n elements, linear in the columns u(X): (1) is
+    U(F) - u(union of F) >= 0 and (2) is l(union of F) - L(F) >= 0, with
+    l(X) = 1 - u(complement of X).  Returns (sorted (column, coefficient)
+    pairs, constant)."""
+    full, union = (1 << n) - 1, 0
+    for A in family:
+        union |= A
+    coeffs, constant = {}, 0
+
+    def add(sign, upper, X):
+        nonlocal constant
+        if not upper:  # l(X) = 1 - u(full ^ X)
+            constant += sign
+            sign, X = -sign, full ^ X
+        coeffs[X] = coeffs.get(X, 0) + sign
+
+    outer = 1 if prop == 1 else -1
+    add(-outer, prop == 1, union)
+    for r in range(1, len(family) + 1):
+        for I in itertools.combinations(family, r):
+            inter = full
+            for A in I:
+                inter &= A
+            add(outer if r % 2 else -outer, (r % 2 == 1) == (prop == 1), inter)
+    return tuple(sorted((X, c) for X, c in coeffs.items() if c)), constant
 
 
 # ---------------------------------------------------------------------------
@@ -555,28 +569,28 @@ class TestMatchesFractionReference:
         for trial in range(60):
             v = random_set_function(rng, 1 + trial % 4)
             for max_sets in (2, 3):
-                assert check_properties(v, max_sets) == reference_check_properties(v, max_sets)
+                assert check_properties(v) == reference_check_properties(v, max_sets)
         # five and six elements; and four sets, which orders families across sizes
         for trial in range(16):
             v = random_set_function(rng, 5 + trial % 2)
-            assert check_properties(v, 2) == reference_check_properties(v, 2)
+            assert check_properties(v) == reference_check_properties(v, 2)
         for trial in range(24):
             v = random_set_function(rng, 1 + trial % 4)
-            assert check_properties(v, 4) == reference_check_properties(v, 4)
+            assert check_properties(v) == reference_check_properties(v, 4)
 
     def test_properties_of_structures(self):
         rng = random.Random(37)
         for _ in range(30):
             M = random_structure(rng, max_worlds=4)
             for max_sets in (2, 3):
-                assert check_properties(M, max_sets) == reference_check_properties(M, max_sets)
+                assert check_properties(M) == reference_check_properties(M, max_sets)
         for _ in range(16):
             M = random_structure(rng, max_worlds=6)
-            assert check_properties(M, 2) == reference_check_properties(M, 2)
+            assert check_properties(M) == reference_check_properties(M, 2)
         for _ in range(6):
             M = random_structure(rng, max_worlds=3)
-            assert check_properties(M, 4) == reference_check_properties(M, 4)
+            assert check_properties(M) == reference_check_properties(M, 4)
 
     def test_properties_of_fixtures(self, veps, table, marble):
         for source in (veps, table, marble):
-            assert check_properties(source, 2) == reference_check_properties(source, 2)
+            assert check_properties(source) == reference_check_properties(source, 2)
