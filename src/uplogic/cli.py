@@ -15,7 +15,7 @@ import os
 import sys
 from collections import Counter
 
-from . import covers, envelope, lp, parser, semantics, solver, structure
+from . import covers, envelope, parser, semantics, solver, structure
 from .errors import InputError, ResourceError, ValidationError
 from .formula import basics_of
 from .parser import ParseError

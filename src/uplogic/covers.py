@@ -7,13 +7,19 @@ probability v must satisfy k + n*v(A) <= sum v(A_i) for every such cover;
 search_violation looks for a counterexample up to a caller-visible size
 budget, since no a-priori bound on the multiset size is available.
 
-The search and the property checks work on one representation: integer
-tables indexed by ground bitmask, every value scaled by one common
-denominator L (`structure.mask_tables`), so each comparison is an exact
-integer comparison.  search_violation builds each multiset once from its
-prefix, keeps its coverage chain as runs of equal sets, and bounds its
-targets once, from a subset-max table and the chain's last run, instead of
-testing all 2^n targets (README, "Covers").
+The search and the property checks work on one representation: a set
+function's integer table, indexed by ground bitmask, every value scaled by
+one common denominator L (SetFunction.upper over SetFunction.denominator),
+so each comparison is an exact integer comparison.  The property checks
+take a structure as its upper envelope (structure.set_function_of), and
+for either kind of source derive the lower table as the dual
+L - upper[complement]: each measure sums to 1, so the least mass a
+measure puts on a set is 1 less the most any puts on its complement.
+
+search_violation builds each multiset once from its prefix, keeps its
+coverage chain as runs of equal sets, and bounds its targets once, from a
+subset-max table and the chain's last run, instead of testing all 2^n
+targets (README, "Covers").
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .structure import (
     _strings,
     _typed,
     _unmask,
-    mask_tables,
+    set_function_of,
     subset_masks,
     subset_sums,
 )
@@ -114,7 +120,7 @@ def search_violation(
     """
     if m_max < 1:
         raise InputError("m_max must be >= 1")
-    ground, table, _, L = mask_tables(v)
+    ground, table, L = v.ground, v.upper, v.denominator
     n_el = len(ground)
     full = (1 << n_el) - 1
     masks = subset_masks(n_el)
@@ -271,10 +277,14 @@ def check_properties(
     masks in order; for (3) over ordered pairs and (6) over disjoint pairs,
     both in product order.  (1) and (2) on pairs decide them on every
     family (README, "Properties").  Past errors.SEARCH_BUDGET pairs, raises
-    ResourceError before any loop.  Given a SetFunction v, lower is the
-    dual 1 - v(complement).
+    ResourceError before any loop.  A structure is checked as its upper
+    envelope (set_function_of).  For either source, lower is the dual
+    1 - upper(complement), which for a structure is the least mass any
+    measure puts on the set, since each measure sums to 1.
     """
-    ground, upper, lower, _ = mask_tables(source)
+    v = source if isinstance(source, SetFunction) else set_function_of(source)
+    ground, upper, L = v.ground, v.upper, v.denominator
+    lower = [L - u for u in reversed(upper)]  # full ^ m is full - m
     N, masks = len(upper), range(len(upper))
     # the unordered, ordered and disjoint pairs
     work = N * (N + 1) // 2 + N * N + 3 ** len(ground)

@@ -27,7 +27,7 @@ with lam free and y, s >= 0.  It runs on lp's revised simplex (lp.Basis,
 the solve, ratio test, pivot and switch to Bland's rule of every LP in
 this package), which keeps only the inverse of the n basic columns; this
 module only prices, every y_X in one pass over v's integer table
-(structure.mask_tables: V over the denominator L), and hands Basis.run
+(V = v.upper, over L = v.denominator), and hands Basis.run
 the list of every column's reduced cost, of which it enters the best.
 With the duals P / (L D), y_X's reduced cost is (V[X] D - P(X)) / (L D),
 where P(X) is a subset sum of P (structure.subset_sums), and s_g's is
@@ -59,7 +59,6 @@ from .record import Record
 from .structure import (
     SetFunction,
     _unmask,
-    mask_tables,
     subset_masks,
     subset_sums,
 )
@@ -82,7 +81,7 @@ def dominated_max(v: SetFunction, A) -> tuple[Fraction, dict]:
     """max mu(A) over probability measures dominated by v, with an
     optimal measure.  A is a subset of v's ground set: its elements, or
     its mask (bit i for v.ground[i])."""
-    ground, V, _, L = mask_tables(v)
+    ground, V, L = v.ground, v.upper, v.denominator
     n, full = len(ground), len(V) - 1
     a = A if isinstance(A, int) else v.mask(A)
     if not 0 <= a <= full:  # only a mask can be out of range
@@ -168,7 +167,7 @@ def is_upper_probability(v: SetFunction) -> EnvelopeResult:
     specific failing subset (or the normalization failure).
     """
     errors.check_cap(len(v.ground), "ground elements", errors.cap())
-    ground, table, _, L = mask_tables(v)
+    ground, table, L = v.ground, v.upper, v.denominator
     n, full = len(ground), len(table) - 1
     if table[0]:
         return EnvelopeResult(False, failing_set=frozenset(),

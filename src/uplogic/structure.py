@@ -24,9 +24,11 @@ and the table it builds is the set function itself (SetFunction).
 This module alone maps worlds and subsets to bitmasks: world or ground
 element i is bit i, and subsets are listed by size, then by element index
 (subset_masks).  Upper and lower values are read from a structure's
-cached supports (UpperProbStructure.masses) or from integer tables over
-one common denominator (mask_tables), which a set function holds as its
-state.
+cached supports (UpperProbStructure.masses), or from a set function's
+integer table over one common denominator, which is its state.  A
+structure's table is its upper envelope (set_function_of); its lower
+probability is the dual, lower(S) = 1 - upper(complement of S), which is
+the least mass any measure puts on S because each measure sums to 1.
 """
 
 from __future__ import annotations
@@ -233,14 +235,6 @@ class SetFunction(Record):
         return {X: Fraction(self.upper[m], self.denominator)
                 for X, m in zip(_unmask(self.ground, masks), masks)}
 
-    @cached_property
-    def _tables(self) -> tuple[list[str], list[int], list[int], int]:
-        """mask_tables(self): the table itself, and the lower table, built
-        on first use: lower[m] = L - upper[full ^ m], and full ^ m is
-        full - m."""
-        L = self.denominator
-        return list(self.ground), self.upper, [L - u for u in reversed(self.upper)], L
-
     def subsets(self) -> tuple[frozenset, ...]:
         """Every subset of the ground set, in subset_masks order."""
         return _unmask(self.ground, subset_masks(len(self.ground)))
@@ -319,38 +313,20 @@ def _lowest(upper: list[int], L: int) -> tuple[list[int], int]:
     return upper, L
 
 
-def mask_tables(
-    source: Union[UpperProbStructure, SetFunction],
-) -> tuple[list[str], list[int], list[int], int]:
-    """Ground elements, upper/lower value tables indexed by bitmask, and L.
-
-    Bit i of a mask stands for ground[i].  Every value is an int over the
-    common denominator L: upper[mask] / L is the upper value of the set.
-    A set function's tables are built once and shared by every call, so
-    callers read them and do not change them.  A structure of more than
-    errors.CEILING worlds is refused.
-    """
-    if isinstance(source, SetFunction):
-        return source._tables
-    M = source
+def set_function_of(M: UpperProbStructure) -> SetFunction:
+    """The upper envelope of M's measures, as a total set function: its
+    value at a set of worlds is the most mass any measure puts there.  A
+    structure of more than errors.CEILING worlds is refused."""
     errors.check_cap(len(M.worlds), "worlds", errors.CEILING, "the set-function cap")
-    ground = list(M.worlds)
     L = lcm(*[m.denominator for support in M.supports for _, m in support])
     # per-measure cumulative mass by mask, then envelope
     totals = []
     for support in M.supports:
-        mass = [0] * len(ground)
+        mass = [0] * len(M.worlds)
         for b, m in support:
             mass[b.bit_length() - 1] = m.numerator * (L // m.denominator)
         totals.append(subset_sums(mass))
     upper = [max(t) for t in zip(*totals)]
-    lower = [min(t) for t in zip(*totals)]
-    return ground, upper, lower, L
-
-
-def set_function_of(M: UpperProbStructure) -> SetFunction:
-    """The upper envelope of M's measures, as a total set function."""
-    _, upper, _, L = mask_tables(M)
     return _set_function(M.worlds, *_lowest(upper, L))
 
 

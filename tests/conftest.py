@@ -59,3 +59,16 @@ def random_structure(
         assignment=assignment,
         measures=tuple(measures),
     )
+
+
+def structure_with_zeros(rng: random.Random, max_worlds: int = 5) -> UpperProbStructure:
+    """A random structure with explicit zero masses and a world that no
+    dist lists."""
+    M = random_structure(rng, max_worlds=max_worlds)
+    measures = tuple({**mu, **{w: Fraction(0) for w in M.worlds
+                               if w not in mu and rng.random() < 0.5}}
+                     for mu in M.measures)
+    worlds = list(M.worlds)
+    worlds.insert(rng.randint(0, len(worlds)), "unlisted")
+    return UpperProbStructure(props=M.props, worlds=tuple(worlds),
+                              assignment={**M.assignment, "unlisted": {}}, measures=measures)

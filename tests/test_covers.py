@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -20,7 +21,7 @@ from uplogic.formula import FALSE, TRUE, Not, Prop, is_tautology
 from uplogic.semantics import evaluate
 from uplogic.structure import SetFunction, set_function_of
 
-from conftest import random_structure
+from conftest import random_structure, structure_with_zeros
 
 p, q = Prop("p"), Prop("q")
 
@@ -356,6 +357,11 @@ def reference_check_properties(source, max_sets=3):
                   for idx in range(len(source.measures))]
         upper = [max(t[m] for t in totals) for m in range(size)]
         lower = [min(t[m] for t in totals) for m in range(size)]
+    # every comparison is between sums of two or more values, so the
+    # tables can be ints over one denominator
+    L = lcm(*[x.denominator for x in upper + lower])
+    upper, lower = ([x.numerator * (L // x.denominator) for x in table]
+                    for table in (upper, lower))
     masks = range(size)
     report = {i: None for i in range(1, 7)}
 
@@ -363,11 +369,11 @@ def reference_check_properties(source, max_sets=3):
         return frozenset(g for i, g in enumerate(ground) if m >> i & 1)
 
     def alternating(family, use_upper_on_odd):
-        total = F(0)
+        total = 0
         for i in range(1, len(family) + 1):
             odd = i % 2 == 1
             table = upper if (odd == use_upper_on_odd) else lower
-            sub = F(0)
+            sub = 0
             for I in itertools.combinations(range(len(family)), i):
                 inter = family[I[0]]
                 for j in I[1:]:
@@ -590,6 +596,11 @@ class TestMatchesFractionReference:
         for _ in range(6):
             M = random_structure(rng, max_worlds=3)
             assert check_properties(M) == reference_check_properties(M, 4)
+        # explicit zero masses, and a world that no measure lists
+        for _ in range(12):
+            M = structure_with_zeros(rng, max_worlds=3)
+            for max_sets in (2, 3, 4):
+                assert check_properties(M) == reference_check_properties(M, max_sets)
 
     def test_properties_of_fixtures(self, veps, table, marble):
         for source in (veps, table, marble):

@@ -119,7 +119,7 @@ def test_cached_properties_survive():
     assert M.measure_ids == ("m0",) and M.columns == {"p": 1} and M.full == 3
     v = SetFunction(ground=("a",), values={})
     assert v.values == {frozenset(): 0, frozenset("a"): 1}
-    assert v._tables == (["a"], [0, 1], [0, 1], 1)
+    assert v.values is v.values
     with pytest.raises(AttributeError):
         v.values = {}
 
@@ -128,13 +128,13 @@ def test_copy_and_pickle():
     node = LAnd(a, LNot(b))
     hash(node)
     v = SetFunction(("a", "b"), {frozenset("a"): F(1, 2), frozenset("b"): F(1, 2)})
-    v._tables
+    v.values
     for x in (node, LPOutcome(Verdict.OPTIMAL, [F(1)], F(2)), v):
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x
     assert hash(pickle.loads(pickle.dumps(node))) == hash(node)
     assert repr(copy.deepcopy(node)) == repr(node)
-    assert pickle.loads(pickle.dumps(v))._tables == v._tables
+    assert pickle.loads(pickle.dumps(v)).values == v.values
 
 
 def test_importing_the_cli_loads_no_dataclasses():

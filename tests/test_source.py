@@ -34,3 +34,22 @@ def test_only_lp_reads_the_private_names_of_lp():
                 found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def test_no_unused_imports():
+    # a module imports only what it uses; __init__.py imports to export
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from fractions import Fraction as F
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +17,15 @@ from uplogic.structure import (
     load_set_function,
     load_structure,
     lower_of,
-    mask_tables,
     save_set_function,
     save_structure,
     set_function_of,
     upper_of,
 )
 
-from conftest import random_structure
+from conftest import random_structure, structure_with_zeros
+
+_table = attrgetter("ground", "upper", "denominator")
 
 
 class TestLoadSave:
@@ -120,31 +122,19 @@ class TestEnvelopes:
                     assert upper_of(M, S) + lower_of(M, T) <= upper_of(M, S | T)
 
 
-def _with_zeros(rng):
-    """A random structure with explicit zero masses and a world that no
-    dist lists."""
-    M = random_structure(rng, max_worlds=5)
-    measures = tuple({**mu, **{w: F(0) for w in M.worlds if w not in mu and rng.random() < 0.5}}
-                     for mu in M.measures)
-    worlds = list(M.worlds)
-    worlds.insert(rng.randint(0, len(worlds)), "unlisted")
-    return UpperProbStructure(props=M.props, worlds=tuple(worlds),
-                              assignment={**M.assignment, "unlisted": {}}, measures=measures)
-
-
 def test_values_agree_with_frozenset_sums():
     rng = random.Random(71)
     for _ in range(150):
-        M = _with_zeros(rng)
+        M = structure_with_zeros(rng)
         v = set_function_of(M)
-        ground, upper, lower, L = mask_tables(M)
-        assert ground == list(M.worlds) and v.ground == M.worlds
-        assert len(v.values) == len(upper) == 1 << len(M.worlds)
-        for mask in range(len(upper)):
+        assert v.ground == M.worlds
+        assert len(v.values) == len(v.upper) == 1 << len(M.worlds)
+        for mask in range(len(v.upper)):
             S = frozenset(w for i, w in enumerate(M.worlds) if mask >> i & 1)
             sums = [sum((m for w, m in mu.items() if w in S), F(0)) for mu in M.measures]
-            assert upper_of(M, S) == v(S) == max(sums) == F(upper[mask], L)
-            assert lower_of(M, S) == min(sums) == F(lower[mask], L)
+            assert upper_of(M, S) == v(S) == max(sums) == F(v.upper[mask], v.denominator)
+            # each measure sums to 1, so the lower probability is the dual
+            assert lower_of(M, S) == min(sums) == 1 - v(M.world_set - S)
 
 
 class TestSetFunction:
@@ -259,7 +249,7 @@ class TestSetFunctionReader:
         v = SetFunction(ground, values)
         again = load_set_function(save_set_function(v))
         assert again == v and hash(again) == hash(v) and again.values == values
-        assert mask_tables(again) == mask_tables(v)
+        assert _table(again) == _table(v)
         # keys in any order, elements of a key in any order, values not in
         # lowest terms: the same table
         masks = data.draw(st.permutations(range(1 << n)))
@@ -270,7 +260,7 @@ class TestSetFunctionReader:
             x = values[frozenset(X)]
             doc["v"][",".join(data.draw(st.permutations(X)))] = (
                 f"{x.numerator * scale}/{x.denominator * scale}")
-        assert mask_tables(load_set_function(json.dumps(doc))) == mask_tables(v)
+        assert _table(load_set_function(json.dumps(doc))) == _table(v)
 
     def test_a_long_omega_is_refused_before_its_table(self, tmp_path, capsys):
         # 2^40 subsets: the count is checked before any table is built
