@@ -166,12 +166,15 @@ def cmd_covers_verify(args) -> int:
     twice = [x for x, n in Counter(ground).items() if n > 1]
     if twice:
         raise InputError(f"--omega names {twice[0]!r} twice")
+    v = _load_set_function(args.function) if args.function else None
+    if v is not None and set(v.ground) != set(ground):
+        raise InputError(f"--omega {{{','.join(sorted(ground))}}} is not the function's "
+                         f"ground set {{{','.join(sorted(v.ground))}}}")
     ok = covers.verify_cover(cert, ground)
     doc = {"cover_valid": ok}
     lines = [f"cover valid: {str(ok).lower()}"]
     negative = not ok
-    if ok and args.function:
-        v = _load_set_function(args.function)
+    if ok and v is not None:
         holds = covers.up3_check(v, cert)
         doc["up3_holds"] = holds
         lines.append(f"cover inequality holds: {str(holds).lower()}")

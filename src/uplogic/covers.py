@@ -92,13 +92,6 @@ def up3_check(v: SetFunction, c: CoverInstance) -> bool:
     return c.k + c.n * v(c.target) <= total
 
 
-def _coverage(at_least: list[int], t: int) -> int:
-    """How many times a multiset covers the set t, given the sets of
-    elements it covers at least 1, 2, ... times (at_least[c] for c >= 1);
-    the empty set counts as covered by every member."""
-    return sum(1 for S in at_least[1:] if t & S == t)
-
-
 def search_violation(
     v: SetFunction,
     m_max: int,
@@ -173,13 +166,12 @@ def search_violation(
                     bound = (top - k) * best[mask]
                 hit = None  # index of the first violating target
                 if bound > slack:
-                    at_least: list[int] = []  # at_least[c] is S_c
-                    for mask, top in chain:
-                        at_least += [mask] * (top + 1 - len(at_least))
-                    at_least += [0] * (m + 1 - len(at_least))
+                    # each target's coverage: m for the empty target, else
+                    # the top of the last run whose set holds it
+                    cov = [next(top for S, top in reversed(chain) if t & S == t) if t else m
+                           for t in masks]
                     hit = next((j for j, t in enumerate(masks)
-                                if (_coverage(at_least, t) - k) * table[t] > slack),
-                               None)
+                                if (cov[j] - k) * table[t] > slack), None)
                     if hit is None:
                         raise InternalCheckError(
                             "search_violation's target bound exceeds every target"
@@ -199,7 +191,7 @@ def search_violation(
                     sets.append(t)
                 found = CoverInstance(sets=_unmask(ground, reversed(sets)),
                                       target=_unmask(ground, (masks[hit],))[0],
-                                      n=_coverage(at_least, masks[hit]) - k, k=k)
+                                      n=cov[hit] - k, k=k)
                 if not verify_cover(found, ground) or up3_check(v, found):
                     raise InternalCheckError(
                         "search_violation built an instance that is not a "
@@ -216,9 +208,10 @@ def search_violation(
 # Axiom-L4 instance generation
 
 
-def _at_least(parts: Sequence[PropFormula], count: int) -> PropFormula:
-    """Disjunction over all index sets J of size `count` of the conjunction
-    of the chosen parts; the empty choice (count 0) is true."""
+def _threshold(parts: Sequence[PropFormula], count: int) -> PropFormula:
+    """That at least `count` of the parts hold: the disjunction over all
+    index sets J of size `count` of the conjunction of the chosen parts;
+    the empty choice (count 0) is true."""
     if count == 0:
         return conj_all([])
     choices = [conj_all([parts[j] for j in J])
@@ -244,7 +237,7 @@ def l4_instances(
         for phis in itertools.combinations_with_replacement(pool, m):
             parts = list(phis)
             for k in range(0, m + 1):
-                space_cond = _at_least(parts, k)
+                space_cond = _threshold(parts, k)
                 if not is_tautology(space_cond):
                     continue
                 if k >= 1:
@@ -255,7 +248,7 @@ def l4_instances(
                     )
                 for n in range(1, m - k + 1):
                     for phi in pool:
-                        target_cond = implies(phi, _at_least(parts, n + k))
+                        target_cond = implies(phi, _threshold(parts, n + k))
                         if not is_tautology(target_cond):
                             continue
                         term = tuple((Fraction(1), p) for p in parts)

@@ -263,18 +263,6 @@ def basics_of(f: LikelihoodFormula) -> list[Basic]:
     return out
 
 
-def likelihood_args(f: LikelihoodFormula) -> list[PropFormula]:
-    """All propositional arguments appearing under l(.) in f, in order."""
-    return [arg for b in basics_of(f) for arg in b.term.args()]
-
-
-def likelihood_props(f: LikelihoodFormula) -> list[str]:
-    seen: set[str] = set()
-    for arg in likelihood_args(f):
-        seen.update(props_of(arg))
-    return sorted(seen)
-
-
 _DUAL = {LAnd: LOr, LOr: LAnd}
 
 

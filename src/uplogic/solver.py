@@ -24,11 +24,15 @@ probability.  A designated witness measure per argument loses no
 generality: restricting a satisfying measure set to one maximizer per
 argument preserves every argument's upper probability.
 
-Atoms sharing a membership signature across all arguments are
-interchangeable, so the LP merges them into one class per signature; any
-mass found is placed on a representative atom.  Every measure shares one
-pivot class c0, whose mass is 1 - sum_(c != c0) x[i][c], so the LP has a
-column x[i][c] >= 0 for every measure and every class but c0:
+Each distinct argument's extension mask is walked once per formula.
+Atoms that lie in the same extensions are interchangeable, so the LP
+merges them into one class: the classes are the atoms the extensions
+generate, found as masks by splitting the mask of all worlds by each
+measure's extension in turn (no work per world), and listed in order of
+their lowest world, which represents the class and gets any mass found
+on it.  Every measure shares one pivot class c0, whose mass is
+1 - sum_(c != c0) x[i][c], so the LP has a column x[i][c] >= 0 for every
+measure and every class but c0:
   - measure rows -sum_(c != c0) x[i][c] >= -1 keep c0's mass >= 0;
   - dominance rows stay homogeneous, because c0's mass cancels: measure
     i's row runs over the classes on the other side of phi_i's extension
@@ -62,7 +66,7 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import errors, lp
 from .errors import InternalCheckError, UplogicError
@@ -72,12 +76,13 @@ from .formula import (
     LNot,
     LOr,
     LikelihoodFormula,
+    PropFormula,
     Rel,
     Term,
     atom_columns,
+    basics_of,
     dnf,
     extension_mask,
-    likelihood_props,
     normalize,
     props_of,
 )
@@ -119,19 +124,18 @@ class BoundsResult(Record):
 
 
 class _Worlds:
-    """The atom worlds of a formula's proposition set: world i is atom i of
-    atom_columns(props), and each proposition has a column of the worlds
-    where it is true.  World i's id, w followed by i's n bits, is made
-    only for the worlds a model keeps."""
+    """The atom worlds of a formula's proposition set and the extension of
+    each of its likelihood arguments: world i is atom i of
+    atom_columns(props), each proposition has a column of the worlds where
+    it is true, and masks maps each of the distinct args to the mask of
+    the worlds where it holds, walked once per formula.  World i's id, w
+    followed by i's n bits, is made only for the worlds a model keeps."""
 
-    def __init__(self, props: Sequence[str]):
+    def __init__(self, props: Sequence[str], args: Iterable[PropFormula]):
         self.props = tuple(props)
-        self.count = 1 << len(props)
         self.columns = atom_columns(props)
-        self.full = (1 << self.count) - 1
-
-    def extension_mask(self, phi) -> int:
-        return extension_mask(phi, self.columns, self.full)
+        self.full = (1 << (1 << len(props))) - 1
+        self.masks = {phi: extension_mask(phi, self.columns, self.full) for phi in args}
 
     def id(self, w: int) -> str:
         return "w" + format(w, f"0{len(self.props)}b")
@@ -143,6 +147,9 @@ ONE = Fraction(1)
 class _DisjunctLP:
     """Witness LP for one conjunction of normalized basic constraints.
 
+    Measure i is the i-th distinct extension (worlds.masks) of the
+    literals' arguments, then of extra_args'; the classes are the masks
+    that refinement leaves, class_rep their lowest worlds.
     Every measure puts on the pivot class c0 the mass its other columns
     leave, 1 - sum_(c != c0) x[i][c], so c0 has no column; x[i][c] is
     column i*(C-1) + k, for c the k-th class other than c0.  The module
@@ -151,42 +158,32 @@ class _DisjunctLP:
     column indices, over the lcm of the row's denominators."""
 
     def __init__(self, worlds: _Worlds, basics: Sequence[Basic], extra_args=()):
-        mask_of: dict[int, int] = {}  # extension mask -> measure index
-        cache = self._arg_cache = {}  # argument -> measure index
-
-        def measure(phi) -> int:
-            i = cache.get(phi)
-            if i is None:
-                i = cache[phi] = mask_of.setdefault(worlds.extension_mask(phi), len(mask_of))
-            return i
-
+        ext = self._ext = worlds.masks
+        # extension mask -> measure index, in order of first appearance
+        index = self._index = {}
+        for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
+            index.setdefault(ext[phi], len(index))
         # each literal's coefficient on each measure, and its bound, in ints
-        lits = [_integer_literal([(measure(phi), a) for a, phi in b.term.parts], b.bound)
+        lits = [_integer_literal([(index[ext[phi]], a) for a, phi in b.term.parts], b.bound)
                 for b in basics]
-        for _, phi in extra_args:
-            measure(phi)
+        T = len(index)
+        # the classes: the worlds split by every measure's extension, in
+        # order of their lowest world, which represents them
+        classes = [worlds.full]
+        for m in index:
+            classes = [part for c in classes for part in (c & m, c & ~m) if part]
+        classes.sort(key=lambda c: c & -c)
+        self.class_rep = [(c & -c).bit_length() - 1 for c in classes]
+        C = len(classes)
 
-        masks = list(mask_of)  # in order of measure index
-        T = len(masks)
-        # merge worlds by membership signature across all argument extensions
-        sig_of: dict[tuple, int] = {}
-        self.class_rep: list[int] = []
-        for w in range(worlds.count):
-            sig = tuple([(m >> w) & 1 for m in masks])
-            if sig not in sig_of:
-                sig_of[sig] = len(self.class_rep)
-                self.class_rep.append(w)
-        sigs = list(sig_of)
-        C = len(self.class_rep)
-
-        inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
+        inside = [[c for c, cm in enumerate(classes) if cm & m] for m in index]
         c0 = self.c0 = _pivot_class(basics, lits, inside, C)
-        in0 = self._in0 = sigs[c0]  # whether c0 lies in each measure's extension
+        in0 = self._in0 = [bool(classes[c0] & m) for m in index]  # c0 inside each extension
         width = self._width = C - 1  # each measure's number of columns
         # the classes on the other side of measure i's extension from c0, as
         # their places in measure i's columns
-        self._side = [[c - (c > c0) for c in range(C) if sigs[c][i] != in0[i]]
-                      for i in range(T)]
+        self._side = [[c - (c > c0) for c, cm in enumerate(classes) if bool(cm & m) != i0]
+                      for m, i0 in zip(index, in0)]
         GE = lp.Relation.GE
         # each measure leaves c0 a mass >= 0
         rows = [lp.Constraint(dict.fromkeys(range(i * width, (i + 1) * width), -1), GE, -1, 1)
@@ -230,7 +227,7 @@ class _DisjunctLP:
         """The term as ((row, den), constant): its value is row.x / den +
         constant, and den is the lcm of the denominators of the row's
         entries and the constant."""
-        parts = [(self._arg_cache[phi], a) for a, phi in t.parts]
+        parts = [(self._index[self._ext[phi]], a) for a, phi in t.parts]
         row, bound, den = self._row(*_integer_literal(parts, Fraction(0)))
         return (row, den), Fraction(-bound, den)
 
@@ -286,10 +283,13 @@ def _pivot_class(basics: Sequence[Basic], lits: list[tuple], inside: list, C: in
     return violated.index(min(violated))
 
 
-def _prepare(f: LikelihoodFormula, extra_props=()):
-    props = sorted(set(likelihood_props(f)).union(extra_props))
+def _prepare(f: LikelihoodFormula, extra_args: Iterable[PropFormula] = ()):
+    """The worlds of f's likelihood arguments and extra_args, their
+    propositions within the cap, and f normalized."""
+    args = dict.fromkeys([phi for b in basics_of(f) for phi in b.term.args()] + list(extra_args))
+    props = sorted({p for phi in args for p in props_of(phi)})
     errors.check_cap(len(props), "distinct propositions", errors.cap())
-    return _Worlds(props), normalize(f)
+    return _Worlds(props, args), normalize(f)
 
 
 def _operands(g: LikelihoodFormula, node: type) -> tuple[LikelihoodFormula, ...]:
@@ -385,7 +385,7 @@ def bounds(f: LikelihoodFormula, t: Term) -> BoundsResult:
     Endpoints carry attainment flags: an open endpoint is approached only
     in the limit of some strict constraint.
     """
-    worlds, g = _prepare(f, [p for _, phi in t.parts for p in props_of(phi)])
+    worlds, g = _prepare(f, t.args())
     lower: Optional[tuple[Fraction, bool]] = None
     upper: Optional[tuple[Fraction, bool]] = None
     for basics in _disjuncts(worlds, g, []):

@@ -338,6 +338,30 @@ class TestCovers:
         assert "cover valid: true" in out
         assert "cover inequality holds: false" in out
 
+    # the certificate is read against --omega and the inequality against the
+    # function, so the two ground sets must be one; a mismatch is the input's
+    # fault, not the certificate's
+    @pytest.mark.parametrize("omega, function_ground, shown", [
+        ("a,b", [], "{}"),
+        ("a,b", ["a", "c"], "{a,c}"),
+        ("b,a", ["a", "b", "c"], "{a,b,c}"),
+        ("a,b,c", ["a", "b"], "{a,b}"),
+    ])
+    def test_omega_is_not_the_function_ground(self, capsys, tmp_path, omega,
+                                              function_ground, shown):
+        cert, function = tmp_path / "cert.json", tmp_path / "v.json"
+        cert.write_text(json.dumps({"sets": [["a"], ["b"]], "target": ["a"], "n": 1, "k": 0}))
+        v = {",".join(X): "1/2" for r in range(len(function_ground) + 1)
+             for X in itertools.combinations(function_ground, r)}
+        v.update({",".join(function_ground): 1, "": 0})
+        function.write_text(json.dumps({"omega": function_ground, "v": v}))
+        for flags in ([], ["--json"]):
+            code, out, err = run(capsys, *flags, "covers", "verify", "--certificate", str(cert),
+                                 "--omega", omega, "--function", str(function))
+            want = ",".join(sorted(omega.split(",")))
+            assert (code, out, err) == (
+                2, "", f"error: --omega {{{want}}} is not the function's ground set {shown}\n")
+
     def test_search_none_exit_1(self, capsys):
         code, out, _ = run(
             capsys, "covers", "search", "--function", TABLE_UPPER, "--m-max", "3",

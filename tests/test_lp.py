@@ -1026,7 +1026,7 @@ def test_stored_rows_survive_feasible_and_two_optimizes():
     # and the solver's witness LP of a bounds query
     f = parse_likelihood("l(p) > 1/3 & l(q) - l(p | q) >= -1/2 & l(!q) < 3/4")
     t = parse_term("l(p & q) - 2 l(q)")
-    worlds, g = solver._prepare(f, ["p", "q"])
+    worlds, g = solver._prepare(f, t.args())
     dlp = solver._DisjunctLP(worlds, solver.dnf(g)[0], extra_args=t.parts)
     before = _rows(dlp.system)
     assert feasible(dlp.system).verdict is Verdict.FEASIBLE

@@ -8,7 +8,7 @@ import pytest
 from uplogic import lp, solver
 from uplogic.errors import ResourceError
 from uplogic.formula import (
-    Basic, LNot, Not, Prop, Rel, Term, dnf, lconj_all, normalize, props_of,
+    Basic, LNot, Not, Prop, Rel, Term, dnf, lconj_all, normalize,
 )
 from uplogic.parser import parse_likelihood, parse_term
 from uplogic.semantics import eval_term, evaluate
@@ -249,6 +249,23 @@ class TestLazyWalk:
         assert res.stats["disjuncts"] == 2**40
         assert len(res.stats["lp_sizes"]) == 1
 
+    def test_each_extension_once_per_formula(self, monkeypatch):
+        # 64 disjunct LPs, each over 6 of the 12 distinct arguments; every
+        # argument's extension is walked once, not once per LP
+        calls = collections.Counter()
+        walk = solver.extension_mask
+
+        def counting(phi, *rest):
+            calls[phi] += 1
+            return walk(phi, *rest)
+
+        monkeypatch.setattr(solver, "extension_mask", counting)
+        res = sat(parse_likelihood(" & ".join(
+            f"(l(p{i}) > 1 | l(p{(i + 1) % 6} & p{(i + 2) % 6}) > 1)" for i in range(6))))
+        assert res.verdict is SatVerdict.UNSAT
+        assert len(res.stats["lp_sizes"]) == 64
+        assert len(calls) == 12 and set(calls.values()) == {1}
+
     @pytest.mark.parametrize("k", [1, 2, 40])
     def test_refuted_unit_one_lp(self, k):
         res = sat(parse_likelihood(_clauses(k) + " & l(p) + l(!p) < 1"))
@@ -360,12 +377,12 @@ class TestSmallModels:
             assert M.measure_ids == tuple(f"m{i}" for i in range(len(M.measures)))
             rows = res.stats["lp_sizes"][-1]["rows"]
             assert len(M.worlds) <= rows + 1
-            arguments = {worlds.extension_mask(phi) for b in basics for _, phi in b.term.parts}
+            arguments = {worlds.masks[phi] for b in basics for _, phi in b.term.parts}
             assert len(M.measures) <= len(arguments)
             assert evaluate(M, f)
             seen["sat"] += 1
             seen["merged"] += len(M.measures) < len(arguments)
-            seen["dropped"] += len(M.worlds) < worlds.count
+            seen["dropped"] += len(M.worlds) < (1 << len(worlds.props))
         assert min(seen.values()) >= 20, seen
 
     def test_the_ring_at_twelve_is_one_world(self):
@@ -430,11 +447,11 @@ class _ReferenceLP:
         self.measure_of = {}  # argument -> measure index
         for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
             if phi not in self.measure_of:
-                mask = worlds.extension_mask(phi)
+                mask = worlds.masks[phi]
                 self.measure_of[phi] = masks.setdefault(mask, len(masks))
         T = len(masks)
         sigs = list(dict.fromkeys(
-            tuple((m >> w) & 1 for m in masks) for w in range(worlds.count)))
+            tuple((m >> w) & 1 for m in masks) for w in range(1 << len(worlds.props))))
         C = len(sigs)
         self.names = [[f"x_{i}_{c}" for c in range(C)] for i in range(T)]
         self.inside = [[c for c in range(C) if sigs[c][i]] for i in range(T)]
@@ -465,7 +482,7 @@ def reference_bounds(f, t):
     """bounds(f, t) as (lower, lower attained, upper, upper attained) over
     the reference LP of every disjunct of dnf(normalize(f)); None when f
     is unsatisfiable."""
-    worlds, g = solver._prepare(f, [p for _, phi in t.parts for p in props_of(phi)])
+    worlds, g = solver._prepare(f, t.args())
     lower = upper = None
     for basics in dnf(g):
         ref = _ReferenceLP(worlds, basics, extra_args=t.parts)
@@ -557,7 +574,7 @@ class TestPivotClass:
     @pytest.mark.parametrize("text, c0_inside", HAND_BUILT)
     def test_hand_built_disjuncts(self, text, c0_inside):
         f = parse_likelihood(text)
-        worlds, g = solver._prepare(f, ["p", "q"])
+        worlds, g = solver._prepare(f, [p, q])
         [basics] = dnf(g)
         dlp = solver._DisjunctLP(worlds, basics)
         if c0_inside is not None:
@@ -600,11 +617,11 @@ class _FractionDisjunctRows:
         self.measure_of = {}  # argument -> measure index
         for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
             if phi not in self.measure_of:
-                mask = worlds.extension_mask(phi)
+                mask = worlds.masks[phi]
                 self.measure_of[phi] = masks.setdefault(mask, len(masks))
         T = len(masks)
         sigs = list(dict.fromkeys(
-            tuple((m >> w) & 1 for m in masks) for w in range(worlds.count)))
+            tuple((m >> w) & 1 for m in masks) for w in range(1 << len(worlds.props))))
         C = len(sigs)
 
         def value_at(t, c):  # the term at the point mass on class c
@@ -702,7 +719,7 @@ class TestIntegerRows:
         seen = collections.Counter()
         for f in _random_suite_formulas():
             t = _random_term(rng)
-            worlds, g = solver._prepare(f, [p for _, phi in t.parts for p in props_of(phi)])
+            worlds, g = solver._prepare(f, t.args())
             for basics in dnf(g)[:4]:
                 self._compare(worlds, basics, t, seen)
         assert min(seen["disjuncts"], seen["den > 1"], seen["c0 > 0"]) >= 100, seen
@@ -710,9 +727,10 @@ class TestIntegerRows:
     @pytest.mark.parametrize("text", REDUCED)
     def test_a_reduced_literal_row(self, text):
         seen = collections.Counter()
-        worlds, g = solver._prepare(parse_likelihood(text), ["p", "q"])
+        t = parse_term("1/2 l(p) + 1/3 l(true)")
+        worlds, g = solver._prepare(parse_likelihood(text), t.args())
         [basics] = dnf(g)
-        self._compare(worlds, basics, parse_term("1/2 l(p) + 1/3 l(true)"), seen)
+        self._compare(worlds, basics, t, seen)
         assert seen["reduced"] >= 1, seen
 
 
