@@ -24,11 +24,30 @@ probability.  A designated witness measure per argument loses no
 generality: restricting a satisfying measure set to one maximizer per
 argument preserves every argument's upper probability.
 
+An upper probability is a maximum, and a literal uses only one direction
+of its definition (the polarity argument of Plaisted & Greenbaum, 1986).
+Polarity is read off each literal's integer coefficients, merged per
+argument.  An argument of a bounds term keeps its measure and its rows,
+since the objective reads its exact value; for every other argument:
+  - rule 1: an argument whose every nonzero occurrence is a one-term upper
+    bound (a negative coefficient, alone in its literal) gets no measure,
+    and each of its literals is one row per remaining measure over its
+    extension: a maximum is <= c iff every measure is.  If no argument
+    keeps a measure, the first one does;
+  - rule 2: a measure whose argument has no negative coefficient gets no
+    dominance rows of its own, while every other measure keeps its rows
+    against it: the model reads the maximum where the LP read the
+    witness's value, and a positive coefficient only raises a left-hand
+    side, so a solution is still a model.
+Dropping rows relaxes the LP, so an infeasible LP refutes the disjunct;
+every model of the disjunct gives a point (its witnesses, less those of
+rule 1), so verdicts and bounds ends are those of the full LP.
+
 Each distinct argument's extension mask is walked once per formula.
 Atoms that lie in the same extensions are interchangeable, so the LP
 merges them into one class: the classes are the atoms the extensions
 generate, found as masks by splitting the mask of all worlds by each
-measure's extension in turn (no work per world), and listed in order of
+argument's extension in turn (no work per world), and listed in order of
 their lowest world, which represents the class and gets any mass found
 on it.  Every measure shares one pivot class c0, whose mass is
 1 - sum_(c != c0) x[i][c], so the LP has a column x[i][c] >= 0 for every
@@ -37,13 +56,14 @@ measure and every class but c0:
   - dominance rows stay homogeneous, because c0's mass cancels: measure
     i's row runs over the classes on the other side of phi_i's extension
     from c0, its sign flipped when c0 lies inside;
-  - a literal's value at c0's point mass, sum coeff_i [c0 in ext_i], moves
-    to its bound.
+  - a literal row's value at c0's point mass, sum coeff_i [c0 in ext_i],
+    moves to its bound.
 The origin is every measure's point mass on c0, where every measure and
 dominance row holds, so phase 1 needs an artificial column only for the
-literals that this one-world structure violates; c0 is the class whose
-point mass violates the fewest, the lowest on a tie.  A disjunct with a
-single class has no column, and its rows are constant comparisons.  The
+literal rows that this one-world structure violates; c0 is the class
+whose point mass violates the fewest rows (a rule-1 literal's rows are
+violated together), the lowest on a tie.  A disjunct with a single class
+has no column, and its rows are constant comparisons.  The
 substitution is one-to-one, so it changes no verdict and no bounds end,
 only the vertex reached.  Each row is stated once, in ints over the
 columns as lp takes it: entries +-1 over 1 for measure and dominance
@@ -56,8 +76,9 @@ A model lists only the worlds where some measure puts mass, and each
 distinct measure once.  Neither changes an upper probability, and both
 keep it small: the simplex stops at a basic point, whose nonzero columns
 are at most the LP's rows, so the worlds are at most its rows plus c0's
-representative (the small-model property).  Every SAT answer, in exactly
-the form it is returned, is re-checked by the model checker.
+representative (the small-model property, over the rows the rules above
+leave).  Every SAT answer, in exactly the form it is returned, is
+re-checked by the model checker.
 """
 
 from __future__ import annotations
@@ -147,27 +168,55 @@ ONE = Fraction(1)
 class _DisjunctLP:
     """Witness LP for one conjunction of normalized basic constraints.
 
-    Measure i is the i-th distinct extension (worlds.masks) of the
-    literals' arguments, then of extra_args'; the classes are the masks
-    that refinement leaves, class_rep their lowest worlds.
-    Every measure puts on the pivot class c0 the mass its other columns
-    leave, 1 - sum_(c != c0) x[i][c], so c0 has no column; x[i][c] is
-    column i*(C-1) + k, for c the k-th class other than c0.  The module
-    docstring gives the rows and why the simplex starts at c0's point
-    mass.  Each row is stated once, as lp states it: ints over the
+    Argument i is the i-th distinct extension (worlds.masks) of the
+    literals' arguments, then of extra_args' (a bounds term's addends,
+    whose exact value the objective reads).  The classes are the masks
+    that refinement by every argument's extension leaves, class_rep their
+    lowest worlds.  The arguments that keep a witness measure (rule 1 in
+    the module docstring) are numbered in order, and _measure maps each to
+    its measure.  Every measure puts on the pivot class c0 the mass its
+    other columns leave, 1 - sum_(c != c0) x[k][c], so c0 has no column;
+    x[k][c] is column k*(C-1) + j, for c the j-th class other than c0.  The
+    module docstring gives the rows and why the simplex starts at c0's
+    point mass.  Each row is stated once, as lp states it: ints over the
     column indices, over the lcm of the row's denominators."""
 
     def __init__(self, worlds: _Worlds, basics: Sequence[Basic], extra_args=()):
         ext = self._ext = worlds.masks
-        # extension mask -> measure index, in order of first appearance
+        # extension mask -> argument index, in order of first appearance in
+        # the literals, then in extra_args; each literal's coefficient on each
+        # argument, and its bound, in ints
         index = self._index = {}
-        for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
-            index.setdefault(ext[phi], len(index))
-        # each literal's coefficient on each measure, and its bound, in ints
-        lits = [_integer_literal([(index[ext[phi]], a) for a, phi in b.term.parts], b.bound)
+        lits = [_integer_literal([(index.setdefault(ext[phi], len(index)), a)
+                                  for a, phi in b.term.parts], b.bound)
                 for b in basics]
-        T = len(index)
-        # the classes: the worlds split by every measure's extension, in
+        exact = {index.setdefault(ext[phi], len(index)) for _, phi in extra_args}
+        # polarity, read off the nonzero coefficients: a bounds-term argument
+        # keeps its measure and its dominance rows; otherwise an argument
+        # keeps its dominance rows only if some coefficient on it is negative
+        # (rule 2), and its measure only if it occurs other than in a
+        # one-term upper bound (rule 1)
+        ranked, witnessed = set(exact), set(exact)
+        upper = []  # each literal's argument if it is a one-term upper bound
+        for nums, _, _ in lits:
+            occurs = [(i, a) for i, a in nums.items() if a]
+            if len(occurs) == 1 and occurs[0][1] < 0:
+                i = occurs[0][0]
+                ranked.add(i)
+                upper.append(i)
+            else:
+                upper.append(None)
+                for i, a in occurs:
+                    witnessed.add(i)
+                    if a < 0:
+                        ranked.add(i)
+        kept = [i for i in range(len(index)) if i in witnessed] or [0]
+        measure = self._measure = {i: k for k, i in enumerate(kept)}
+        T = len(kept)
+        # each literal's rows: one per measure for a one-term upper bound on
+        # an argument without a measure, else one over the arguments' own
+        spread = [(None,) if i is None or i in measure else range(T) for i in upper]
+        # the classes: the worlds split by every argument's extension, in
         # order of their lowest world, which represents them
         classes = [worlds.full]
         for m in index:
@@ -177,47 +226,55 @@ class _DisjunctLP:
         C = len(classes)
 
         inside = [[c for c, cm in enumerate(classes) if cm & m] for m in index]
-        c0 = self.c0 = _pivot_class(basics, lits, inside, C)
+        c0 = self.c0 = _pivot_class(basics, lits, spread, inside, C)
         in0 = self._in0 = [bool(classes[c0] & m) for m in index]  # c0 inside each extension
         width = self._width = C - 1  # each measure's number of columns
-        # the classes on the other side of measure i's extension from c0, as
-        # their places in measure i's columns
-        self._side = [[c - (c > c0) for c, cm in enumerate(classes) if bool(cm & m) != i0]
-                      for m, i0 in zip(index, in0)]
+        # the classes on the other side of argument i's extension from c0, as
+        # their places in a measure's columns
+        side = self._side = [
+            [c - (c > c0) for c, cm in enumerate(classes) if bool(cm & m) != i0]
+            for m, i0 in zip(index, in0)]
         GE = lp.Relation.GE
         # each measure leaves c0 a mass >= 0
-        rows = [lp.Constraint(dict.fromkeys(range(i * width, (i + 1) * width), -1), GE, -1, 1)
-                for i in range(T)]
-        # dominance: measure i attains the max on its own extension; c0's
-        # mass, shared by every measure, cancels
-        for i, side in enumerate(self._side):
-            s = -1 if in0[i] else 1
-            own = {i * width + k: s for k in side}
-            for j in range(T):
-                if j != i:
-                    row = own.copy()
-                    row.update({j * width + k: -s for k in side})
-                    rows.append(lp.Constraint(row, GE, 0, 1))
-        # the disjunct's constraints over the y_i = mu_i(extension_i)
-        for b, (nums, bound, den) in zip(basics, lits):
-            row, bound, den = self._row(nums, bound, den)
-            rows.append(lp.Constraint(row, lp.Relation.GT if b.rel is Rel.GT else GE, bound, den))
+        rows = [lp.Constraint(dict.fromkeys(range(k * width, (k + 1) * width), -1), GE, -1, 1)
+                for k in range(T)]
+        # dominance: measure k attains the max on its argument's extension;
+        # c0's mass, shared by every measure, cancels
+        for k, i in enumerate(kept):
+            if i in ranked:
+                s = -1 if in0[i] else 1
+                own = {k * width + j: s for j in side[i]}
+                for l in range(T):
+                    if l != k:
+                        row = own.copy()
+                        row.update({l * width + j: -s for j in side[i]})
+                        rows.append(lp.Constraint(row, GE, 0, 1))
+        # the disjunct's constraints over the mu_k(extension_i)
+        for b, (nums, bound, den), ks in zip(basics, lits, spread):
+            rel = lp.Relation.GT if b.rel is Rel.GT else GE
+            for k in ks:
+                row, rhs, d = self._row(nums, bound, den, k)
+                rows.append(lp.Constraint(row, rel, rhs, d))
         self.system = lp.make_system(T * width, rows)
 
-    def _row(self, nums: dict[int, int], bound: int, den: int) -> tuple[dict, int, int]:
-        """The literal sum_i nums_i * mu_i(extension_i) against bound, each
+    def _row(self, nums: dict[int, int], bound: int, den: int,
+             k: Optional[int] = None) -> tuple[dict, int, int]:
+        """The literal sum_i nums_i * mu(extension_i) against bound, each
         side over den, as (row, bound, den) over the columns in lowest
-        terms, as lp states a row: the term's value at c0's point mass
-        moves to the bound."""
+        terms, as lp states a row: mu is measure k, or argument i's own
+        measure when k is None, and the term's value at c0's point mass
+        moves to the bound.  An argument whose coefficient is 0 adds
+        nothing, and needs no measure."""
         row: dict[int, int] = {}
         width = self._width
         for i, a in nums.items():
-            if self._in0[i]:  # mu_i(extension_i) = 1 - mu_i(the rest)
-                bound -= a
-                a = -a
             if a:
-                for k in self._side[i]:
-                    row[i * width + k] = a
+                if self._in0[i]:  # mu(extension_i) = 1 - mu(the rest)
+                    bound -= a
+                    a = -a
+                first = (self._measure[i] if k is None else k) * width
+                for j in self._side[i]:
+                    row[first + j] = a
         g = math.gcd(den, bound, *row.values())
         if g > 1:
             row, bound, den = {j: x // g for j, x in row.items()}, bound // g, den // g
@@ -237,7 +294,7 @@ class _DisjunctLP:
         j // width's k-th column, k = j % width, whose class is k, or k + 1
         from c0 on, and c0's representative gets the mass the others leave."""
         reps, width, c0 = self.class_rep, self._width, self.c0
-        masses: list[dict[int, Fraction]] = [{} for _ in self._in0]
+        masses: list[dict[int, Fraction]] = [{} for _ in self._measure]
         for j, x in point.items():
             i, k = divmod(j, width)
             masses[i][k + (k >= c0)] = x
@@ -249,8 +306,8 @@ class _DisjunctLP:
 
 
 def _integer_literal(parts: list[tuple[int, Fraction]], bound: Fraction):
-    """(nums, B, L) for a term's addends (measure, coefficient) and a bound:
-    each measure's coefficient and the bound as ints over L, a common
+    """(nums, B, L) for a term's addends (argument, coefficient) and a bound:
+    each argument's coefficient and the bound as ints over L, a common
     denominator."""
     ratios = [(i, *a.as_integer_ratio()) for i, a in parts]
     bn, bd = bound.as_integer_ratio()
@@ -261,16 +318,19 @@ def _integer_literal(parts: list[tuple[int, Fraction]], bound: Fraction):
     return nums, bn * (den // bd), den
 
 
-def _pivot_class(basics: Sequence[Basic], lits: list[tuple], inside: list, C: int) -> int:
-    """The lowest class whose point mass violates the fewest literals.
+def _pivot_class(basics: Sequence[Basic], lits: list[tuple], spread: list, inside: list,
+                 C: int) -> int:
+    """The lowest class whose point mass violates the fewest rows.
 
-    At the point mass on class c, mu_i(extension_i) is 1 if c lies inside
-    it and 0 if not; each literal is compared in integers, as given by
+    At the point mass on class c, every measure's mass on argument i's
+    extension is 1 if c lies inside it and 0 if not, so the rows of a
+    literal (one per entry of its spread) are all violated there or none
+    is; each literal is compared in integers, as given by
     _integer_literal."""
     if C == 1:
         return 0
     violated = [0] * C
-    for b, (nums, bound, _) in zip(basics, lits):
+    for b, (nums, bound, _), ks in zip(basics, lits, spread):
         value = [0] * C
         for i, n in nums.items():
             if n:
@@ -279,7 +339,7 @@ def _pivot_class(basics: Sequence[Basic], lits: list[tuple], inside: list, C: in
         strict = b.rel is Rel.GT
         for c, x in enumerate(value):
             if x < bound or (strict and x == bound):
-                violated[c] += 1
+                violated[c] += len(ks)
     return violated.index(min(violated))
 
 

@@ -193,12 +193,13 @@ class TestSatValid:
         assert code == 0 and out.strip() == "VALID"
 
     def test_lp_sizes_json(self, capsys):
-        # two measures over four atom classes, each with a column for every
-        # class but the pivot class; one <= 1 row per measure and two
-        # dominance rows, plus the two basics
+        # one measure, p's, over four atom classes, with a column for every
+        # class but the pivot class: q occurs only in an upper bound, so its
+        # literal is a row on p's measure, and p's positive coefficient
+        # needs no dominance row; p's <= 1 row and the two literal rows
         code, out, _ = run(capsys, "--json", "sat", "--formula", "l(p) >= 1/2 & l(q) <= 1/3")
         assert code == 0
-        assert json.loads(out)["stats"]["lp_sizes"] == [{"variables": 6, "rows": 6}]
+        assert json.loads(out)["stats"]["lp_sizes"] == [{"variables": 3, "rows": 3}]
 
     def test_invalid_with_countermodel_json(self, capsys):
         code, out, _ = run(capsys, "--json", "valid", "--formula", "l(p) >= 1/2")

@@ -606,66 +606,94 @@ class TestPivotClass:
 
 
 class _FractionDisjunctRows:
-    """The solver's witness LP built as it was: Fraction rows over the
-    names x_i_c, with the same pivot class found in Fractions.  The solver
-    states each row once in integers; read back as Fractions, its rows must
-    be these, and each over the lcm of these rows' denominators, since a
-    row's denominator is its slack's entry in the tableau."""
+    """The solver's witness LP built in Fractions: rows over the names
+    x_k_c, with the same polarity rules and the same pivot class found in
+    Fractions.  Rule 1: an argument outside the bounds term whose every
+    occurrence is a one-term upper bound has no measure, and each of its
+    literals is one row per measure (the first argument keeps one if no
+    argument would).  Rule 2: a measure has dominance rows only if its
+    argument is in the bounds term or carries a negative coefficient.  The
+    solver states each row once in integers; read back as Fractions, its
+    rows must be these, and each over the lcm of these rows' denominators,
+    since a row's denominator is its slack's entry in the tableau."""
 
     def __init__(self, worlds, basics, extra_args=()):
-        masks: dict = {}  # extension mask -> measure index
-        self.measure_of = {}  # argument -> measure index
+        masks: dict = {}  # extension mask -> argument index
+        self.arg_of = {}  # argument -> argument index
         for _, phi in [p for b in basics for p in b.term.parts] + list(extra_args):
-            if phi not in self.measure_of:
+            if phi not in self.arg_of:
                 mask = worlds.masks[phi]
-                self.measure_of[phi] = masks.setdefault(mask, len(masks))
-        T = len(masks)
+                self.arg_of[phi] = masks.setdefault(mask, len(masks))
+        A = len(masks)
         sigs = list(dict.fromkeys(
             tuple((m >> w) & 1 for m in masks) for w in range(1 << len(worlds.props))))
         C = len(sigs)
+        merged = [self.merged(b.term) for b in basics]
+        exact = {self.arg_of[phi] for _, phi in extra_args}
+        upper_only = {i for i in range(A) if i not in exact and all(
+            len(co) == 1 and co[i] < 0 for co in merged if i in co)}
+        kept = [i for i in range(A) if i not in upper_only] or [0]
+        self.measure_of = {i: k for k, i in enumerate(kept)}
+        ranked = [i for i in kept if i in exact or any(co.get(i, 0) < 0 for co in merged)]
+        # each literal row as (basic index, measure or None for the
+        # arguments' own)
+        self.literal_of = [
+            (n, k) for n, co in enumerate(merged)
+            for k in (range(len(kept)) if set(co) - set(kept) else [None])]
 
-        def value_at(t, c):  # the term at the point mass on class c
-            return sum((coeff for coeff, phi in t.parts if sigs[c][self.measure_of[phi]]),
-                       F(0))
+        def value_at(co, c):  # a literal row at the point mass on class c
+            return sum((a for i, a in co.items() if sigs[c][i]), F(0))
 
         def violated(c):
-            return sum(1 for b in basics
-                       if value_at(b.term, c) < b.bound
-                       or (b.rel is Rel.GT and value_at(b.term, c) == b.bound))
+            return sum(1 for n, _ in self.literal_of
+                       if value_at(merged[n], c) < basics[n].bound
+                       or (basics[n].rel is Rel.GT and value_at(merged[n], c) == basics[n].bound))
 
         self.c0 = c0 = min(range(C), key=lambda c: (violated(c), c))
         self.in0 = sigs[c0]
-        self.side = [[c for c in range(C) if sigs[c][i] != self.in0[i]] for i in range(T)]
-        self.names = [{c: f"x_{i}_{c}" for c in range(C) if c != c0} for i in range(T)]
+        self.side = [[c for c in range(C) if sigs[c][i] != self.in0[i]] for i in range(A)]
+        self.names = [{c: f"x_{k}_{c}" for c in range(C) if c != c0} for k in range(len(kept))]
         self.variables = [x for row in self.names for x in row.values()]
         ONE = F(1)
         self.rows = [(dict.fromkeys(row.values(), -ONE), lp.Relation.GE, -ONE)
                      for row in self.names]
-        for i, side in enumerate(self.side):
+        for i in ranked:
+            k = self.measure_of[i]
             s = -ONE if self.in0[i] else ONE
-            for j in range(T):
-                if j != i:
-                    row = {self.names[i][c]: s for c in side}
-                    row.update({self.names[j][c]: -s for c in side})
+            for l in range(len(kept)):
+                if l != k:
+                    row = {self.names[k][c]: s for c in self.side[i]}
+                    row.update({self.names[l][c]: -s for c in self.side[i]})
                     self.rows.append((row, lp.Relation.GE, F(0)))
-        for b in basics:
+        for n, k in self.literal_of:
+            b = basics[n]
             rel = lp.Relation.GT if b.rel is Rel.GT else lp.Relation.GE
-            row, const = self.term_row(b.term)
+            row, const = self.row(merged[n], k)
             self.rows.append((row, rel, b.bound - const))
 
-    def term_row(self, t):
-        by_measure: dict = {}
+    def merged(self, t):
+        """The term's nonzero coefficient on each argument."""
+        by_arg: dict = {}
         for coeff, phi in t.parts:
-            i = self.measure_of[phi]
-            by_measure[i] = by_measure.get(i, 0) + coeff
+            i = self.arg_of[phi]
+            by_arg[i] = by_arg.get(i, 0) + coeff
+        return {i: a for i, a in by_arg.items() if a}
+
+    def row(self, co, k=None):
+        """The coefficients co over measure k, or each argument's own
+        measure, as (row, constant): the constant is the value at c0."""
         row, const = {}, F(0)
-        for i, coeff in by_measure.items():
+        for i, coeff in co.items():
             if self.in0[i]:
                 const += coeff
                 coeff = -coeff
+            m = self.measure_of[i] if k is None else k
             for c in self.side[i]:
-                row[self.names[i][c]] = coeff
-        return {x: a for x, a in row.items() if a}, const
+                row[self.names[m][c]] = coeff
+        return row, const
+
+    def term_row(self, t):
+        return self.row(self.merged(t))
 
 
 def _lcm_of_denominators(row, bound):
@@ -709,10 +737,10 @@ class TestIntegerRows:
         seen["disjuncts"] += 1
         seen["den > 1"] += sum(c.den > 1 for c in system.constraints)
         seen["c0 > 0"] += dlp.c0 > 0
-        literals = system.constraints[len(system.constraints) - len(basics):]
+        literals = system.constraints[len(system.constraints) - len(ref.literal_of):]
         seen["reduced"] += sum(
             c.den < math.lcm(b.bound.denominator, *[a.denominator for a, _ in b.term.parts])
-            for c, b in zip(literals, basics))
+            for c, b in zip(literals, [basics[n] for n, _ in ref.literal_of]))
 
     def test_rows_match_the_fraction_reference(self):
         rng = random.Random(2024)
@@ -734,30 +762,24 @@ class TestIntegerRows:
         assert seen["reduced"] >= 1, seen
 
 
-# The ring "hard2" on 8 propositions: one disjunct whose LP has 272 rows
-# and 4,064 columns, far wider than the random suites build.  The model and
-# the bounds are pinned: the simplex must reach the same vertex.  Of the 16
-# measures the LP finds, two are equal and the model lists them once.
+# The ring "hard2" on 8 propositions: one disjunct whose LP has 80 rows and
+# 2,032 columns, far wider than the random suites build.  Each lower bound's
+# argument keeps a measure and, its coefficient being positive, no dominance
+# rows (rule 2); each upper bound's argument has no measure, and its literal
+# is one row per measure (rule 1): 8 measure rows, 8 lower-bound rows and
+# 8 * 8 upper-bound rows.  The model and the bounds are pinned: the simplex
+# must reach the same vertex.
 HARD2 = " & ".join(f"l(p{i} & !p{(i + 1) % 8}) >= 1/4 & l(!p{i} & p{(i + 1) % 8}) <= 1/7"
                    for i in range(8))
 HARD2_MODEL = [  # each measure's nonzero masses, world id without its "w"
-    "00000000:43/196 00001000:3/28 00001101:5/196 00001110:1/98 00011100:9/98 00110100:11/196"
-    " 00111110:17/196 01110010:1/7 10000000:13/98 10000101:15/196 10010001:2/49 11010110:1/98",
-    "00000000:6/7 01000000:1/7",
-    "00000000:3/10 00010101:1/10 00100000:1/7 01000000:1/28 01100000:3/28 10001010:1/10"
-    " 11000000:3/70 11000011:3/70 11000111:3/70 11001001:3/70 11011111:3/70",
-    "00000000:6/7 00100000:1/7",
+    "00000000:3/4 10000000:1/7 10000001:3/28",
+    "00000000:3/4 01000000:1/7 11000000:3/28",
     "00000000:3/4 00100000:1/7 01100000:3/28",
-    "00000000:6/7 00010000:1/7",
     "00000000:3/4 00010000:1/7 00110000:3/28",
-    "00000000:6/7 00001000:1/7",
     "00000000:3/4 00001000:1/7 00011000:3/28",
-    "00000000:6/7 00000100:1/7",
     "00000000:3/4 00000100:1/7 00001100:3/28",
-    "00000000:6/7 00000010:1/7",
     "00000000:3/4 00000010:1/7 00000110:3/28",
-    "00000000:3/4 00000001:1/7 00000011:3/28",  # the witness of two arguments
-    "00000000:6/7 10000000:1/7",
+    "00000000:3/4 00000001:1/7 00000011:3/28",
 ]
 
 
@@ -765,9 +787,145 @@ def test_the_ring_hard2_on_one_wide_lp():
     f = parse_likelihood(HARD2)
     res = sat(f)
     assert res.verdict is SatVerdict.SAT
-    assert res.stats["lp_sizes"] == [{"variables": 4064, "rows": 272}]
+    assert res.stats["lp_sizes"] == [{"variables": 2032, "rows": 80}]
     assert evaluate(res.model, f)
     assert [" ".join(f"{w[1:]}:{x}" for w, x in mu.items())
             for mu in res.model.measures] == HARD2_MODEL
     assert res.model.worlds == tuple(sorted({w for mu in res.model.measures for w in mu}))
     assert bounds(f, parse_term("l(p0 & p1)")) == solver.BoundsResult(F(3, 28), True, F(1), True)
+
+
+def _one_disjunct_lp(text, term=None):
+    """The witness LP of a formula with one disjunct, with a bounds term's
+    arguments when term is given."""
+    t = parse_term(term) if term else None
+    worlds, g = solver._prepare(parse_likelihood(text), t.args() if t else ())
+    [basics] = dnf(g)
+    return solver._DisjunctLP(worlds, basics, extra_args=t.parts if t else ())
+
+
+class TestPolarity:
+    """Rule 1: an argument outside the bounds term whose every occurrence
+    is a one-term upper bound has no witness measure, and each of its
+    literals is one row per measure.  Rule 2: a measure whose argument is
+    outside the bounds term and carries no negative coefficient has no
+    dominance rows.  Each LP's size is derived in its comment."""
+
+    # an argument's coefficients cancel inside one literal, and it is
+    # otherwise upper-only: it has no measure, so the literal whose
+    # coefficient on it is 0 must not look one up.  Alone, q keeps the one
+    # measure; beside l(p) >= 1/2, p's measure is the only one.
+    CANCELLED = "l(q) - l(q) > -1/5 & l(q) < 7/6"
+
+    @pytest.mark.parametrize("text, size", [
+        # the <= 1 row, the constant row 0 > -1/5 and the upper bound
+        (CANCELLED, {"variables": 1, "rows": 3}),
+        # and the lower bound on p, over four classes
+        (CANCELLED + " & l(p) >= 1/2", {"variables": 3, "rows": 4}),
+    ])
+    def test_cancelled_coefficients_sat(self, text, size):
+        f = parse_likelihood(text)
+        res = sat(f)
+        assert res.verdict is SatVerdict.SAT and evaluate(res.model, f)
+        assert res.stats["lp_sizes"] == [size]
+
+    @pytest.mark.parametrize("term", ["l(p)", "l(q)", "l(q) - l(p)"])
+    def test_cancelled_coefficients_bounds(self, term):
+        f, t = parse_likelihood(self.CANCELLED), parse_term(term)
+        assert _bounds_or_none(f, t) == reference_bounds(f, t)
+
+    @pytest.mark.parametrize("text", [
+        # the negations of the two formulas above
+        "l(q) - l(q) <= -1/5 | l(q) >= 7/6",
+        "l(q) - l(q) <= -1/5 | l(q) >= 7/6 | l(p) < 1/2",
+    ])
+    def test_cancelled_coefficients_valid(self, text):
+        f = parse_likelihood(text)
+        res = valid(f)
+        assert not res.valid and not evaluate(res.countermodel, f)
+
+    def test_a_mixed_polarity_argument_keeps_its_dominance_rows(self):
+        # l(q) is negative in the first literal and positive in the second.
+        # Since l(p & q) <= l(q), l(q) >= 1/2 and l(p) > 1: UNSAT.  Without
+        # q's rows its witness could put no mass on q in both literals.
+        text = "l(p) - l(q) > 1/2 & l(q) + l(p & q) >= 1"
+        assert sat(parse_likelihood(text)).verdict is SatVerdict.UNSAT
+        # three measures over four classes; three measure rows, q's two
+        # dominance rows (p and p & q are positive: none) and two literals
+        dlp = _one_disjunct_lp(text)
+        assert len(dlp.system.variables) == 9 and len(dlp.system.constraints) == 7
+
+    def test_a_two_term_upper_bound_keeps_its_measures(self):
+        # l(p) <= l(q) is no bound that every measure must meet: the witness
+        # of p & !q has mu(p) >= 3/4 > mu(q), and the witness of q lifts
+        # l(q) above l(p)
+        text = "l(p) - l(q) <= 0 & l(p & !q) >= 3/4 & l(q) >= 3/4"
+        f = parse_likelihood(text)
+        res = sat(f)
+        assert res.verdict is SatVerdict.SAT and evaluate(res.model, f)
+        assert len(res.model.measures) == 2
+        # p, q and p & !q keep a measure each; p's two dominance rows (it
+        # alone is negative), three measure rows and three literals
+        dlp = _one_disjunct_lp(text)
+        assert len(dlp.system.variables) == 9 and len(dlp.system.constraints) == 8
+
+    @pytest.mark.parametrize("text, term, rows", [
+        # p is only in an upper bound but is the term: it keeps its measure
+        # and its row against q's, as q keeps none of its own; two measure
+        # rows and two literals
+        ("l(p) <= 1/2 & l(q) >= 3/4", "l(p)", 5),
+        # p | q is only in the term, which reads its exact value: its row
+        # against p's measure keeps l(p | q) >= l(p) >= 1/2; two measure
+        # rows and one literal
+        ("l(p) >= 1/2", "l(p | q)", 4),
+    ])
+    def test_a_bounds_argument_keeps_its_measure_and_rows(self, text, term, rows):
+        f, t = parse_likelihood(text), parse_term(term)
+        dlp = _one_disjunct_lp(text, term)
+        assert len(dlp._measure) == 2 and len(dlp.system.constraints) == rows
+        assert _bounds_or_none(f, t) == reference_bounds(f, t)
+
+    def test_upper_bounds_alone_keep_one_measure(self):
+        text = "l(p) <= 1/2 & l(q) < 1/3 & l(p & q) <= 1/4"
+        f = parse_likelihood(text)
+        res = sat(f)
+        assert res.verdict is SatVerdict.SAT and evaluate(res.model, f)
+        assert len(res.model.measures) == 1
+        # one measure over four classes: its <= 1 row and one row per literal
+        assert res.stats["lp_sizes"] == [{"variables": 3, "rows": 4}]
+
+    def test_an_upper_bound_holds_on_every_measure(self):
+        # p & q has no measure; its bound is a row on each of the other two
+        f = parse_likelihood("l(p) >= 3/4 & l(q) >= 3/4 & l(p & q) <= 1/2")
+        res = sat(f)
+        assert res.verdict is SatVerdict.SAT and evaluate(res.model, f)
+        # two measures over four classes; two measure rows, two lower
+        # bounds and the upper bound on each measure
+        assert res.stats["lp_sizes"] == [{"variables": 6, "rows": 6}]
+        assert all(mu.get("w11", 0) <= F(1, 2) for mu in res.model.measures)
+
+
+# The worst cases, by the size of their last LP rather than by the clock.
+# "hard2" at n = 10: ten measures, one per lower bound, with no dominance
+# rows, over 1,023 non-pivot classes; ten measure rows, ten lower bounds and
+# ten upper bounds on each of the ten measures.
+def test_the_ring_hard2_at_ten_lp_size():
+    n = 10
+    f = parse_likelihood(" & ".join(
+        f"l(p{i} & !p{(i + 1) % n}) >= 1/4 & l(!p{i} & p{(i + 1) % n}) <= 1/7" for i in range(n)))
+    res = sat(f)
+    assert res.verdict is SatVerdict.SAT
+    assert res.stats["lp_sizes"] == [{"variables": 10220, "rows": 120}]
+
+
+# ROADMAP item 3's clause case at k = 8: 256 disjuncts, all refuted; the
+# last one has eight strict lower bounds on eight arguments, none with
+# dominance rows, so eight measure rows and eight literals.
+def test_the_clause_case_at_eight_lp_size():
+    k = 8
+    f = parse_likelihood(" & ".join(
+        f"(l(p{i}) > 1 | l(p{(i + 1) % k} & p{(i + 2) % k}) > 1)" for i in range(k)))
+    res = sat(f)
+    assert res.verdict is SatVerdict.UNSAT
+    assert len(res.stats["lp_sizes"]) == 256
+    assert res.stats["lp_sizes"][-1] == {"variables": 712, "rows": 16}
