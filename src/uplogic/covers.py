@@ -16,10 +16,12 @@ for either kind of source derive the lower table as the dual
 L - upper[complement]: each measure sums to 1, so the least mass a
 measure puts on a set is 1 less the most any puts on its complement.
 
-search_violation builds each multiset once from its prefix, keeps its
-coverage chain as runs of equal sets, and bounds its targets once, from a
-subset-max table and the chain's last run, instead of testing all 2^n
-targets (README, "Covers").
+search_violation builds each multiset once from its prefix and bounds its
+targets once, from a subset-max table and the last run of its coverage
+chain (kept as runs of equal sets), instead of testing all 2^n targets.
+That run and the ground coverage k are read off the prefix's runs in O(1);
+a multiset's own runs are built only to extend it or to scan its targets
+(README, "Covers").
 """
 
 from __future__ import annotations
@@ -92,6 +94,32 @@ def up3_check(v: SetFunction, c: CoverInstance) -> bool:
     return c.k + c.n * v(c.target) <= total
 
 
+def _extend_runs(runs: list, s: int, full: int) -> list:
+    """The runs of a chain after the set s is added to its multiset.
+
+    Each run's first level a becomes S_a | S_(a-1) & s, the levels above it
+    keep S_a, S_top & s goes on top of the last run, and equal neighbours
+    merge (README, "Covers").
+    """
+    chain = [runs[0]]
+    below, a = full, runs[0][1] + 1
+    for M, top in runs[1:]:
+        head = M | below & s
+        if head == chain[-1][0]:
+            chain[-1] = (head, a)
+        elif head != M:
+            chain.append((head, a))
+        if head == M or top > a:
+            chain.append((M, top))
+        below, a = M, top + 1
+    head = below & s
+    if head == chain[-1][0]:
+        chain[-1] = (head, a)
+    elif head:
+        chain.append((head, a))
+    return chain
+
+
 def search_violation(
     v: SetFunction,
     m_max: int,
@@ -107,8 +135,12 @@ def search_violation(
     empty target counting as covered m times.  The budget counts multiset x
     target instances as a search testing every target would: past it,
     ResourceError.  The certificate is re-checked by verify_cover and
-    up3_check; InternalCheckError if either disagrees.  How each multiset
-    is built from its prefix and bounded without visiting its targets:
+    up3_check; InternalCheckError if either disagrees.
+
+    Each multiset is its prefix plus one set s.  Its k and the last run of
+    its chain are read off the prefix's runs in O(1), and bound its targets;
+    the chain itself is built (_extend_runs) only for a multiset kept to be
+    extended, or one whose bound fails, whose targets are then scanned.
     README, "Covers".
     """
     if m_max < 1:
@@ -118,13 +150,15 @@ def search_violation(
     full = (1 << n_el) - 1
     masks = subset_masks(n_el)
     pool = [t for t in masks if t and t != full]
+    if not pool:  # at most one element: no multiset to visit
+        return None
     best = table[:]  # best[S] = max of table[T] over T within S
     for i in range(n_el):
         bit = 1 << i
         for S in range(full + 1):
             if S & bit and best[S ^ bit] > best[S]:
                 best[S] = best[S ^ bit]
-    spent, cost = 0, len(masks)
+    spent, cost, best0 = 0, len(masks), best[0]
     # a multiset of m sets: (link, index of its last set in pool, total,
     # runs), with link = (the prefix's link, last set) and runs the
     # (mask, top level) pairs of its nonempty chain S_0 >= S_1 >= ... >= S_m,
@@ -132,59 +166,53 @@ def search_violation(
     level = [(None, 0, 0, [(full, 0)])]
     for m in range(1, m_max + 1):
         grown = []
+        keep = m < m_max  # the last size is extended no further
         for link, first, prefix_total, runs in level:
-            for i in range(first, len(pool)):
-                s = pool[i]
-                # each run's first level a becomes S_a | S_(a-1) & s, the
-                # levels above it keep S_a, S_top & s goes on top of the
-                # last run, and equal neighbours merge
-                chain = [runs[0]]
-                below, a = full, runs[0][1] + 1
-                for M, top in runs[1:]:
-                    head = M | below & s
-                    if head == chain[-1][0]:
-                        chain[-1] = (head, a)
-                    elif head != M:
-                        chain.append((head, a))
-                    if head == M or top > a:
-                        chain.append((M, top))
-                    below, a = M, top + 1
-                head = below & s
-                if head == chain[-1][0]:
-                    chain[-1] = (head, a)
-                elif head:
-                    chain.append((head, a))
-                k = chain[0][1]
+            # the prefix's runs (full, k0), (M_1, t_1), ..., (M_r, t_r): with
+            # s added, k is k0 + 1 iff M_1 | s is full, and the last run is
+            # (M_r & s, t_r + 1) if that is nonempty, else (M_r | below & s,
+            # t_r), below being M_(r-1) if level t_r is a run of its own
+            # (M_0 = full, t_0 = k0) and M_r otherwise
+            k0 = runs[0][1]
+            M1 = runs[1][0] if len(runs) > 1 else 0
+            Mr, tr = runs[-1]
+            below = runs[-2][0] if len(runs) > 1 and runs[-2][1] == tr - 1 else Mr
+            # the multisets the budget still holds if cleared, and one more,
+            # past which a search counting each multiset would have stopped;
+            # the cleared ones are counted in one batch
+            batch = pool[first:first + 1 + max(0, budget - spent) // cost]
+            for i, s in enumerate(batch, first):
+                k = k0 + 1 if M1 | s == full else k0
+                low = Mr & s
+                mask, top = (low, tr + 1) if low else (Mr | below & s, tr)
                 total = prefix_total + table[s]
                 # (cov(t) - k)*v(t) at the empty target, covered m times,
                 # and at the best subset of the last run's set, covered its
                 # top times: a first violator violates at one of these
                 slack = total - k * L
-                bound = (m - k) * best[0]
-                mask, top = chain[-1]
+                bound = (m - k) * best0
                 if (top - k) * best[mask] > bound:
                     bound = (top - k) * best[mask]
-                hit = None  # index of the first violating target
-                if bound > slack:
-                    # each target's coverage: m for the empty target, else
-                    # the top of the last run whose set holds it
-                    cov = [next(top for S, top in reversed(chain) if t & S == t) if t else m
-                           for t in masks]
-                    hit = next((j for j, t in enumerate(masks)
-                                if (cov[j] - k) * table[t] > slack), None)
-                    if hit is None:
-                        raise InternalCheckError(
-                            "search_violation's target bound exceeds every target"
-                        )
-                spent += cost if hit is None else hit + 1
+                if bound <= slack:
+                    if keep:
+                        grown.append(((link, s), i, total, _extend_runs(runs, s, full)))
+                    continue
+                # each target's coverage: m for the empty target, else the
+                # top of the last run whose set holds it
+                chain = _extend_runs(runs, s, full)
+                cov = [next(top for S, top in reversed(chain) if t & S == t) if t else m
+                       for t in masks]
+                hit = next((j for j, t in enumerate(masks)
+                            if (cov[j] - k) * table[t] > slack), None)
+                if hit is None:
+                    raise InternalCheckError(
+                        "search_violation's target bound exceeds every target"
+                    )
+                spent += (i - first) * cost + hit + 1
                 if spent > budget:
                     raise ResourceError(
                         f"cover search budget of {budget} instances exceeded"
                     )
-                if hit is None:
-                    if m < m_max:  # the last size is extended no further
-                        grown.append(((link, s), i, total, chain))
-                    continue
                 sets = [s]
                 while link is not None:
                     link, t = link
@@ -198,6 +226,11 @@ def search_violation(
                         "violating cover"
                     )
                 return found
+            spent += len(batch) * cost
+            if spent > budget:
+                raise ResourceError(
+                    f"cover search budget of {budget} instances exceeded"
+                )
         if not grown:
             break
         level = grown

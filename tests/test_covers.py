@@ -19,7 +19,7 @@ from uplogic.covers import (
 from uplogic.errors import InputError, InternalCheckError, ResourceError
 from uplogic.formula import FALSE, TRUE, Not, Prop, is_tautology
 from uplogic.semantics import evaluate
-from uplogic.structure import SetFunction, set_function_of
+from uplogic.structure import SetFunction, set_function_of, subset_masks
 
 from conftest import random_structure, structure_with_zeros
 
@@ -130,6 +130,50 @@ class TestSearchViolation:
     def test_certificate_round_trip(self, veps):
         cert = search_violation(veps, 3)
         assert load_certificate(save_certificate(cert)) == cert
+
+    def test_closed_form_matches_the_chain(self):
+        # every prefix the search reaches up to m = 3 sets on 1-4 elements,
+        # and every next set s: the chain _extend_runs builds is the one the
+        # coverage counts give, and its k and last run are those read off
+        # the prefix's runs (full, k0), (M_1, t_1), ..., (M_r, t_r)
+        checked = 0
+        for n in range(1, 5):
+            full = (1 << n) - 1
+            pool = [t for t in subset_masks(n) if t and t != full]
+            for size in range(3):
+                for prefix in itertools.combinations_with_replacement(pool, size):
+                    runs = chain_of(prefix, n)
+                    k0, (Mr, tr) = runs[0][1], runs[-1]
+                    M1 = runs[1][0] if len(runs) > 1 else 0
+                    for s in pool:
+                        chain = covers._extend_runs(runs, s, full)
+                        assert chain == chain_of(prefix + (s,), n)
+                        k = k0 + 1 if M1 | s == full else k0
+                        if Mr & s:
+                            last = (Mr & s, tr + 1)
+                        elif len(runs) > 1 and runs[-2][1] == tr - 1:  # a single level
+                            last = (Mr | runs[-2][0] & s, tr)
+                        else:
+                            last = (Mr, tr)
+                        assert (chain[0][1], chain[-1]) == (k, last)
+                        checked += 1
+        assert checked == 2 * 6 + 6 * 28 + 14 * 120
+
+
+def chain_of(sets, n):
+    """The runs (set, top level) of the nonempty coverage chain of a
+    multiset of masks over n elements, from each element's count."""
+    counts = [sum(s >> x & 1 for s in sets) for x in range(n)]
+    runs = []
+    for c in range(len(sets) + 1):
+        S = sum(1 << x for x in range(n) if counts[x] >= c)
+        if not S:
+            break
+        if runs and runs[-1][0] == S:
+            runs[-1] = (S, c)
+        else:
+            runs.append((S, c))
+    return runs
 
 
 class TestL4Instances:
@@ -469,6 +513,20 @@ def random_set_function(rng, n):
     return SetFunction(ground, values)
 
 
+def heavy_element_function(rng, n):
+    """A set function on n elements: each set's value is the sum of its
+    elements' weights, one element heavy, plus a bonus by its size, at most
+    1; 0 on the empty set and 1 on the ground.  At n = 4 about one in eight
+    has a first cover certificate of three sets."""
+    ground = "abcdef"[:n]
+    den = rng.choice([10, 12, 15, 20])
+    weight = {x: rng.randint(1, den // 4) for x in ground}
+    weight[rng.choice(ground)] += rng.randint(den // 2, den)
+    bonus = [rng.randint(0, den // 10) for _ in range(n + 1)]
+    return set_function(ground, lambda X: F(0) if not X else F(1) if len(X) == n
+                        else F(min(den, sum(weight[x] for x in X) + bonus[len(X)]), den))
+
+
 class TestMatchesFractionReference:
     BUDGETS = (1, 5, 50, 500, errors.SEARCH_BUDGET)
 
@@ -486,26 +544,42 @@ class TestMatchesFractionReference:
         assert found > 100  # the differential test sees certificates
 
     def test_search_budget_boundary(self):
-        # the smallest budget that finds the certificate finds it, one less
-        # is exceeded, both with the reference's outcome
+        # the budget the reference spends up to its certificate finds it,
+        # one less is exceeded, both with the reference's outcome: at
+        # m_max = 2 on random functions, and at m_max = 3 on functions whose
+        # first certificate has three sets, so that both fall at the last size
+        def boundary(v, m_max, cert):
+            ground = list(v.ground)
+            pool = [frozenset(c) for r in range(1, len(ground))
+                    for c in itertools.combinations(ground, r)]
+            m = len(cert.sets)
+            before = sum(len(list(itertools.combinations_with_replacement(pool, j)))
+                         for j in range(1, m))
+            before += list(itertools.combinations_with_replacement(pool, m)).index(cert.sets)
+            spent = before * len(v.subsets()) + v.subsets().index(cert.target) + 1
+            over = outcome(reference_search_violation, v, m_max, spent - 1)
+            assert over[0] is ResourceError
+            assert outcome(search_violation, v, m_max, spent - 1) == over
+            assert outcome(search_violation, v, m_max, spent) == cert
+            return spent
+
         rng = random.Random(41)
         checked = 0
         for trial in range(120):
             v = random_set_function(rng, 2 + trial % 4)
-            if not isinstance(reference_search_violation(v, 2), CoverInstance):
-                continue
-            lo, hi = 1, 1 << 20
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if isinstance(outcome(reference_search_violation, v, 2, mid), CoverInstance):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            for budget in (lo - 1, lo):
-                assert (outcome(search_violation, v, 2, budget)
-                        == outcome(reference_search_violation, v, 2, budget))
-            checked += lo > 1
+            cert = reference_search_violation(v, 2)
+            if isinstance(cert, CoverInstance):
+                checked += boundary(v, 2, cert) > 1
         assert checked > 50
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(120):
+            v = heavy_element_function(rng, 4)
+            cert = reference_search_violation(v, 3)
+            if isinstance(cert, CoverInstance) and len(cert.sets) == 3:
+                boundary(v, 3, cert)
+                checked += 1
+        assert checked > 10
 
     def test_search_envelopes(self):
         rng = random.Random(29)
